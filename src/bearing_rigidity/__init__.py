@@ -22,6 +22,7 @@ from .spaces import (AgentState, BearingStack, DegeneracyReport, Framework,
 from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,
                      RigidityMatrix, RigidityVerdict, SubspaceBasis,
                      bearing_congruent, bearing_equivalent,
+                     complete_graph_kernel,
                      degenerate_trivial_dim, fd_jacobian_check,
                      hetero_kernel_analysis, ibr_verdict,
                      kernel_inclusion_check, reduced_rank_oracle,

@@ -22,6 +22,11 @@ bearing flexible (IBF). For non-degenerate homogeneous frameworks IBR is
 equivalent to the rank hitting c*n - c - 1, where c counts controllable
 degrees of freedom per agent.
 
+For non-degenerate homogeneous frameworks the complete-graph kernel is known
+in closed form (the trivial variations above), and verdicts use it instead
+of building and decomposing the complete-graph matrix. Only degenerate
+(collinear) and heterogeneous frameworks pay for the complete graph.
+
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
 spaces all three notions coincide. These implications are reported, never
@@ -32,6 +37,7 @@ axis, which is exactly what the coordinated-rotation generator encodes.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,11 +373,14 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
                             ) -> SubspaceBasis:
     """Basis of the always-uninformative variations, in per-space coordinates.
 
-    Spanned by rigid translations, uniform scaling of the positions, and
+    Spanned by rigid translations, uniform scaling about the centroid, and
     (when orientations exist) coordinated rotation about the shared axis, or
     about all three axes for full poses. Requires a homogeneous framework in
     a non-degenerate configuration; the closed-form generators below are only
-    a kernel basis under those assumptions.
+    a kernel basis under those assumptions. Generators are taken about the
+    centroid and normalized before orthonormalization, which leaves their
+    span unchanged and keeps the basis well conditioned at any formation
+    scale.
     """
     pol = pol or TolerancePolicy()
     if not fw.is_homogeneous:
@@ -382,6 +391,7 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
     sp = fw.space
     n = fw.n
     P = fw.positions()
+    P -= P.mean(axis=0)
     d = 3 if sp.kind == "se3" else sp.d
     axis_names = ("translation_x", "translation_y", "translation_z")
 
@@ -426,7 +436,7 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
             labels.append(name)
 
     G = np.column_stack(gens)
-    basis = orthonormal_columns(G, pol)
+    basis = orthonormal_columns(G / np.linalg.norm(G, axis=0), pol)
     if basis.shape[1] != G.shape[1]:
         raise NumericalError("trivial generators degenerated; configuration too ill-conditioned")
     return SubspaceBasis(ambient_dim=G.shape[0], basis=basis,
@@ -437,14 +447,40 @@ def _matrix_for_verdict(fw: Framework) -> RigidityMatrix:
     return rigidity_matrix(fw) if fw.is_homogeneous else unified_rigidity_matrix(fw)
 
 
+def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
+                          ) -> np.ndarray:
+    """Orthonormal kernel basis of the complete-graph matrix on fw's agents.
+
+    Non-degenerate homogeneous frameworks take the closed form: that kernel
+    is exactly the trivial variations (trivial_variation_basis; Zhao &
+    Zelazo, IEEE TAC 2016), so no complete graph is built. Degenerate and
+    heterogeneous frameworks have no such closed form and get the SVD of
+    the complete-graph matrix in the verdict representation.
+    """
+    pol = pol or TolerancePolicy()
+    if fw.is_homogeneous and is_non_degenerate(fw, pol):
+        return trivial_variation_basis(fw, pol).basis
+    Bk = _matrix_for_verdict(fw.with_graph(complete_graph(fw.graph)))
+    return rank_and_nullspace(Bk.matrix, pol)[1]
+
+
+def _unit_scale(fw: Framework) -> Framework:
+    """The same framework with positions divided by their RMS distance from
+    the centroid. Kernels are scale invariant, but translational columns
+    scale as 1/length while rotational ones do not, so one relative rank
+    threshold only separates both kinds of singular value near unit scale."""
+    P = fw.positions()
+    scale = np.sqrt(np.mean(np.sum((P - P.mean(axis=0)) ** 2, axis=1)))
+    return dataclasses.replace(
+        fw, states=tuple(dataclasses.replace(st, p=st.p / scale) for st in fw.states))
+
+
 def _graph_vs_complete_kernels(fw: Framework, pol: TolerancePolicy):
-    """(rank_g, nullspace_g, nullspace_complete) in a shared representation."""
-    Bg = _matrix_for_verdict(fw)
-    fwk = fw.with_graph(complete_graph(fw.graph))
-    Bk = _matrix_for_verdict(fwk)
-    rank_g, Ng = rank_and_nullspace(Bg.matrix, pol)
-    _, Nk = rank_and_nullspace(Bk.matrix, pol)
-    return rank_g, Ng, Nk
+    """(rank_g, nullspace_g, nullspace_complete) in a shared representation,
+    computed at unit formation scale."""
+    fw = _unit_scale(fw)
+    rank_g, Ng = rank_and_nullspace(_matrix_for_verdict(fw).matrix, pol)
+    return rank_g, Ng, complete_graph_kernel(fw, pol)
 
 
 def kernel_inclusion_check(fw: Framework, pol: TolerancePolicy | None = None) -> str:
@@ -463,10 +499,16 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
     """Classify a framework as IBR or IBF.
 
     The deciding test is kernel equality with the complete graph on the same
-    agents. For non-degenerate homogeneous frameworks the rank test against
-    c*n - c - 1 must agree with it, and a disagreement raises NumericalError
-    rather than returning a verdict that contradicts itself. Degenerate
-    configurations are classified by kernel equality alone and flagged.
+    agents. For non-degenerate homogeneous frameworks the complete graph's
+    kernel is the closed-form trivial basis, so only the framework's own
+    matrix is decomposed; degenerate and heterogeneous frameworks decompose
+    the complete-graph matrix too (see complete_graph_kernel). A complete
+    kernel not contained in the framework kernel raises NumericalError. For
+    non-degenerate homogeneous frameworks the rank test against
+    c*n - c - 1 must agree with kernel equality, and a disagreement raises
+    NumericalError rather than returning a verdict that contradicts itself.
+    Degenerate configurations are classified by kernel equality alone and
+    flagged.
     """
     pol = pol or TolerancePolicy()
     rank_g, Ng, Nk = _graph_vs_complete_kernels(fw, pol)

@@ -15,7 +15,7 @@ from . import engine
 from .errors import ParseError
 from .graphs import SensingGraph
 from .linalg import TolerancePolicy
-from .spaces import (AgentState, Framework, MetricSpace, is_non_degenerate)
+from .spaces import AgentState, Framework, MetricSpace
 
 SCHEMA_VERSION = "1"
 
@@ -35,6 +35,14 @@ def space_to_json(s: MetricSpace) -> dict:
     return out
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer. Floats, strings and booleans are rejected rather than
+    coerced, so 3.7 never becomes 3 and "12" never becomes a pair."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def space_from_json(obj: Any) -> MetricSpace:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("space must be an object with a 'type' key")
@@ -42,9 +50,9 @@ def space_from_json(obj: Any) -> MetricSpace:
     if t == "se3":
         return MetricSpace.se3()
     if t == "rd":
-        return MetricSpace.rd(int(obj.get("d", 3)))
+        return MetricSpace.rd(_json_int(obj.get("d", 3), "space 'd'"))
     if t == "rdxs1":
-        d = int(obj.get("d", 3))
+        d = _json_int(obj.get("d", 3), "space 'd'")
         axis = obj.get("axis")
         return MetricSpace.rd_s1(d, axis)
     raise ParseError(f"unknown space type {t!r}")
@@ -58,12 +66,19 @@ def graph_from_json(obj: Any) -> SensingGraph:
     if not isinstance(obj, dict):
         raise ParseError("graph must be an object")
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"], "graph 'n'")
         kind = obj["kind"]
-        edges = tuple((int(e[0]), int(e[1])) for e in obj["edges"])
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ParseError(f"graph object is malformed: {exc}") from exc
-    return SensingGraph(n, edges, kind)
+        raw_edges = obj["edges"]
+    except KeyError as exc:
+        raise ParseError(f"graph object is malformed: missing {exc}") from exc
+    if not isinstance(raw_edges, list):
+        raise ParseError("graph 'edges' must be a list")
+    edges = []
+    for e in raw_edges:
+        if not isinstance(e, list) or len(e) != 2:
+            raise ParseError(f"edge {e!r} is not a pair of vertex numbers")
+        edges.append(tuple(_json_int(v, "edge endpoint") for v in e))
+    return SensingGraph(n, tuple(edges), kind)
 
 
 def framework_to_json(fw: Framework) -> dict:
@@ -182,18 +197,10 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
     inputs, seeds, and tolerances.
     """
     pol = pol or TolerancePolicy()
-    degen = not is_non_degenerate(fw, pol)
-    verdict = engine.ibr_verdict(fw, pol)
-    fd = engine.fd_jacobian_check(fw, pol, trials=fd_trials, seed=seed)
-
-    if isinstance(fw.space, tuple):
-        space_doc: Any = [space_to_json(s) for s in fw.space]
-    else:
-        space_doc = space_to_json(fw.space)
-
     subspaces: dict[str, Any] = {}
     if fw.is_homogeneous:
-        if degen:
+        verdict = engine.ibr_verdict(fw, pol)
+        if verdict.degenerate:
             subspaces["trivial"] = None
             subspaces["note"] = ("degenerate configuration: closed-form trivial "
                                  "basis unavailable")
@@ -202,9 +209,16 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
                 engine.trivial_variation_basis(fw, pol))
     else:
         hk = engine.hetero_kernel_analysis(fw, pol)
+        verdict = hk.verdict
         subspaces["trivial"] = _subspace_summary(hk.trivial)
         subspaces["virtual"] = _subspace_summary(hk.virtual)
         subspaces["zero_columns"] = list(hk.zero_columns)
+    fd = engine.fd_jacobian_check(fw, pol, trials=fd_trials, seed=seed)
+
+    if isinstance(fw.space, tuple):
+        space_doc: Any = [space_to_json(s) for s in fw.space]
+    else:
+        space_doc = space_to_json(fw.space)
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -214,7 +228,7 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
             "graph_kind": fw.graph.kind,
             "homogeneous": fw.is_homogeneous,
             "space": space_doc,
-            "degenerate": degen,
+            "degenerate": verdict.degenerate,
         },
         "verdict": verdict_to_json(verdict),
         "subspaces": subspaces,

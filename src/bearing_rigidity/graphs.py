@@ -65,10 +65,6 @@ class SensingGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Edge pair -> canonical label in 0..m-1."""
-        return {e: k for k, e in enumerate(self.edges)}
-
 
 def complete_edges(n: int, kind: str) -> tuple[tuple[int, int], ...]:
     """All edges of the complete graph on n vertices, canonical order."""

@@ -131,6 +131,10 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
     Returns (rank, N) where N has shape (cols, cols - rank) and orthonormal
     columns spanning the kernel. rank + kernel columns always equals the
     column count.
+
+    Tall and square matrices take the thin SVD: its Vh is already the full
+    cols x cols factor, so the kernel is complete without the rows x rows U.
+    Wide matrices need the full Vh, whose extra rows span the kernel.
     """
     pol = pol or TolerancePolicy()
     M = np.asarray(M, dtype=float)
@@ -140,7 +144,7 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
         raise NumericalError("matrix contains NaN or Inf")
     if M.size == 0:
         return 0, np.eye(M.shape[1])
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     thresh = pol.effective_rank_rtol(M.shape) * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > thresh))
     return rank, Vh[rank:].T.copy()

@@ -172,10 +172,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     """
     pol = pol or TolerancePolicy()
     build = engine.rigidity_matrix if fw.is_homogeneous else engine.unified_rigidity_matrix
-
-    complete_fw = fw.with_graph(
-        SensingGraph(fw.n, complete_edges(fw.n, fw.graph.kind), fw.graph.kind))
-    _, Nk = rank_and_nullspace(build(complete_fw).matrix, pol)
+    Nk = engine.complete_graph_kernel(fw, pol)
 
     current = fw
     added: list[tuple[int, int]] = []

@@ -131,11 +131,16 @@ class AgentState:
         if self.alpha is not None and self.R is not None:
             raise ValidationError("give a heading angle or a rotation, not both")
         if self.alpha is not None:
-            object.__setattr__(self, "alpha", float(self.alpha) % TWO_PI)
+            alpha = float(self.alpha)
+            if not np.isfinite(alpha):
+                raise ValidationError("heading angle is NaN or Inf")
+            object.__setattr__(self, "alpha", alpha % TWO_PI)
         if self.R is not None:
             R = np.array(self.R, dtype=float)
             if R.shape != (3, 3):
                 raise ValidationError("rotation must be 3x3")
+            if not np.all(np.isfinite(R)):
+                raise ValidationError("rotation contains NaN or Inf")
             if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8 or np.linalg.det(R) < 0:
                 raise ValidationError("rotation is not orthonormal with det +1")
             R.setflags(write=False)
@@ -202,10 +207,11 @@ class Framework:
             raise ValidationError("frameworks with orientations need a directed graph")
 
         P = self.positions()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(P[i] - P[j]) < COINCIDENT_TOL:
-                    raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
+        dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
+        close = np.argwhere(np.triu(dist < COINCIDENT_TOL, k=1))
+        if close.size:
+            i, j = close[0]
+            raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
 
     @property
     def n(self) -> int:
@@ -269,24 +275,25 @@ class BearingStack:
     def m(self) -> int:
         return len(self.edges)
 
-    def flat(self) -> np.ndarray:
-        return self.bearings.reshape(-1)
-
 
 def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
     """(m, 3) bearing stack from raw arrays; edges are 0-based (head, tail).
 
     No framework validation happens here; finite-difference probing relies on
-    evaluating bearings at perturbed raw states.
+    evaluating bearings at perturbed raw states. A coincident pair raises,
+    naming the first such edge in the given order.
     """
-    out = np.empty((len(edges), 3))
-    for k, (i, j) in enumerate(edges):
-        diff = positions[j] - positions[i]
-        dist = np.linalg.norm(diff)
-        if dist < COINCIDENT_TOL:
-            raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
-        out[k] = rotations[i].T @ (diff / dist)
-    return out
+    E = np.asarray(edges, dtype=int).reshape(-1, 2)
+    heads, tails = E[:, 0], E[:, 1]
+    P = np.asarray(positions, dtype=float)
+    diff = P[tails] - P[heads]
+    dist = np.linalg.norm(diff, axis=1)
+    close = np.flatnonzero(dist < COINCIDENT_TOL)
+    if close.size:
+        i, j = E[close[0]]
+        raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
+    R = np.asarray(rotations, dtype=float)
+    return np.einsum("kab,ka->kb", R[heads], diff / dist[:, None])
 
 
 def measurement_edges(fw: Framework) -> tuple[tuple[int, int], ...]:
@@ -344,7 +351,7 @@ def is_non_degenerate(fw_or_positions, pol: TolerancePolicy | None = None,
         if P.shape[1] == 2:
             P = np.hstack([P, np.zeros((P.shape[0], 1))])
     C = P - P.mean(axis=0)
-    _, s, Vh = np.linalg.svd(C)
+    _, s, Vh = np.linalg.svd(C, full_matrices=False)
     thresh = pol.effective_rank_rtol(C.shape) * (s[0] if s.size else 0.0)
     if s[0] <= 0.0:
         return DegeneracyReport(False, None, "all agents at one point")

@@ -77,6 +77,48 @@ def test_analyze_unknown_space_is_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def write_triangle(tmp_path, space=None, graph=None, agents=None):
+    doc = {
+        "space": space or {"type": "rd", "d": 2},
+        "graph": graph or {"n": 3, "kind": "undirected",
+                           "edges": [[1, 2], [1, 3], [2, 3]]},
+        "agents": agents or [{"p": [0.0, 0.0]}, {"p": [1.0, 0.0]},
+                             {"p": [0.0, 1.0]}],
+    }
+    path = tmp_path / "fw.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("space,graph", [
+    ({"type": "rd", "d": "x"}, None),
+    ({"type": "rdxs1", "d": 2.0}, None),
+    (None, {"n": 3.7, "kind": "undirected", "edges": [[1, 2], [1, 3], [2, 3]]}),
+    (None, {"n": 3, "kind": "undirected", "edges": ["12", "23", "13"]}),
+    (None, {"n": 3, "kind": "undirected", "edges": [[1, 2], [1, 3], [2, True]]}),
+    (None, {"n": 3, "kind": "undirected", "edges": {"1": 2}}),
+], ids=["string-d", "float-d", "float-n", "string-edges", "bool-endpoint",
+        "edges-object"])
+def test_malformed_numbers_are_parse_errors(tmp_path, capsys, space, graph):
+    code, _, err = run(capsys, "analyze", write_triangle(tmp_path, space, graph))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_non_finite_heading_is_a_validation_error(tmp_path, capsys, alpha):
+    # json.dumps writes these as the NaN and Infinity literals
+    path = write_triangle(tmp_path, space={"type": "rdxs1", "d": 2},
+                          graph={"n": 3, "kind": "directed",
+                                 "edges": [[1, 2], [2, 3], [3, 1]]},
+                          agents=[{"p": [0.0, 0.0], "alpha": 0.0},
+                                  {"p": [1.0, 0.0], "alpha": alpha},
+                                  {"p": [0.0, 1.0], "alpha": 1.0}])
+    code, _, err = run(capsys, "analyze", path)
+    assert code == 3
+    assert err.startswith("error:") and "heading angle" in err
+
+
 def test_inconsistent_tolerances_are_a_numerical_error(capsys):
     # an absurd containment tolerance makes every kernel look equal while
     # the rank test still sees a flexible framework

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +233,19 @@ def test_sparse_graph_goes_flexible():
     assert v.classification == "IBF"
     assert not v.kernel_equal_to_complete
     assert v.rank < v.expected_rank
+
+
+@pytest.mark.parametrize("key", ["r2", "r2s1", "r3s1", "se3"])
+def test_verdict_is_scale_invariant(key):
+    # translational columns scale as 1/length, rotational ones do not
+    for density in (0.6, 1.0):
+        fw = sample(key, n=6, density=density, seed=4)
+        base = ibr_verdict(fw, POL)
+        for exponent in (-10, -8, 8, 10):
+            states = tuple(dataclasses.replace(st, p=st.p * 10.0 ** exponent)
+                           for st in fw.states)
+            v = ibr_verdict(dataclasses.replace(fw, states=states), POL)
+            assert (v.classification, v.rank) == (base.classification, base.rank)
 
 
 def test_degenerate_complete_graph_flagged_but_classified():

@@ -147,3 +147,41 @@ def test_subspace_relation_under_change_of_basis():
     Q = np.linalg.qr(rng.standard_normal((5, 3)))[0]
     mixed = Q @ rng.standard_normal((3, 3))  # same span, different basis
     assert subspace_relation(Q, mixed, pol) == "equal"
+
+
+def low_rank(rng, rows, cols, rank):
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+@pytest.mark.parametrize("rows,cols,rank", [
+    (30, 6, 6),    # tall, full column rank
+    (30, 6, 4),    # tall, rank deficient
+    (4, 10, 4),    # wide
+    (3, 10, 2),    # wide, rank deficient
+    (8, 8, 8),     # square
+    (8, 8, 5),     # square, rank deficient
+    (0, 5, 0),     # no rows
+    (5, 0, 0),     # no columns
+])
+def test_rank_and_nullspace_shapes(rows, cols, rank):
+    rng = np.random.default_rng(rows * 100 + cols * 10 + rank)
+    M = low_rank(rng, rows, cols, rank)
+    r, N = rank_and_nullspace(M, TolerancePolicy())
+    assert r == rank
+    assert N.shape == (cols, cols - rank)
+    np.testing.assert_allclose(N.T @ N, np.eye(cols - rank), atol=1e-12)
+    assert np.linalg.norm(M @ N) <= 1e-12 * max(1.0, np.linalg.norm(M))
+
+
+def test_rank_and_nullspace_skips_the_full_left_factor():
+    # a full U for 3000 rows would take 3000 * 3000 * 8 B = 72 MB
+    import tracemalloc
+    M = np.random.default_rng(5).standard_normal((3000, 60))
+    tracemalloc.start()
+    try:
+        rank, N = rank_and_nullspace(M, TolerancePolicy())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rank == 60 and N.shape == (60, 0)
+    assert peak < 10 * M.nbytes

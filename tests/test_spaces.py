@@ -58,6 +58,16 @@ def test_agent_state_normalization():
         AgentState(p=np.array([np.nan, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_agent_state_rejects_non_finite_orientation(bad):
+    with pytest.raises(ValidationError, match="heading angle"):
+        AgentState(p=np.zeros(3), alpha=bad)
+    R = np.eye(3)
+    R[0, 1] = bad
+    with pytest.raises(ValidationError, match="rotation contains"):
+        AgentState(p=np.zeros(3), R=R)
+
+
 def test_framework_collapses_uniform_space_tuple():
     g = SensingGraph(3, complete_edges(3, "directed"), "directed")
     sp = MetricSpace.se3()
@@ -104,6 +114,10 @@ def test_planar_positions_get_zero_height():
 def test_coincident_agents_rejected():
     with pytest.raises(CoincidentAgentsError):
         shared_frame_triangle([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    # the first coinciding pair in (i, j) order is the one named
+    with pytest.raises(CoincidentAgentsError, match="^agents 2 and 4 coincide$"):
+        shared_frame_triangle([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1.0, 1.0],
+                               [2.0, 0.0]])
 
 
 def test_bearing_hand_values():
