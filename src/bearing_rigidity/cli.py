@@ -21,7 +21,7 @@ import time
 
 from .errors import NumericalError, ParseError, ValidationError
 from .formats import (analysis_report, dumps, export_dot, framework_to_json,
-                      load_framework, write_matrix_csv)
+                      json_int, json_number, load_framework, write_matrix_csv)
 from .linalg import TOLERANCE_PROFILES, TolerancePolicy
 from .scenarios import (FIXTURES, GeneratorSpec, augment_to_ibr, fixture,
                         random_framework)
@@ -123,9 +123,9 @@ def resolve_settings(args) -> tuple[TolerancePolicy, int]:
             raise ParseError("config must be a JSON object")
         for key in vals:
             if key in doc and doc[key] is not None:
-                vals[key] = float(doc[key])
+                vals[key] = json_number(doc[key], f"config {key!r}")
         if "seed" in doc:
-            seed = int(doc["seed"])
+            seed = json_int(doc["seed"], "config 'seed'")
     for key in vals:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -10,6 +10,14 @@ edge) and masks non-controllable rotation directions through each agent's
 rotation-input matrix, leaving structurally zero columns. Heterogeneous
 frameworks only exist in the unified form.
 
+One vectorized assembler builds both forms. It computes every edge's
+geometry at once, forms the unified 3x3 position and rotation blocks with
+batched products, and scatters them by fancy indexing. The per-space form is
+a fixed row/column selection of the unified blocks (the first d rows per
+edge, the first d position columns per agent, the heading column or all
+three rotation columns), scattered straight into its own layout, so the
+larger unified matrix is never built on the way.
+
 Both forms satisfy the same contract: the matrix maps admissible state
 variation rates to bearing rates. Variations that never change any bearing
 are *trivial*: rigid translations of the whole framework, uniform scaling
@@ -45,9 +53,8 @@ import numpy as np
 from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_graph
-from .linalg import (TolerancePolicy, orthogonal_projector,
-                     orthonormal_columns, rank_and_nullspace, rotation_exp,
-                     skew, subspace_relation)
+from .linalg import (TolerancePolicy, orthonormal_columns, rank_and_nullspace,
+                     rotation_exp, skew, subspace_relation)
 from .spaces import (Framework, MetricSpace, bearing_rigidity_function,
                      bearing_stack_raw, is_non_degenerate, measurement_edges)
 
@@ -160,26 +167,52 @@ class HeteroKernelReport:
     zero_columns: tuple[int, ...]
 
 
-def _edge_geometry(fw: Framework):
-    """Per measurement edge: (0-based head, 0-based tail, 1/dist, unit diff)."""
-    P = fw.positions()
-    out = []
-    for i, j in measurement_edges(fw):
-        diff = P[j - 1] - P[i - 1]
-        dist = np.linalg.norm(diff)
-        out.append((i - 1, j - 1, 1.0 / dist, diff / dist))
-    return out
-
-
-def _padded_planar_projector(pbar3: np.ndarray) -> np.ndarray:
-    P = np.zeros((3, 3))
-    P[:2, :2] = orthogonal_projector(pbar3[:2])
-    return P
-
-
 def _uses_planar_projector(fw: Framework) -> bool:
     return (fw.is_homogeneous and fw.space.kind in ("rd", "rdxs1")
             and fw.space.d == 2)
+
+
+def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
+              representation: str) -> RigidityMatrix:
+    """Scatter the unified edge blocks straight into a selected layout.
+
+    Edge k = (i, j) with unit bearing u and length dist has the unified
+    position block R_i^T P(u) / dist (at agent j's columns, negated at agent
+    i's) and the rotation block R_i^T skew(u) V_i (at agent i's). The layout
+    keeps rows 3k..3k+d of each edge, position columns c < d of each agent
+    (d per agent), then rotation columns rot_cols of each agent's block.
+    """
+    n = fw.n
+    E = np.array(measurement_edges(fw), dtype=int).reshape(-1, 2) - 1
+    heads, tails = E[:, 0], E[:, 1]
+    m = len(E)
+    P = fw.positions()
+    diff = P[tails] - P[heads]
+    dist = np.linalg.norm(diff, axis=1)
+    u = diff / dist[:, None]
+    RT = np.array(fw.rotations()).transpose(0, 2, 1)[heads]
+    proj = np.eye(3) - u[:, :, None] * u[:, None, :]
+    if _uses_planar_projector(fw):
+        proj[:, 2, 2] = 0.0
+    pos = (RT @ proj / dist[:, None, None])[:, :d, :d]
+    w = len(rot_cols)
+    B = np.zeros((m, d, (d + w) * n))
+    k = np.arange(m)[:, None, None]
+    r = np.arange(d)[None, :, None]
+    c = np.arange(d)
+    B[k, r, d * heads[:, None, None] + c] = -pos
+    B[k, r, d * tails[:, None, None] + c] = pos
+    if w:
+        V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
+        # skew(u) @ V, one column of V at a time
+        SV = np.cross(u[:, :, None], V[heads], axisa=1, axisb=1, axisc=1)
+        rot = (RT @ SV)[:, :d, rot_cols]
+        B[k, r, d * n + w * heads[:, None, None] + np.arange(w)] = rot
+    rows = tuple((d * e, d * e + d) for e in range(m))
+    cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d),
+                             (d * n + w * a, d * n + w * a + w) if w else None)
+                 for a in range(n))
+    return RigidityMatrix(B.reshape(d * m, (d + w) * n), representation, rows, cols)
 
 
 def rigidity_matrix(fw: Framework) -> RigidityMatrix:
@@ -194,50 +227,8 @@ def rigidity_matrix(fw: Framework) -> RigidityMatrix:
     if not fw.is_homogeneous:
         raise ValidationError("per-space form needs a homogeneous framework; "
                               "use unified_rigidity_matrix")
-    sp = fw.space
-    n = fw.n
-    geo = _edge_geometry(fw)
-    m = len(geo)
-    d = 3 if sp.kind == "se3" else sp.d
-
-    if sp.kind == "rd":
-        B = np.zeros((d * m, d * n))
-        for k, (i, j, dij, pbar3) in enumerate(geo):
-            blk = dij * orthogonal_projector(pbar3[:d])
-            r = slice(d * k, d * k + d)
-            B[r, d * i:d * i + d] = -blk
-            B[r, d * j:d * j + d] = blk
-        cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d)) for a in range(n))
-    elif sp.kind == "rdxs1":
-        ax = np.array(sp.axis)
-        B = np.zeros((d * m, (d + 1) * n))
-        for k, (i, j, dij, pbar3) in enumerate(geo):
-            R = fw.rotation_of(i + 1)
-            if d == 2:
-                blk = (dij * R.T @ _padded_planar_projector(pbar3))[:2, :2]
-            else:
-                blk = dij * R.T @ orthogonal_projector(pbar3)
-            rc = (R.T @ skew(pbar3) @ ax)[:d]
-            r = slice(d * k, d * k + d)
-            B[r, d * i:d * i + d] = -blk
-            B[r, d * j:d * j + d] = blk
-            B[r, d * n + i] = rc
-        cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d), (d * n + a, d * n + a + 1))
-                     for a in range(n))
-    else:
-        B = np.zeros((3 * m, 6 * n))
-        for k, (i, j, dij, pbar3) in enumerate(geo):
-            R = fw.rotation_of(i + 1)
-            blk = dij * R.T @ orthogonal_projector(pbar3)
-            r = slice(3 * k, 3 * k + 3)
-            B[r, 3 * i:3 * i + 3] = -blk
-            B[r, 3 * j:3 * j + 3] = blk
-            B[r, 3 * n + 3 * i:3 * n + 3 * i + 3] = R.T @ skew(pbar3)
-        cols = tuple(ColumnBlock(a + 1, (3 * a, 3 * a + 3), (3 * n + 3 * a, 3 * n + 3 * a + 3))
-                     for a in range(n))
-
-    rows = tuple((d * k, d * k + d) for k in range(m))
-    return RigidityMatrix(B, "per_space", rows, cols)
+    rot_cols = {"rd": (), "rdxs1": (2,), "se3": (0, 1, 2)}[fw.space.kind]
+    return _assemble(fw, fw.space.d, rot_cols, "per_space")
 
 
 def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
@@ -250,24 +241,7 @@ def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     out-of-plane position columns are then structurally zero as well); every
     other framework, heterogeneous ones included, uses the full 3D projector.
     """
-    n = fw.n
-    geo = _edge_geometry(fw)
-    m = len(geo)
-    planar = _uses_planar_projector(fw)
-    B = np.zeros((3 * m, 6 * n))
-    for k, (i, j, dij, pbar3) in enumerate(geo):
-        R = fw.rotation_of(i + 1)
-        V = fw.space_of(i + 1).rotation_input()
-        proj = _padded_planar_projector(pbar3) if planar else orthogonal_projector(pbar3)
-        blk = dij * R.T @ proj
-        r = slice(3 * k, 3 * k + 3)
-        B[r, 3 * i:3 * i + 3] = -blk
-        B[r, 3 * j:3 * j + 3] = blk
-        B[r, 3 * n + 3 * i:3 * n + 3 * i + 3] = R.T @ skew(pbar3) @ V
-    rows = tuple((3 * k, 3 * k + 3) for k in range(m))
-    cols = tuple(ColumnBlock(a + 1, (3 * a, 3 * a + 3), (3 * n + 3 * a, 3 * n + 3 * a + 3))
-                 for a in range(n))
-    return RigidityMatrix(B, "unified", rows, cols)
+    return _assemble(fw, 3, (0, 1, 2), "unified")
 
 
 def _apply_variation(fw: Framework, representation: str, delta: np.ndarray,
@@ -464,13 +438,18 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     return rank_and_nullspace(Bk.matrix, pol)[1]
 
 
+def _rms_radius(fw: Framework) -> float:
+    """RMS distance of the agents from their centroid."""
+    P = fw.positions()
+    return float(np.sqrt(np.mean(np.sum((P - P.mean(axis=0)) ** 2, axis=1))))
+
+
 def _unit_scale(fw: Framework) -> Framework:
     """The same framework with positions divided by their RMS distance from
     the centroid. Kernels are scale invariant, but translational columns
     scale as 1/length while rotational ones do not, so one relative rank
     threshold only separates both kinds of singular value near unit scale."""
-    P = fw.positions()
-    scale = np.sqrt(np.mean(np.sum((P - P.mean(axis=0)) ** 2, axis=1)))
+    scale = _rms_radius(fw)
     return dataclasses.replace(
         fw, states=tuple(dataclasses.replace(st, p=st.p / scale) for st in fw.states))
 
@@ -574,9 +553,11 @@ def bearing_congruent(f1: Framework, f2: Framework,
 
 
 def _unified_candidates(fw: Framework) -> tuple[list[np.ndarray], list[str]]:
-    """Labeled trivial-variation candidates in unified coordinates."""
+    """Labeled trivial-variation candidates in unified coordinates, taken
+    about the centroid."""
     n = fw.n
     P = fw.positions()
+    P -= P.mean(axis=0)
     zeros_r = np.zeros(3 * n)
     gens: list[np.ndarray] = []
     labels: list[str] = []
@@ -609,15 +590,21 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     about the coordinate axes; a candidate counts as present when its
     residual against the trivial part stays below subspace_tol. Directions
     matched by no candidate are labeled "unlabeled".
+
+    The decomposition runs at unit formation scale, like ibr_verdict, so
+    dimensions and labels do not change when the formation is scaled. The
+    returned generators and bases are in fw's own coordinates: a kernel
+    vector's position rows scale with the formation, its rotation rows do
+    not.
     """
     pol = pol or TolerancePolicy()
     if fw.is_homogeneous:
         raise ValidationError("kernel decomposition targets heterogeneous frameworks; "
                               "homogeneous ones have trivial_variation_basis")
-    rm = unified_rigidity_matrix(fw)
-    B = rm.matrix
+    unit = _unit_scale(fw)
+    B = unified_rigidity_matrix(unit).matrix
     ambient = B.shape[1]
-    rank_g, N = rank_and_nullspace(B, pol)
+    _, N = rank_and_nullspace(B, pol)
     zero_cols = tuple(int(j) for j in range(ambient) if not B[:, j].any())
     Qv = np.zeros((ambient, len(zero_cols)))
     for idx, j in enumerate(zero_cols):
@@ -629,7 +616,7 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     trimmed[list(zero_cols), :] = 0.0
     Qt = orthonormal_columns(trimmed, pol)
 
-    gens, names = _unified_candidates(fw)
+    gens, names = _unified_candidates(unit)
     matched: list[np.ndarray] = []
     labels: list[str] = []
     for g, name in zip(gens, names):
@@ -652,9 +639,14 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     for eidx in range(extra.shape[1]):
         matched.append(extra[:, eidx])
         labels.append("unlabeled")
-    gen_mat = (np.column_stack(matched) if matched
-               else np.zeros((ambient, 0)))
-    trivial = SubspaceBasis(ambient_dim=ambient, basis=Qt,
+    if matched:
+        lift = np.ones((ambient, 1))
+        lift[:3 * fw.n] = _rms_radius(fw)
+        gen_mat = lift * np.column_stack(matched)
+        basis = orthonormal_columns(gen_mat / np.linalg.norm(gen_mat, axis=0), pol)
+    else:
+        gen_mat = basis = np.zeros((ambient, 0))
+    trivial = SubspaceBasis(ambient_dim=ambient, basis=basis,
                             labels=tuple(labels), generators=gen_mat)
     virtual = SubspaceBasis(ambient_dim=ambient, basis=Qv,
                             labels=("virtual",) * len(zero_cols), generators=Qv)

@@ -35,12 +35,27 @@ def space_to_json(s: MetricSpace) -> dict:
     return out
 
 
-def _json_int(value: Any, what: str) -> int:
+def json_int(value: Any, what: str) -> int:
     """A JSON integer. Floats, strings and booleans are rejected rather than
     coerced, so 3.7 never becomes 3 and "12" never becomes a pair."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_number(value: Any, what: str) -> float:
+    """A JSON number. Strings and booleans are rejected rather than
+    coerced, so "0" is never read as a coordinate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value: Any, what: str) -> Any:
+    """Nested JSON lists of numbers, with their nesting kept."""
+    if isinstance(value, list):
+        return [_json_numbers(v, what) for v in value]
+    return json_number(value, what)
 
 
 def space_from_json(obj: Any) -> MetricSpace:
@@ -50,10 +65,12 @@ def space_from_json(obj: Any) -> MetricSpace:
     if t == "se3":
         return MetricSpace.se3()
     if t == "rd":
-        return MetricSpace.rd(_json_int(obj.get("d", 3), "space 'd'"))
+        return MetricSpace.rd(json_int(obj.get("d", 3), "space 'd'"))
     if t == "rdxs1":
-        d = _json_int(obj.get("d", 3), "space 'd'")
+        d = json_int(obj.get("d", 3), "space 'd'")
         axis = obj.get("axis")
+        if axis is not None:
+            axis = _json_numbers(axis, "space 'axis' entry")
         return MetricSpace.rd_s1(d, axis)
     raise ParseError(f"unknown space type {t!r}")
 
@@ -66,7 +83,7 @@ def graph_from_json(obj: Any) -> SensingGraph:
     if not isinstance(obj, dict):
         raise ParseError("graph must be an object")
     try:
-        n = _json_int(obj["n"], "graph 'n'")
+        n = json_int(obj["n"], "graph 'n'")
         kind = obj["kind"]
         raw_edges = obj["edges"]
     except KeyError as exc:
@@ -77,7 +94,7 @@ def graph_from_json(obj: Any) -> SensingGraph:
     for e in raw_edges:
         if not isinstance(e, list) or len(e) != 2:
             raise ParseError(f"edge {e!r} is not a pair of vertex numbers")
-        edges.append(tuple(_json_int(v, "edge endpoint") for v in e))
+        edges.append(tuple(json_int(v, "edge endpoint") for v in e))
     return SensingGraph(n, tuple(edges), kind)
 
 
@@ -123,12 +140,16 @@ def framework_from_json(obj: Any) -> Framework:
         p = entry["p"]
         if not isinstance(p, list) or len(p) not in (2, 3):
             raise ParseError(f"agent {a + 1}: position must be a 2- or 3-list")
+        p = _json_numbers(p, f"agent {a + 1} position entry")
         alpha = entry.get("alpha")
+        if alpha is not None:
+            alpha = json_number(alpha, f"agent {a + 1} heading 'alpha'")
         R = entry.get("R")
+        if R is not None:
+            R = _json_numbers(R, f"agent {a + 1} rotation entry")
         try:
             states.append(AgentState(
-                p=np.asarray(p, dtype=float),
-                alpha=None if alpha is None else float(alpha),
+                p=np.asarray(p, dtype=float), alpha=alpha,
                 R=None if R is None else np.asarray(R, dtype=float)))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"agent {a + 1} is malformed: {exc}") from exc

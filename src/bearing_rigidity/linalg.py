@@ -98,12 +98,22 @@ def rotation_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 def rotation_exp(w: np.ndarray) -> np.ndarray:
-    """Rotation exp(skew(w)): angle ||w|| about w. Identity for w = 0."""
+    """Rotation exp(skew(w)): angle ||w|| about w. Identity for w = 0.
+
+    Rodrigues form in w itself, I + sin(t)/t K + (1 - cos(t))/t^2 K^2 with
+    K = skew(w) and t = ||w||, so w is never divided by its norm (for tiny w
+    the squared norm underflows and w / ||w|| is not unit). Below t = 1e-8
+    both coefficients equal their limits 1 and 1/2 to double precision.
+    """
     w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w)
-    if theta == 0.0:
-        return np.eye(3)
-    return rotation_axis_angle(w / theta, theta)
+    theta = float(np.linalg.norm(w))
+    K = skew(w)
+    if theta < 1e-8:
+        a, b = 1.0, 0.5
+    else:
+        a = np.sin(theta) / theta
+        b = 2.0 * (np.sin(theta / 2.0) / theta) ** 2
+    return np.eye(3) + a * K + b * (K @ K)
 
 
 def planar_rotation(angle: float) -> np.ndarray:
@@ -132,9 +142,12 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
     columns spanning the kernel. rank + kernel columns always equals the
     column count.
 
-    Tall and square matrices take the thin SVD: its Vh is already the full
-    cols x cols factor, so the kernel is complete without the rows x rows U.
-    Wide matrices need the full Vh, whose extra rows span the kernel.
+    Tall matrices are first reduced to the cols x cols R factor of a
+    Householder QR: M and R share singular values and right singular vectors,
+    and no left factor is ever formed. Unlike a Gram matrix, R does not square
+    the condition number. The threshold still uses M's shape. Square matrices
+    take the thin SVD directly; wide ones need the full Vh, whose extra rows
+    span the kernel.
     """
     pol = pol or TolerancePolicy()
     M = np.asarray(M, dtype=float)
@@ -144,7 +157,8 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
         raise NumericalError("matrix contains NaN or Inf")
     if M.size == 0:
         return 0, np.eye(M.shape[1])
-    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    A = np.linalg.qr(M, mode="r") if M.shape[0] > M.shape[1] else M
+    _, s, Vh = np.linalg.svd(A, full_matrices=M.shape[0] < M.shape[1])
     thresh = pol.effective_rank_rtol(M.shape) * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > thresh))
     return rank, Vh[rank:].T.copy()

@@ -168,18 +168,21 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     Each round adds the candidate edge with the largest rank gain of the
     verdict matrix, breaking ties by canonical edge order, and stops as soon
     as the kernel matches the complete graph's. Already-rigid frameworks
-    come back unchanged.
+    come back unchanged. Ranks and kernels are computed at unit formation
+    scale, like ibr_verdict's, so the added edges do not change when the
+    formation is scaled; the returned framework keeps fw's own positions.
     """
     pol = pol or TolerancePolicy()
     build = engine.rigidity_matrix if fw.is_homogeneous else engine.unified_rigidity_matrix
-    Nk = engine.complete_graph_kernel(fw, pol)
+    unit = engine._unit_scale(fw)
+    Nk = engine.complete_graph_kernel(unit, pol)
 
-    current = fw
+    current = unit
     added: list[tuple[int, int]] = []
     while True:
         rank_g, Ng = rank_and_nullspace(build(current).matrix, pol)
         if subspace_relation(Nk, Ng, pol) == "equal":
-            return current, tuple(added)
+            return (fw.with_graph(current.graph) if added else fw), tuple(added)
         have = set(current.graph.edges)
         candidates = [e for e in complete_edges(fw.n, fw.graph.kind) if e not in have]
         if not candidates:

@@ -105,6 +105,44 @@ def test_malformed_numbers_are_parse_errors(tmp_path, capsys, space, graph):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("space,agents", [
+    (None, [{"p": ["0", "0"]}, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]),
+    (None, [{"p": [0.0, 0.0]}, {"p": [1.0, False]}, {"p": [0.0, 1.0]}]),
+    ({"type": "rdxs1", "d": 2},
+     [{"p": [0.0, 0.0], "alpha": "1"}, {"p": [1.0, 0.0], "alpha": 0.0},
+      {"p": [0.0, 1.0], "alpha": 0.0}]),
+    ({"type": "se3"},
+     [{"p": [0.0, 0.0, 0.0], "R": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]},
+      {"p": [1.0, 0.0, 0.0], "R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+      {"p": [0.0, 1.0, 0.0], "R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]),
+    ({"type": "rdxs1", "d": 3, "axis": ["0", "0", "1"]},
+     [{"p": [0.0, 0.0, 0.0], "alpha": 0.0}, {"p": [1.0, 0.0, 0.0], "alpha": 0.0},
+      {"p": [0.0, 1.0, 0.0], "alpha": 0.0}]),
+], ids=["string-position", "bool-position", "string-heading", "string-rotation",
+        "string-axis"])
+def test_numeric_strings_in_agent_states_are_parse_errors(tmp_path, capsys, space,
+                                                          agents):
+    graph = None
+    if space is not None:
+        graph = {"n": 3, "kind": "directed", "edges": [[1, 2], [2, 3], [3, 1]]}
+    code, out, err = run(capsys, "analyze",
+                         write_triangle(tmp_path, space, graph, agents))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("config", [{"fd_step": "x"}, {"rank_rtol": "1e-9"},
+                                    {"subspace_tol": True}, {"seed": 2.5},
+                                    {"seed": "3"}])
+def test_malformed_config_values_are_parse_errors(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "triangle-r2-complete",
+                         "--config", str(cfg))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
 def test_non_finite_heading_is_a_validation_error(tmp_path, capsys, alpha):
     # json.dumps writes these as the NaN and Infinity literals

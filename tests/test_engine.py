@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               MetricSpace, NumericalError, SensingGraph,
-                              TolerancePolicy, ValidationError, complete_edges,
-                              complete_graph, degenerate_trivial_dim,
+                              TolerancePolicy, ValidationError, augment_to_ibr,
+                              complete_edges, complete_graph,
+                              degenerate_trivial_dim,
                               bearing_equivalent, bearing_congruent,
                               fd_jacobian_check, fixture,
                               hetero_case_study, hetero_kernel_analysis,
@@ -246,6 +247,48 @@ def test_verdict_is_scale_invariant(key):
                            for st in fw.states)
             v = ibr_verdict(dataclasses.replace(fw, states=states), POL)
             assert (v.classification, v.rank) == (base.classification, base.rank)
+
+
+def scaled(fw, factor):
+    return dataclasses.replace(fw, states=tuple(
+        dataclasses.replace(st, p=st.p * factor) for st in fw.states))
+
+
+SCALE_SWEEP = [10.0 ** e for e in (-10, -9, -6, -3, 3, 6, 9, 10)]
+
+
+@pytest.mark.parametrize("key", ["r2", "r2s1", "r3s1", "se3"])
+def test_augmentation_is_scale_invariant(key):
+    fw = sample(key, n=5, seed=7)
+    path = SensingGraph(5, ((1, 2), (2, 3), (3, 4), (4, 5)), fw.graph.kind)
+    fw = fw.with_graph(path)
+    _, base = augment_to_ibr(fw, POL)
+    assert base
+    for factor in SCALE_SWEEP:
+        moved = scaled(fw, factor)
+        out, added = augment_to_ibr(moved, POL)
+        assert added == base
+        assert out.graph.edges == tuple(sorted(path.edges + added))
+        np.testing.assert_array_equal(out.positions(), moved.positions())
+        assert ibr_verdict(out, POL).classification == "IBR"
+
+
+def test_hetero_decomposition_is_scale_invariant():
+    fw = hetero_case_study(seed=0)
+    base = hetero_kernel_analysis(fw, POL)
+    for factor in SCALE_SWEEP:
+        moved = scaled(fw, factor)
+        rep = hetero_kernel_analysis(moved, POL)
+        assert (rep.trivial.dim, rep.trivial.labels) == (base.trivial.dim,
+                                                         base.trivial.labels)
+        assert (rep.virtual.dim, rep.virtual.labels) == (base.virtual.dim,
+                                                         base.virtual.labels)
+        assert rep.zero_columns == base.zero_columns
+        assert (rep.verdict.rank, rep.verdict.nullity) == (13, 11)
+        # the bases are kernel vectors of the caller's own matrix
+        B = unified_rigidity_matrix(moved).matrix
+        assert np.linalg.norm(B @ rep.trivial.basis) < 1e-8 * np.linalg.norm(B)
+        assert not (B @ rep.virtual.basis).any()
 
 
 def test_degenerate_complete_graph_flagged_but_classified():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bearing_rigidity import (NumericalError, TOLERANCE_PROFILES,
                               TolerancePolicy, ValidationError,
@@ -85,6 +85,9 @@ def test_planar_rotation_quarter_turn():
 
 
 @given(vectors3)
+@example(np.array([0.0, 0.0, 3.9e-159]))  # squared norm underflows
+@example(np.array([1e-9, -2e-9, 0.0]))
+@example(np.zeros(3))
 @settings(max_examples=40, deadline=None)
 def test_exponential_gives_special_orthogonal(w):
     R = rotation_exp(w)
@@ -185,3 +188,13 @@ def test_rank_and_nullspace_skips_the_full_left_factor():
         tracemalloc.stop()
     assert rank == 60 and N.shape == (60, 0)
     assert peak < 10 * M.nbytes
+
+
+def test_exponential_matches_the_axis_angle_form():
+    rng = np.random.default_rng(8)
+    for scale in (1e-300, 1e-12, 1e-8, 1e-7, 1e-3, 1.0, 3.0, 40.0):
+        w = scale * rng.standard_normal(3)
+        theta = np.linalg.norm(w)
+        ref = (rotation_axis_angle(w / theta, theta) if theta > 1e-100
+               else np.eye(3) + skew(w))
+        np.testing.assert_allclose(rotation_exp(w), ref, rtol=0, atol=1e-14)
