@@ -159,11 +159,8 @@ def cmd_analyze(args) -> int:
     if args.timing:
         report["timing_seconds"] = time.perf_counter() - started
     if args.matrix_csv:
-        rep = args.representation
-        if rep == "auto":
-            rep = "per-space" if fw.is_homogeneous else "unified"
-        rm = (engine.rigidity_matrix(fw) if rep == "per-space"
-              else engine.unified_rigidity_matrix(fw))
+        rm = {"auto": engine._matrix_for_verdict, "per-space": engine.rigidity_matrix,
+              "unified": engine.unified_rigidity_matrix}[args.representation](fw)
         write_matrix_csv(rm, args.matrix_csv)
     _emit(dumps(report), args.report)
     return 0

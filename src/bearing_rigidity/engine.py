@@ -16,7 +16,12 @@ batched products, and scatters them by fancy indexing. The per-space form is
 a fixed row/column selection of the unified blocks (the first d rows per
 edge, the first d position columns per agent, the heading column or all
 three rotation columns), scattered straight into its own layout, so the
-larger unified matrix is never built on the way.
+larger unified matrix is never built on the way. That one selection
+(_layout, with _unified_columns mapping each layout column to its unified
+column) also serves the finite-difference probe, which lifts every
+variation into unified coordinates and moves the state one way for all
+spaces, and the trivial basis, whose per-space generators are the unified
+ones restricted to the layout.
 
 Both forms satisfy the same contract: the matrix maps admissible state
 variation rates to bearing rates. Variations that never change any bearing
@@ -33,7 +38,9 @@ degrees of freedom per agent.
 For non-degenerate homogeneous frameworks the complete-graph kernel is known
 in closed form (the trivial variations above), and verdicts use it instead
 of building and decomposing the complete-graph matrix. Only degenerate
-(collinear) and heterogeneous frameworks pay for the complete graph.
+(collinear) and heterogeneous frameworks pay for the complete graph. A
+heterogeneous framework's kernel decomposition classifies the rank and
+kernel it has already computed, so a mixed team is decomposed once.
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -54,7 +61,7 @@ from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_graph
 from .linalg import (TolerancePolicy, orthonormal_columns, rank_and_nullspace,
-                     rotation_exp, skew, subspace_relation)
+                     rotation_exp, subspace_relation)
 from .spaces import (Framework, MetricSpace, bearing_rigidity_function,
                      bearing_stack_raw, is_non_degenerate, measurement_edges)
 
@@ -215,6 +222,28 @@ def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
     return RigidityMatrix(B.reshape(d * m, (d + w) * n), representation, rows, cols)
 
 
+def _layout(fw: Framework, representation: str) -> tuple[int, tuple[int, ...]]:
+    """(d, rot_cols) of a representation: the rows kept per edge and position
+    columns kept per agent, then the rotation columns kept of each agent's
+    unified rotation block (see _assemble and _unified_columns)."""
+    if representation == "unified":
+        return 3, (0, 1, 2)
+    if representation != "per_space":
+        raise ValidationError(f"unknown representation {representation!r}")
+    if not fw.is_homogeneous:
+        raise ValidationError("per-space form needs a homogeneous framework; "
+                              "use unified_rigidity_matrix")
+    return fw.space.d, {"rd": (), "rdxs1": (2,), "se3": (0, 1, 2)}[fw.space.kind]
+
+
+def _unified_columns(n: int, d: int, rot_cols: tuple[int, ...]) -> np.ndarray:
+    """Unified column index of each column of the (d, rot_cols) layout."""
+    agents = 3 * np.arange(n)[:, None]
+    pos = agents + np.arange(d)
+    rot = 3 * n + agents + np.array(rot_cols, dtype=int)
+    return np.concatenate([pos.reshape(-1), rot.reshape(-1)])
+
+
 def rigidity_matrix(fw: Framework) -> RigidityMatrix:
     """Per-space rigidity matrix of a homogeneous framework.
 
@@ -224,11 +253,7 @@ def rigidity_matrix(fw: Framework) -> RigidityMatrix:
     k-th canonical measurement edge. Heterogeneous frameworks have no
     per-space form; use unified_rigidity_matrix.
     """
-    if not fw.is_homogeneous:
-        raise ValidationError("per-space form needs a homogeneous framework; "
-                              "use unified_rigidity_matrix")
-    rot_cols = {"rd": (), "rdxs1": (2,), "se3": (0, 1, 2)}[fw.space.kind]
-    return _assemble(fw, fw.space.d, rot_cols, "per_space")
+    return _assemble(fw, *_layout(fw, "per_space"), "per_space")
 
 
 def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
@@ -241,51 +266,12 @@ def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     out-of-plane position columns are then structurally zero as well); every
     other framework, heterogeneous ones included, uses the full 3D projector.
     """
-    return _assemble(fw, 3, (0, 1, 2), "unified")
+    return _assemble(fw, *_layout(fw, "unified"), "unified")
 
 
-def _apply_variation(fw: Framework, representation: str, delta: np.ndarray,
-                     h: float):
-    """Raw (positions, rotations) after moving the state by h * delta.
-
-    Position increments are additive; heading increments add to the angle;
-    full-rotation increments left-multiply by the exponential of the skew of
-    the angular velocity. Unified rotational increments are first mapped
-    through each agent's rotation-input matrix.
-    """
-    n = fw.n
-    P = fw.positions().copy()
-    R = fw.rotations()
-    if representation == "unified":
-        dp = delta[:3 * n].reshape(n, 3)
-        dw = delta[3 * n:].reshape(n, 3)
-        P += h * dp
-        R = [rotation_exp(h * (fw.space_of(a + 1).rotation_input() @ dw[a])) @ R[a]
-             for a in range(n)]
-        return P, R
-    sp = fw.space
-    if sp.kind == "rd":
-        P[:, :sp.d] += h * delta.reshape(n, sp.d)
-        return P, R
-    if sp.kind == "rdxs1":
-        d = sp.d
-        P[:, :d] += h * delta[:d * n].reshape(n, d)
-        da = delta[d * n:]
-        ax = np.array(sp.axis)
-        R = [rotation_exp(h * da[a] * ax) @ R[a] for a in range(n)]
-        return P, R
-    dp = delta[:3 * n].reshape(n, 3)
-    dw = delta[3 * n:].reshape(n, 3)
-    P += h * dp
-    R = [rotation_exp(h * dw[a]) @ R[a] for a in range(n)]
-    return P, R
-
-
-def _bearing_rows(fw: Framework, representation: str, stack: np.ndarray) -> np.ndarray:
-    """Flatten an (m, 3) raw stack to the representation's row layout."""
-    if representation == "per_space" and fw.space.kind != "se3" and fw.space.d == 2:
-        return stack[:, :2].reshape(-1)
-    return stack.reshape(-1)
+def _matrix_for_verdict(fw: Framework) -> RigidityMatrix:
+    """Per-space matrix of a homogeneous framework, unified otherwise."""
+    return rigidity_matrix(fw) if fw.is_homogeneous else unified_rigidity_matrix(fw)
 
 
 def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
@@ -301,30 +287,40 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     each, compares matrix action against (b(state + h*delta) - b(state)) / h
     and reports the largest relative mismatch. Trivial variations give zero
     on both sides.
+
+    Every representation moves the state the same way: delta is lifted into
+    unified coordinates, positions move by h*dp and each rotation by
+    exp(h * skew(V_a dw_a)) from the left, V_a being the agent's
+    rotation-input matrix (agents without one keep their rotation). The
+    compared bearing rows are the first d components of each edge's bearing.
     """
     pol = pol or TolerancePolicy()
     h = pol.fd_step if step is None else float(step)
     if representation == "auto":
         representation = "per_space" if fw.is_homogeneous else "unified"
-    if representation == "per_space":
-        rm = rigidity_matrix(fw)
-    elif representation == "unified":
-        rm = unified_rigidity_matrix(fw)
-    else:
-        raise ValidationError(f"unknown representation {representation!r}")
-    B = rm.matrix
+    d, rot_cols = _layout(fw, representation)
+    B = (rigidity_matrix(fw) if representation == "per_space"
+         else unified_rigidity_matrix(fw)).matrix
+    n = fw.n
+    lift = _unified_columns(n, d, rot_cols)
+    V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
+    turns = V.any(axis=(1, 2))
     edges0 = [(i - 1, j - 1) for i, j in measurement_edges(fw)]
-    base = bearing_stack_raw(edges0, fw.positions(), fw.rotations())
-    b0 = _bearing_rows(fw, representation, base)
+    P, R = fw.positions(), fw.rotations()
+    b0 = bearing_stack_raw(edges0, P, R)[:, :d].reshape(-1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(max(1, trials)):
         delta = rng.standard_normal(B.shape[1])
         if representation == "unified" and _uses_planar_projector(fw):
-            delta[2:3 * fw.n:3] = 0.0
+            delta[2:3 * n:3] = 0.0
         delta /= np.linalg.norm(delta)
-        P2, R2 = _apply_variation(fw, representation, delta, h)
-        b1 = _bearing_rows(fw, representation, bearing_stack_raw(edges0, P2, R2))
+        full = np.zeros(6 * n)
+        full[lift] = delta
+        dp, dw = full.reshape(2, n, 3)
+        R2 = [rotation_exp(h * (V[a] @ dw[a])) @ R[a] if turns[a] else R[a]
+              for a in range(n)]
+        b1 = bearing_stack_raw(edges0, P + h * dp, R2)[:, :d].reshape(-1)
         fd = (b1 - b0) / h
         Bd = B @ delta
         err = np.linalg.norm(Bd - fd) / max(1.0, np.linalg.norm(Bd))
@@ -343,6 +339,26 @@ def _axis_label(axis: np.ndarray) -> str:
     return "unlabeled"
 
 
+def _trivial_generators(P: np.ndarray, rotations) -> tuple[np.ndarray, list[str]]:
+    """Trivial variations in unified coordinates, with their labels.
+
+    Columns: translations along x, y, z; scaling about the origin of P; then
+    one coordinated rotation per (w, c) in rotations, where positions swing
+    by w x p_a and every agent turns at unit rate in rotation column c.
+    """
+    n = len(P)
+    G = np.zeros((6 * n, 4 + len(rotations)))
+    for c in range(3):
+        G[c:3 * n:3, c] = 1.0
+    G[:3 * n, 3] = P.reshape(-1)
+    labels = ["translation_x", "translation_y", "translation_z", "scaling"]
+    for k, (w, c) in enumerate(rotations):
+        G[:3 * n, 4 + k] = np.cross(w, P).reshape(-1)
+        G[3 * n + c::3, 4 + k] = 1.0
+        labels.append(_axis_label(w))
+    return G, labels
+
+
 def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
                             ) -> SubspaceBasis:
     """Basis of the always-uninformative variations, in per-space coordinates.
@@ -354,7 +370,10 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
     a kernel basis under those assumptions. Generators are taken about the
     centroid and normalized before orthonormalization, which leaves their
     span unchanged and keeps the basis well conditioned at any formation
-    scale.
+    scale. They are the unified generators restricted to the per-space
+    layout: translations within the first d axes, and one coordinated
+    rotation per kept rotation column c, about column c of the agents'
+    rotation-input matrix.
     """
     pol = pol or TolerancePolicy()
     if not fw.is_homogeneous:
@@ -362,63 +381,18 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
     report = is_non_degenerate(fw, pol)
     if not report:
         raise DegenerateConfigurationError(report.detail)
-    sp = fw.space
-    n = fw.n
+    d, rot_cols = _layout(fw, "per_space")
     P = fw.positions()
     P -= P.mean(axis=0)
-    d = 3 if sp.kind == "se3" else sp.d
-    axis_names = ("translation_x", "translation_y", "translation_z")
-
-    gens: list[np.ndarray] = []
-    labels: list[str] = []
-    if sp.kind == "rd":
-        for hh in range(d):
-            e = np.zeros(d)
-            e[hh] = 1.0
-            gens.append(np.tile(e, n))
-            labels.append(axis_names[hh])
-        gens.append(P[:, :d].reshape(-1))
-        labels.append("scaling")
-    elif sp.kind == "rdxs1":
-        zeros_a = np.zeros(n)
-        for hh in range(d):
-            e = np.zeros(d)
-            e[hh] = 1.0
-            gens.append(np.concatenate([np.tile(e, n), zeros_a]))
-            labels.append(axis_names[hh])
-        gens.append(np.concatenate([P[:, :d].reshape(-1), zeros_a]))
-        labels.append("scaling")
-        ax = np.array(sp.axis)
-        swing = np.array([(skew(ax) @ P[a])[:d] for a in range(n)]).reshape(-1)
-        gens.append(np.concatenate([swing, np.ones(n)]))
-        labels.append(_axis_label(ax))
-    else:
-        zeros_r = np.zeros(3 * n)
-        for hh in range(3):
-            e = np.zeros(3)
-            e[hh] = 1.0
-            gens.append(np.concatenate([np.tile(e, n), zeros_r]))
-            labels.append(axis_names[hh])
-        gens.append(np.concatenate([P.reshape(-1), zeros_r]))
-        labels.append("scaling")
-        for hh, name in enumerate(("coord_rotation_x", "coord_rotation_y",
-                                   "coord_rotation_z")):
-            e = np.zeros(3)
-            e[hh] = 1.0
-            swing = np.array([skew(e) @ P[a] for a in range(n)]).reshape(-1)
-            gens.append(np.concatenate([swing, np.tile(e, n)]))
-            labels.append(name)
-
-    G = np.column_stack(gens)
+    V = fw.space.rotation_input()
+    G, labels = _trivial_generators(P, [(V[:, c], c) for c in rot_cols])
+    keep = [*range(d), *range(3, G.shape[1])]
+    G = G[np.ix_(_unified_columns(fw.n, d, rot_cols), keep)]
     basis = orthonormal_columns(G / np.linalg.norm(G, axis=0), pol)
     if basis.shape[1] != G.shape[1]:
         raise NumericalError("trivial generators degenerated; configuration too ill-conditioned")
     return SubspaceBasis(ambient_dim=G.shape[0], basis=basis,
-                         labels=tuple(labels), generators=G)
-
-
-def _matrix_for_verdict(fw: Framework) -> RigidityMatrix:
-    return rigidity_matrix(fw) if fw.is_homogeneous else unified_rigidity_matrix(fw)
+                         labels=tuple(labels[k] for k in keep), generators=G)
 
 
 def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
@@ -490,7 +464,13 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
     flagged.
     """
     pol = pol or TolerancePolicy()
-    rank_g, Ng, Nk = _graph_vs_complete_kernels(fw, pol)
+    return _classify(fw, pol, *_graph_vs_complete_kernels(fw, pol))
+
+
+def _classify(fw: Framework, pol: TolerancePolicy, rank_g: int, Ng: np.ndarray,
+              Nk: np.ndarray) -> RigidityVerdict:
+    """The verdict from the framework's rank and kernel Ng and the
+    complete-graph kernel Nk, all in one representation (see ibr_verdict)."""
     rel = subspace_relation(Nk, Ng, pol)
     if rel not in ("equal", "A_subset_B"):
         raise NumericalError(
@@ -552,32 +532,6 @@ def bearing_congruent(f1: Framework, f2: Framework,
     return bearing_equivalent(f1.with_graph(K), f2.with_graph(K), pol)
 
 
-def _unified_candidates(fw: Framework) -> tuple[list[np.ndarray], list[str]]:
-    """Labeled trivial-variation candidates in unified coordinates, taken
-    about the centroid."""
-    n = fw.n
-    P = fw.positions()
-    P -= P.mean(axis=0)
-    zeros_r = np.zeros(3 * n)
-    gens: list[np.ndarray] = []
-    labels: list[str] = []
-    for hh, name in enumerate(("translation_x", "translation_y", "translation_z")):
-        e = np.zeros(3)
-        e[hh] = 1.0
-        gens.append(np.concatenate([np.tile(e, n), zeros_r]))
-        labels.append(name)
-    gens.append(np.concatenate([P.reshape(-1), zeros_r]))
-    labels.append("scaling")
-    for hh, name in enumerate(("coord_rotation_x", "coord_rotation_y",
-                               "coord_rotation_z")):
-        e = np.zeros(3)
-        e[hh] = 1.0
-        swing = np.array([skew(e) @ P[a] for a in range(n)]).reshape(-1)
-        gens.append(np.concatenate([swing, np.tile(e, n)]))
-        labels.append(name)
-    return gens, labels
-
-
 def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
                            ) -> HeteroKernelReport:
     """Kernel decomposition of a heterogeneous framework's unified matrix.
@@ -604,22 +558,22 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     unit = _unit_scale(fw)
     B = unified_rigidity_matrix(unit).matrix
     ambient = B.shape[1]
-    _, N = rank_and_nullspace(B, pol)
-    zero_cols = tuple(int(j) for j in range(ambient) if not B[:, j].any())
-    Qv = np.zeros((ambient, len(zero_cols)))
-    for idx, j in enumerate(zero_cols):
-        Qv[j, idx] = 1.0
+    rank, N = rank_and_nullspace(B, pol)
+    zero_cols = np.flatnonzero(~B.any(axis=0))
+    Qv = np.eye(ambient)[:, zero_cols]
     # structural zero columns must already be kernel directions
-    if zero_cols and np.linalg.norm(B @ Qv) != 0.0:
+    if zero_cols.size and np.linalg.norm(B @ Qv) != 0.0:
         raise NumericalError("zero-column bookkeeping is inconsistent")
     trimmed = N.copy()
-    trimmed[list(zero_cols), :] = 0.0
+    trimmed[zero_cols, :] = 0.0
     Qt = orthonormal_columns(trimmed, pol)
 
-    gens, names = _unified_candidates(unit)
+    P = unit.positions()
+    P -= P.mean(axis=0)
+    candidates, names = _trivial_generators(P, [(e, c) for c, e in enumerate(np.eye(3))])
     matched: list[np.ndarray] = []
     labels: list[str] = []
-    for g, name in zip(gens, names):
+    for g, name in zip(candidates.T, names):
         resid = g - Qt @ (Qt.T @ g)
         if np.linalg.norm(resid) / np.linalg.norm(g) < pol.subspace_tol:
             matched.append(g)
@@ -650,9 +604,9 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
                             labels=tuple(labels), generators=gen_mat)
     virtual = SubspaceBasis(ambient_dim=ambient, basis=Qv,
                             labels=("virtual",) * len(zero_cols), generators=Qv)
-    verdict = ibr_verdict(fw, pol)
+    verdict = _classify(fw, pol, rank, N, complete_graph_kernel(unit, pol))
     return HeteroKernelReport(verdict=verdict, trivial=trivial, virtual=virtual,
-                              zero_columns=zero_cols)
+                              zero_columns=tuple(zero_cols.tolist()))
 
 
 def degenerate_trivial_dim(space: MetricSpace, n: int,

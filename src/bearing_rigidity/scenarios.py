@@ -173,14 +173,13 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     formation is scaled; the returned framework keeps fw's own positions.
     """
     pol = pol or TolerancePolicy()
-    build = engine.rigidity_matrix if fw.is_homogeneous else engine.unified_rigidity_matrix
     unit = engine._unit_scale(fw)
     Nk = engine.complete_graph_kernel(unit, pol)
 
     current = unit
     added: list[tuple[int, int]] = []
     while True:
-        rank_g, Ng = rank_and_nullspace(build(current).matrix, pol)
+        rank_g, Ng = rank_and_nullspace(engine._matrix_for_verdict(current).matrix, pol)
         if subspace_relation(Nk, Ng, pol) == "equal":
             return (fw.with_graph(current.graph) if added else fw), tuple(added)
         have = set(current.graph.edges)
@@ -192,7 +191,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
         for e in candidates:
             trial = current.with_graph(
                 SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
-            r, _ = rank_and_nullspace(build(trial).matrix, pol)
+            r, _ = rank_and_nullspace(engine._matrix_for_verdict(trial).matrix, pol)
             if r > best_rank:
                 best_edge, best_rank = e, r
         if best_edge is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAgentsError, ValidationError
-from .graphs import SensingGraph, orient
+from .graphs import SensingGraph
 from .linalg import TolerancePolicy, rotation_axis_angle
 
 SPACE_KINDS = ("rd", "rdxs1", "se3")
@@ -298,11 +298,9 @@ def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
 
 def measurement_edges(fw: Framework) -> tuple[tuple[int, int], ...]:
     """Edge directions used for measurements: oriented head < tail for
-    undirected graphs, the stored directions otherwise."""
-    g = fw.graph
-    if g.kind == "undirected":
-        g = orient(g)
-    return g.edges
+    undirected graphs (which store their edges that way), the stored
+    directions otherwise."""
+    return fw.graph.edges
 
 
 def bearing_measurement(fw: Framework, i: int, j: int) -> np.ndarray:

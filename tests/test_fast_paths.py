@@ -10,7 +10,14 @@
   scatter; the reference is the per-edge loop with one branch per space.
 * rank_and_nullspace reduces tall matrices to their QR factor R before the
   SVD; the reference decomposes the matrix itself.
+* The FD probe and the trivial generators lift every representation into
+  unified coordinates through the assembler's column selection; the
+  references are the per-kind state updates and generator branches.
+* Mixed-team decompositions classify their own kernel; the reference is
+  ibr_verdict.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +30,8 @@ from bearing_rigidity import (AgentState, CoincidentAgentsError, Framework,
                               random_rotation, rank_and_nullspace,
                               rigidity_matrix, subspace_relation,
                               trivial_variation_basis, unified_rigidity_matrix)
-from bearing_rigidity import engine, orient, orthogonal_projector, skew
+from bearing_rigidity import (engine, orient, orthogonal_projector,
+                              orthonormal_columns, rotation_exp, skew)
 from bearing_rigidity.spaces import bearing_stack_raw, measurement_edges
 
 POL = TolerancePolicy()
@@ -129,16 +137,17 @@ def test_verdict_skips_the_complete_graph_only_when_closed_form_applies(monkeypa
 
 
 def test_mixed_report_computes_one_verdict(monkeypatch):
-    calls = []
-    original = engine.ibr_verdict
-
-    def counted(fw, pol=None):
-        calls.append(fw)
-        return original(fw, pol)
-
-    monkeypatch.setattr(engine, "ibr_verdict", counted)
+    # counts work, not calls of one function: the report decomposes its own
+    # unit-scale matrix and the complete graph's, and assembles those two
+    # unified matrices plus the FD probe's
+    counts = {"rank_and_nullspace": 0, "unified_rigidity_matrix": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(engine, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(engine, name, counted)
     report = analysis_report(hetero_case_study(seed=0), POL)
-    assert len(calls) == 1
+    assert counts == {"rank_and_nullspace": 2, "unified_rigidity_matrix": 3}
     assert report["verdict"]["rank"] == 13
 
 
@@ -344,3 +353,237 @@ def test_qr_reduced_rank_matches_the_direct_svd():
         s_qr = np.linalg.svd(np.linalg.qr(M, mode="r"), compute_uv=False)
         np.testing.assert_allclose(s_qr, s, rtol=0, atol=1e-13 * s[0], err_msg=name)
     assert tested >= 70
+
+
+# The FD probe and the trivial generators take their per-space layout from
+# the one selection the assembler uses. The references below are the
+# per-kind branches that selection replaced.
+
+def reference_apply_variation(fw, representation, delta, h):
+    """Raw (positions, rotations) after moving the state by h * delta, one
+    branch per space kind."""
+    n = fw.n
+    P = fw.positions().copy()
+    R = fw.rotations()
+    if representation == "unified":
+        dp = delta[:3 * n].reshape(n, 3)
+        dw = delta[3 * n:].reshape(n, 3)
+        P += h * dp
+        R = [rotation_exp(h * (fw.space_of(a + 1).rotation_input() @ dw[a])) @ R[a]
+             for a in range(n)]
+        return P, R
+    sp = fw.space
+    if sp.kind == "rd":
+        P[:, :sp.d] += h * delta.reshape(n, sp.d)
+        return P, R
+    if sp.kind == "rdxs1":
+        d = sp.d
+        P[:, :d] += h * delta[:d * n].reshape(n, d)
+        da = delta[d * n:]
+        ax = np.array(sp.axis)
+        R = [rotation_exp(h * da[a] * ax) @ R[a] for a in range(n)]
+        return P, R
+    dp = delta[:3 * n].reshape(n, 3)
+    dw = delta[3 * n:].reshape(n, 3)
+    P += h * dp
+    R = [rotation_exp(h * dw[a]) @ R[a] for a in range(n)]
+    return P, R
+
+
+def reference_bearing_rows(fw, representation, stack):
+    if representation == "per_space" and fw.space.kind != "se3" and fw.space.d == 2:
+        return stack[:, :2].reshape(-1)
+    return stack.reshape(-1)
+
+
+def reference_fd_error(fw, representation, trials=20, seed=0):
+    """max_rel_error of the FD probe with the per-kind state update."""
+    h = POL.fd_step
+    B = (rigidity_matrix(fw) if representation == "per_space"
+         else unified_rigidity_matrix(fw)).matrix
+    edges0 = [(i - 1, j - 1) for i, j in measurement_edges(fw)]
+    b0 = reference_bearing_rows(
+        fw, representation, bearing_stack_raw(edges0, fw.positions(), fw.rotations()))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        delta = rng.standard_normal(B.shape[1])
+        if representation == "unified" and engine._uses_planar_projector(fw):
+            delta[2:3 * fw.n:3] = 0.0
+        delta /= np.linalg.norm(delta)
+        P2, R2 = reference_apply_variation(fw, representation, delta, h)
+        b1 = reference_bearing_rows(fw, representation,
+                                    bearing_stack_raw(edges0, P2, R2))
+        Bd = B @ delta
+        err = np.linalg.norm(Bd - (b1 - b0) / h) / max(1.0, np.linalg.norm(Bd))
+        worst = max(worst, float(err))
+    return worst
+
+
+def reference_trivial_generators(fw):
+    """(generators, labels) of trivial_variation_basis, one branch per kind."""
+    sp = fw.space
+    n = fw.n
+    P = fw.positions()
+    P -= P.mean(axis=0)
+    d = 3 if sp.kind == "se3" else sp.d
+    axis_names = ("translation_x", "translation_y", "translation_z")
+    gens, labels = [], []
+    if sp.kind == "rd":
+        for hh in range(d):
+            e = np.zeros(d)
+            e[hh] = 1.0
+            gens.append(np.tile(e, n))
+            labels.append(axis_names[hh])
+        gens.append(P[:, :d].reshape(-1))
+        labels.append("scaling")
+    elif sp.kind == "rdxs1":
+        zeros_a = np.zeros(n)
+        for hh in range(d):
+            e = np.zeros(d)
+            e[hh] = 1.0
+            gens.append(np.concatenate([np.tile(e, n), zeros_a]))
+            labels.append(axis_names[hh])
+        gens.append(np.concatenate([P[:, :d].reshape(-1), zeros_a]))
+        labels.append("scaling")
+        ax = np.array(sp.axis)
+        swing = np.array([(skew(ax) @ P[a])[:d] for a in range(n)]).reshape(-1)
+        gens.append(np.concatenate([swing, np.ones(n)]))
+        labels.append(engine._axis_label(ax))
+    else:
+        zeros_r = np.zeros(3 * n)
+        for hh in range(3):
+            e = np.zeros(3)
+            e[hh] = 1.0
+            gens.append(np.concatenate([np.tile(e, n), zeros_r]))
+            labels.append(axis_names[hh])
+        gens.append(np.concatenate([P.reshape(-1), zeros_r]))
+        labels.append("scaling")
+        gens += reference_unified_candidates(fw)[0][4:]
+        labels += ["coord_rotation_x", "coord_rotation_y", "coord_rotation_z"]
+    return np.column_stack(gens), tuple(labels)
+
+
+def reference_unified_candidates(fw):
+    """Labeled trivial candidates of the mixed-team decomposition, in
+    unified coordinates about the centroid."""
+    n = fw.n
+    P = fw.positions()
+    P -= P.mean(axis=0)
+    zeros_r = np.zeros(3 * n)
+    gens, labels = [], []
+    for hh, name in enumerate(("translation_x", "translation_y", "translation_z")):
+        e = np.zeros(3)
+        e[hh] = 1.0
+        gens.append(np.concatenate([np.tile(e, n), zeros_r]))
+        labels.append(name)
+    gens.append(np.concatenate([P.reshape(-1), zeros_r]))
+    labels.append("scaling")
+    for hh, name in enumerate(("coord_rotation_x", "coord_rotation_y",
+                               "coord_rotation_z")):
+        e = np.zeros(3)
+        e[hh] = 1.0
+        swing = np.array([skew(e) @ P[a] for a in range(n)]).reshape(-1)
+        gens.append(np.concatenate([swing, np.tile(e, n)]))
+        labels.append(name)
+    return gens, labels
+
+
+def reference_hetero_trivial(fw):
+    """(labels, generators) of the trivial part of a mixed team, matched
+    against reference_unified_candidates at unit scale."""
+    unit = engine._unit_scale(fw)
+    B = unified_rigidity_matrix(unit).matrix
+    _, N = rank_and_nullspace(B, POL)
+    trimmed = N.copy()
+    trimmed[[j for j in range(B.shape[1]) if not B[:, j].any()], :] = 0.0
+    Qt = orthonormal_columns(trimmed, POL)
+    matched, labels = [], []
+    for g, name in zip(*reference_unified_candidates(unit)):
+        if np.linalg.norm(g - Qt @ (Qt.T @ g)) / np.linalg.norm(g) < POL.subspace_tol:
+            matched.append(g)
+            labels.append(name)
+    Qm = orthonormal_columns(np.column_stack(matched), POL)
+    sv = np.linalg.svd(Qt - Qm @ (Qm.T @ Qt), compute_uv=False)
+    labels += ["unlabeled"] * int(np.sum(sv > POL.subspace_tol))
+    lift = np.ones((B.shape[1], 1))
+    lift[:3 * fw.n] = engine._rms_radius(fw)
+    return tuple(labels), lift * np.column_stack(matched)
+
+
+REFERENCE_SPACES = {**SPACES,
+                    "r3s1d": MetricSpace.rd_s1(3, axis=(1 / 3, 2 / 3, 2 / 3))}
+REFERENCE_CASES = ([pytest.param(key, False, id=key) for key in REFERENCE_SPACES]
+                   + [pytest.param(key, True, id=f"{key}-in-plane")
+                      for key in ("r3", "r3s1z", "r3s1x", "r3s1d", "se3")])
+
+
+def reference_frameworks(key, planar_3d):
+    space = REFERENCE_SPACES[key]
+    rng = np.random.default_rng(sum(map(ord, key)) + 5 * planar_3d)
+    for n, scale in ((3, 1.0), (5, 1e-3), (8, 1e3)):
+        fw = placed_framework(space, n, rng, planar_3d)
+        fw = dataclasses.replace(fw, states=tuple(
+            dataclasses.replace(st, p=scale * st.p) for st in fw.states))
+        yield fw
+        yield fw.with_graph(spanning_tree(n, fw.graph.kind, rng, 0.4))
+
+
+@pytest.mark.parametrize("key,planar_3d", REFERENCE_CASES)
+def test_trivial_generators_match_the_per_kind_branches(key, planar_3d):
+    for fw in reference_frameworks(key, planar_3d):
+        ref, ref_labels = reference_trivial_generators(fw)
+        tb = trivial_variation_basis(fw, POL)
+        assert tb.labels == ref_labels
+        scale = max(1.0, np.abs(ref).max())
+        np.testing.assert_allclose(tb.generators, ref, rtol=0, atol=1e-15 * scale)
+        P = fw.positions()
+        P -= P.mean(axis=0)
+        G, labels = engine._trivial_generators(
+            P, [(e, c) for c, e in enumerate(np.eye(3))])
+        gens, names = reference_unified_candidates(fw)
+        assert labels == names
+        np.testing.assert_allclose(G, np.column_stack(gens), rtol=0,
+                                   atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("key,planar_3d", REFERENCE_CASES)
+def test_fd_probe_matches_the_per_kind_update(key, planar_3d):
+    for fw in reference_frameworks(key, planar_3d):
+        for rep in ("per_space", "unified"):
+            got = engine.fd_jacobian_check(fw, POL, representation=rep).max_rel_error
+            assert got == pytest.approx(reference_fd_error(fw, rep), rel=1e-12, abs=0)
+
+
+def test_mixed_fd_probe_and_labels_match_the_references():
+    rng = np.random.default_rng(23)
+    for n in (4, 6, 9):
+        for g in (SensingGraph(n, complete_edges(n, "directed"), "directed"),
+                  spanning_tree(n, "directed", rng, 0.3)):
+            fw = mixed_framework(n, rng, g)
+            got = engine.fd_jacobian_check(fw, POL).max_rel_error
+            assert got == pytest.approx(reference_fd_error(fw, "unified"),
+                                        rel=1e-12, abs=0)
+    # full-pose agents with x-axis heading agents share a coordinated
+    # rotation about x; the heading agents turn in their rotation column 2,
+    # not column 0, so no candidate matches it and it stays unlabeled
+    spaces = tuple(SPACES["se3"] if a % 2 else SPACES["r3s1x"] for a in range(5))
+    states = tuple(AgentState(p=rng.standard_normal(3), R=random_rotation(rng)) if a % 2
+                   else AgentState(p=rng.standard_normal(3), alpha=0.1 * a)
+                   for a in range(5))
+    x_team = Framework(SensingGraph(5, complete_edges(5, "directed"), "directed"),
+                       spaces, states)
+    assert reference_hetero_trivial(x_team)[0][-1] == "unlabeled"
+    for fw in [hetero_case_study(seed=seed) for seed in range(3)] + [x_team]:
+        got = engine.fd_jacobian_check(fw, POL).max_rel_error
+        assert got == pytest.approx(reference_fd_error(fw, "unified"), rel=1e-12, abs=0)
+        hk = engine.hetero_kernel_analysis(fw, POL)
+        labels, gens = reference_hetero_trivial(fw)
+        assert hk.trivial.labels == labels
+        matched = len(labels) - labels.count("unlabeled")
+        np.testing.assert_allclose(hk.trivial.generators[:, :matched], gens,
+                                   rtol=0, atol=1e-15 * max(1.0, np.abs(gens).max()))
+        assert hk.verdict == ibr_verdict(fw, POL)
+        zero = np.flatnonzero(~unified_rigidity_matrix(fw).matrix.any(axis=0))
+        assert hk.zero_columns == tuple(zero.tolist())
+        np.testing.assert_array_equal(hk.virtual.basis, np.eye(6 * fw.n)[:, zero])
