@@ -20,8 +20,20 @@ larger unified matrix is never built on the way. That one selection
 (_layout, with _unified_columns mapping each layout column to its unified
 column) also serves the finite-difference probe, which lifts every
 variation into unified coordinates and moves the state one way for all
-spaces, and the trivial basis, whose per-space generators are the unified
-ones restricted to the layout.
+spaces (all agents of a trial turned by one stacked rotation_exp, at unit
+formation scale), and the trivial basis, whose per-space generators are the
+unified ones restricted to the layout.
+
+Rank decisions do not decompose those measured rows. A bearing's variation
+is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
+The same assembler also gives factor rows: per edge, W^T times the unified
+blocks, W an orthonormal basis of the complement of the world bearing (the
+in-plane normal for planar frameworks). Every measured edge block is an
+orthonormal map of its factor block, so the factor has the same Gram
+matrix, hence the same rank, kernel and singular values, with 2 rows per
+edge (1 in the plane) instead of d and no orientations at all. Verdicts,
+complete-graph kernels, mixed-team decompositions and augmentation all
+decompose the factor, with the rank threshold set by the measured shape.
 
 Both forms satisfy the same contract: the matrix maps admissible state
 variation rates to bearing rates. Variations that never change any bearing
@@ -95,12 +107,26 @@ class RigidityMatrix:
     col_blocks: tuple[ColumnBlock, ...]
 
     def __post_init__(self) -> None:
-        M = np.asarray(self.matrix, dtype=float)
+        self._seal(np.array(self.matrix, dtype=float))
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray, representation: str,
+               row_blocks: tuple[tuple[int, int], ...],
+               col_blocks: tuple[ColumnBlock, ...]) -> "RigidityMatrix":
+        """Take over a fresh float array nobody else holds: checked and made
+        read-only like a constructor argument, but not copied."""
+        rm = object.__new__(cls)
+        object.__setattr__(rm, "representation", representation)
+        object.__setattr__(rm, "row_blocks", row_blocks)
+        object.__setattr__(rm, "col_blocks", col_blocks)
+        rm._seal(matrix)
+        return rm
+
+    def _seal(self, M: np.ndarray) -> None:
         if self.representation not in ("per_space", "unified"):
             raise ValidationError(f"unknown representation {self.representation!r}")
         if self.row_blocks and self.row_blocks[-1][1] != M.shape[0]:
             raise ValidationError("row blocks do not tile the matrix")
-        M = M.copy()
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
@@ -179,8 +205,22 @@ def _uses_planar_projector(fw: Framework) -> bool:
             and fw.space.d == 2)
 
 
+def _complement_rows(u: np.ndarray, planar: bool) -> np.ndarray:
+    """(m, r, 3) orthonormal rows spanning the complement of each unit
+    bearing u: the in-plane normal (r = 1) for planar frameworks, otherwise
+    two rows (r = 2) by the branch-free frame of Duff et al. (JCGT 2017)."""
+    x, y, z = u.T
+    if planar:
+        return np.stack([-y, x, np.zeros_like(x)], axis=1)[:, None, :]
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    return np.stack([np.stack([1.0 + sign * x * x * a, sign * b, -sign * x], axis=1),
+                     np.stack([b, sign + y * y * a, -y], axis=1)], axis=1)
+
+
 def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
-              representation: str) -> RigidityMatrix:
+              factor: bool = False) -> np.ndarray:
     """Scatter the unified edge blocks straight into a selected layout.
 
     Edge k = (i, j) with unit bearing u and length dist has the unified
@@ -188,6 +228,15 @@ def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
     i's) and the rotation block R_i^T skew(u) V_i (at agent i's). The layout
     keeps rows 3k..3k+d of each edge, position columns c < d of each agent
     (d per agent), then rotation columns rot_cols of each agent's block.
+
+    factor=True gives the factor rows instead: W^T P(u) / dist and
+    W^T skew(u) V_i, where the columns of W are the complement rows of u
+    (_complement_rows). Since u^T P(u) = u^T skew(u) = 0, each measured edge
+    block is (R_i^T W) times its factor block, and R_i^T W has orthonormal
+    columns whose dropped rows are zero, so the factor C of a measured
+    matrix B has C^T C = B^T B and needs no orientations: same rank, kernel,
+    singular values and zero columns, with 2 rows per edge (1 in the plane)
+    instead of d.
     """
     n = fw.n
     E = np.array(measurement_edges(fw), dtype=int).reshape(-1, 2) - 1
@@ -197,29 +246,44 @@ def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
     diff = P[tails] - P[heads]
     dist = np.linalg.norm(diff, axis=1)
     u = diff / dist[:, None]
-    RT = np.array(fw.rotations()).transpose(0, 2, 1)[heads]
-    proj = np.eye(3) - u[:, :, None] * u[:, None, :]
-    if _uses_planar_projector(fw):
-        proj[:, 2, 2] = 0.0
-    pos = (RT @ proj / dist[:, None, None])[:, :d, :d]
+    planar = _uses_planar_projector(fw)
+    if factor:
+        left = _complement_rows(u, planar)
+        pos = left / dist[:, None, None]
+        r = left.shape[1]
+    else:
+        left = np.array(fw.rotations()).transpose(0, 2, 1)[heads]
+        proj = np.eye(3) - u[:, :, None] * u[:, None, :]
+        if planar:
+            proj[:, 2, 2] = 0.0
+        pos = left @ proj / dist[:, None, None]
+        r = d
+    pos = pos[:, :r, :d]
     w = len(rot_cols)
-    B = np.zeros((m, d, (d + w) * n))
+    B = np.zeros((m, r, (d + w) * n))
     k = np.arange(m)[:, None, None]
-    r = np.arange(d)[None, :, None]
+    rr = np.arange(r)[None, :, None]
     c = np.arange(d)
-    B[k, r, d * heads[:, None, None] + c] = -pos
-    B[k, r, d * tails[:, None, None] + c] = pos
+    B[k, rr, d * heads[:, None, None] + c] = -pos
+    B[k, rr, d * tails[:, None, None] + c] = pos
     if w:
         V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
         # skew(u) @ V, one column of V at a time
         SV = np.cross(u[:, :, None], V[heads], axisa=1, axisb=1, axisc=1)
-        rot = (RT @ SV)[:, :d, rot_cols]
-        B[k, r, d * n + w * heads[:, None, None] + np.arange(w)] = rot
-    rows = tuple((d * e, d * e + d) for e in range(m))
+        rot = (left @ SV)[:, :r, rot_cols]
+        B[k, rr, d * n + w * heads[:, None, None] + np.arange(w)] = rot
+    return B.reshape(r * m, (d + w) * n)
+
+
+def _measured(fw: Framework, representation: str) -> RigidityMatrix:
+    """The assembled matrix of a representation with its block structure."""
+    d, rot_cols = _layout(fw, representation)
+    n, w = fw.n, len(rot_cols)
+    rows = tuple((d * e, d * e + d) for e in range(fw.m))
     cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d),
                              (d * n + w * a, d * n + w * a + w) if w else None)
                  for a in range(n))
-    return RigidityMatrix(B.reshape(d * m, (d + w) * n), representation, rows, cols)
+    return RigidityMatrix._adopt(_assemble(fw, d, rot_cols), representation, rows, cols)
 
 
 def _layout(fw: Framework, representation: str) -> tuple[int, tuple[int, ...]]:
@@ -253,7 +317,7 @@ def rigidity_matrix(fw: Framework) -> RigidityMatrix:
     k-th canonical measurement edge. Heterogeneous frameworks have no
     per-space form; use unified_rigidity_matrix.
     """
-    return _assemble(fw, *_layout(fw, "per_space"), "per_space")
+    return _measured(fw, "per_space")
 
 
 def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
@@ -266,12 +330,30 @@ def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     out-of-plane position columns are then structurally zero as well); every
     other framework, heterogeneous ones included, uses the full 3D projector.
     """
-    return _assemble(fw, *_layout(fw, "unified"), "unified")
+    return _measured(fw, "unified")
+
+
+def _verdict_representation(fw: Framework) -> str:
+    return "per_space" if fw.is_homogeneous else "unified"
 
 
 def _matrix_for_verdict(fw: Framework) -> RigidityMatrix:
     """Per-space matrix of a homogeneous framework, unified otherwise."""
     return rigidity_matrix(fw) if fw.is_homogeneous else unified_rigidity_matrix(fw)
+
+
+def _verdict_factor(fw: Framework) -> tuple[np.ndarray, tuple[int, int]]:
+    """Factor rows of the verdict matrix (see _assemble) and the verdict
+    matrix's own shape, which sets the rank threshold."""
+    d, rot_cols = _layout(fw, _verdict_representation(fw))
+    C = _assemble(fw, d, rot_cols, factor=True)
+    return C, (d * fw.m, C.shape[1])
+
+
+def _verdict_rank(fw: Framework, pol: TolerancePolicy) -> tuple[int, np.ndarray]:
+    """Rank and kernel of the verdict matrix, decomposed through its factor."""
+    C, shape = _verdict_factor(fw)
+    return rank_and_nullspace(C, pol, shape=shape)
 
 
 def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
@@ -286,27 +368,31 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     because the rotation-input map zeroes their effect on both sides). For
     each, compares matrix action against (b(state + h*delta) - b(state)) / h
     and reports the largest relative mismatch. Trivial variations give zero
-    on both sides.
+    on both sides. Like the verdict, the probe runs at unit formation scale,
+    where the step h is neither lost in rounding nor large against the
+    edges, so its error does not change when the formation is scaled.
 
     Every representation moves the state the same way: delta is lifted into
     unified coordinates, positions move by h*dp and each rotation by
     exp(h * skew(V_a dw_a)) from the left, V_a being the agent's
-    rotation-input matrix (agents without one keep their rotation). The
-    compared bearing rows are the first d components of each edge's bearing.
+    rotation-input matrix (agents without one keep their rotation), all
+    agents of a trial in one stacked rotation_exp. The compared bearing rows
+    are the first d components of each edge's bearing.
     """
     pol = pol or TolerancePolicy()
     h = pol.fd_step if step is None else float(step)
     if representation == "auto":
-        representation = "per_space" if fw.is_homogeneous else "unified"
+        representation = _verdict_representation(fw)
     d, rot_cols = _layout(fw, representation)
+    fw = _unit_scale(fw)
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
     n = fw.n
     lift = _unified_columns(n, d, rot_cols)
     V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
-    turns = V.any(axis=(1, 2))
+    turning = V.any()
     edges0 = [(i - 1, j - 1) for i, j in measurement_edges(fw)]
-    P, R = fw.positions(), fw.rotations()
+    P, R = fw.positions(), np.array(fw.rotations())
     b0 = bearing_stack_raw(edges0, P, R)[:, :d].reshape(-1)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -318,8 +404,7 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
         full = np.zeros(6 * n)
         full[lift] = delta
         dp, dw = full.reshape(2, n, 3)
-        R2 = [rotation_exp(h * (V[a] @ dw[a])) @ R[a] if turns[a] else R[a]
-              for a in range(n)]
+        R2 = rotation_exp(h * np.einsum("aij,aj->ai", V, dw)) @ R if turning else R
         b1 = bearing_stack_raw(edges0, P + h * dp, R2)[:, :d].reshape(-1)
         fd = (b1 - b0) / h
         Bd = B @ delta
@@ -343,8 +428,9 @@ def _trivial_generators(P: np.ndarray, rotations) -> tuple[np.ndarray, list[str]
     """Trivial variations in unified coordinates, with their labels.
 
     Columns: translations along x, y, z; scaling about the origin of P; then
-    one coordinated rotation per (w, c) in rotations, where positions swing
-    by w x p_a and every agent turns at unit rate in rotation column c.
+    one coordinated rotation per (w, turn) in rotations, where positions
+    swing by w x p_a and agent a's unified rotation rates are turn[a] (turn
+    is (n, 3), or one 3-vector shared by every agent).
     """
     n = len(P)
     G = np.zeros((6 * n, 4 + len(rotations)))
@@ -352,9 +438,9 @@ def _trivial_generators(P: np.ndarray, rotations) -> tuple[np.ndarray, list[str]
         G[c:3 * n:3, c] = 1.0
     G[:3 * n, 3] = P.reshape(-1)
     labels = ["translation_x", "translation_y", "translation_z", "scaling"]
-    for k, (w, c) in enumerate(rotations):
+    for k, (w, turn) in enumerate(rotations):
         G[:3 * n, 4 + k] = np.cross(w, P).reshape(-1)
-        G[3 * n + c::3, 4 + k] = 1.0
+        G[3 * n:, 4 + k] = np.broadcast_to(turn, (n, 3)).reshape(-1)
         labels.append(_axis_label(w))
     return G, labels
 
@@ -385,7 +471,7 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
     P = fw.positions()
     P -= P.mean(axis=0)
     V = fw.space.rotation_input()
-    G, labels = _trivial_generators(P, [(V[:, c], c) for c in rot_cols])
+    G, labels = _trivial_generators(P, [(V[:, c], np.eye(3)[c]) for c in rot_cols])
     keep = [*range(d), *range(3, G.shape[1])]
     G = G[np.ix_(_unified_columns(fw.n, d, rot_cols), keep)]
     basis = orthonormal_columns(G / np.linalg.norm(G, axis=0), pol)
@@ -403,13 +489,13 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     is exactly the trivial variations (trivial_variation_basis; Zhao &
     Zelazo, IEEE TAC 2016), so no complete graph is built. Degenerate and
     heterogeneous frameworks have no such closed form and get the SVD of
-    the complete-graph matrix in the verdict representation.
+    the complete-graph matrix in the verdict representation, through its
+    factor rows (see _assemble).
     """
     pol = pol or TolerancePolicy()
     if fw.is_homogeneous and is_non_degenerate(fw, pol):
         return trivial_variation_basis(fw, pol).basis
-    Bk = _matrix_for_verdict(fw.with_graph(complete_graph(fw.graph)))
-    return rank_and_nullspace(Bk.matrix, pol)[1]
+    return _verdict_rank(fw.with_graph(complete_graph(fw.graph)), pol)[1]
 
 
 def _rms_radius(fw: Framework) -> float:
@@ -432,7 +518,7 @@ def _graph_vs_complete_kernels(fw: Framework, pol: TolerancePolicy):
     """(rank_g, nullspace_g, nullspace_complete) in a shared representation,
     computed at unit formation scale."""
     fw = _unit_scale(fw)
-    rank_g, Ng = rank_and_nullspace(_matrix_for_verdict(fw).matrix, pol)
+    rank_g, Ng = _verdict_rank(fw, pol)
     return rank_g, Ng, complete_graph_kernel(fw, pol)
 
 
@@ -541,7 +627,8 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     and the trivial part (the kernel's intersection with the complement of
     the virtual part). The trivial part is labeled by matching candidate
     generators: translations, uniform scaling, and coordinated rotations
-    about the coordinate axes; a candidate counts as present when its
+    about the coordinate axes, each agent turning through its own
+    rotation-input matrix; a candidate counts as present when its
     residual against the trivial part stays below subspace_tol. Directions
     matched by no candidate are labeled "unlabeled".
 
@@ -556,13 +643,13 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
         raise ValidationError("kernel decomposition targets heterogeneous frameworks; "
                               "homogeneous ones have trivial_variation_basis")
     unit = _unit_scale(fw)
-    B = unified_rigidity_matrix(unit).matrix
-    ambient = B.shape[1]
-    rank, N = rank_and_nullspace(B, pol)
-    zero_cols = np.flatnonzero(~B.any(axis=0))
+    C, shape = _verdict_factor(unit)
+    ambient = C.shape[1]
+    rank, N = rank_and_nullspace(C, pol, shape=shape)
+    zero_cols = np.flatnonzero(~C.any(axis=0))
     Qv = np.eye(ambient)[:, zero_cols]
     # structural zero columns must already be kernel directions
-    if zero_cols.size and np.linalg.norm(B @ Qv) != 0.0:
+    if zero_cols.size and np.linalg.norm(C @ Qv) != 0.0:
         raise NumericalError("zero-column bookkeeping is inconsistent")
     trimmed = N.copy()
     trimmed[zero_cols, :] = 0.0
@@ -570,7 +657,11 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
 
     P = unit.positions()
     P -= P.mean(axis=0)
-    candidates, names = _trivial_generators(P, [(e, c) for c, e in enumerate(np.eye(3))])
+    V = np.array([unit.space_of(a + 1).rotation_input() for a in range(fw.n)])
+    # agent a turns by V_a^T e (row c of V_a), which is angular velocity e
+    # whenever e lies in the range of its rotation-input matrix V_a
+    candidates, names = _trivial_generators(
+        P, [(e, V[:, c]) for c, e in enumerate(np.eye(3))])
     matched: list[np.ndarray] = []
     labels: list[str] = []
     for g, name in zip(candidates.T, names):

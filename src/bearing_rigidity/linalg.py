@@ -72,13 +72,14 @@ def orthogonal_projector(x: np.ndarray) -> np.ndarray:
 
 
 def skew(x: np.ndarray) -> np.ndarray:
-    """3x3 skew-symmetric matrix with skew(x) @ y == cross(x, y)."""
+    """Skew-symmetric matrix with skew(x) @ y == cross(x, y); a (..., 3)
+    stack of vectors gives a (..., 3, 3) stack of matrices."""
     x = np.asarray(x, dtype=float)
-    return np.array([
-        [0.0, -x[2], x[1]],
-        [x[2], 0.0, -x[0]],
-        [-x[1], x[0], 0.0],
-    ])
+    K = np.zeros(x.shape[:-1] + (3, 3))
+    K[..., 0, 1], K[..., 0, 2] = -x[..., 2], x[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = x[..., 2], -x[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -x[..., 1], x[..., 0]
+    return K
 
 
 def rotation_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -104,15 +105,16 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     K = skew(w) and t = ||w||, so w is never divided by its norm (for tiny w
     the squared norm underflows and w / ||w|| is not unit). Below t = 1e-8
     both coefficients equal their limits 1 and 1/2 to double precision.
+    A (..., 3) stack of vectors gives the (..., 3, 3) stack of rotations,
+    each equal to the rotation of its vector alone.
     """
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
+    theta = np.linalg.norm(w, axis=-1)[..., None, None]
+    small = theta < 1e-8
+    t = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(t) / t)
+    b = np.where(small, 0.5, 2.0 * (np.sin(t / 2.0) / t) ** 2)
     K = skew(w)
-    if theta < 1e-8:
-        a, b = 1.0, 0.5
-    else:
-        a = np.sin(theta) / theta
-        b = 2.0 * (np.sin(theta / 2.0) / theta) ** 2
     return np.eye(3) + a * K + b * (K @ K)
 
 
@@ -134,7 +136,8 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
+def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
+                       shape: tuple[int, int] | None = None,
                        ) -> tuple[int, np.ndarray]:
     """Numerical rank and an orthonormal kernel basis, via SVD.
 
@@ -148,6 +151,10 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
     the condition number. The threshold still uses M's shape. Square matrices
     take the thin SVD directly; wide ones need the full Vh, whose extra rows
     span the kernel.
+
+    shape, when given, is the shape of a matrix B that M stands in for with
+    the same Gram matrix (M^T M = B^T B, hence the same singular values and
+    kernel); the threshold then uses B's shape, so M decides exactly as B.
     """
     pol = pol or TolerancePolicy()
     M = np.asarray(M, dtype=float)
@@ -159,8 +166,8 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None,
         return 0, np.eye(M.shape[1])
     A = np.linalg.qr(M, mode="r") if M.shape[0] > M.shape[1] else M
     _, s, Vh = np.linalg.svd(A, full_matrices=M.shape[0] < M.shape[1])
-    thresh = pol.effective_rank_rtol(M.shape) * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > thresh))
+    rtol = pol.effective_rank_rtol(M.shape if shape is None else shape)
+    rank = int(np.sum(s > rtol * (s[0] if s.size else 0.0)))
     return rank, Vh[rank:].T.copy()
 
 

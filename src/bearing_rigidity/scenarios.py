@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import SensingGraph, complete_edges, is_connected
-from .linalg import TolerancePolicy, random_rotation, rank_and_nullspace, \
-    rotation_axis_angle, subspace_relation
+from .linalg import TolerancePolicy, random_rotation, rotation_axis_angle, \
+    subspace_relation
 from .spaces import AgentState, Framework, MetricSpace, is_non_degenerate
 from . import engine
 
@@ -168,9 +168,10 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     Each round adds the candidate edge with the largest rank gain of the
     verdict matrix, breaking ties by canonical edge order, and stops as soon
     as the kernel matches the complete graph's. Already-rigid frameworks
-    come back unchanged. Ranks and kernels are computed at unit formation
-    scale, like ibr_verdict's, so the added edges do not change when the
-    formation is scaled; the returned framework keeps fw's own positions.
+    come back unchanged. Ranks and kernels are computed like ibr_verdict's,
+    on the verdict matrix's factor rows at unit formation scale, so the
+    added edges do not change when the formation is scaled; the returned
+    framework keeps fw's own positions.
     """
     pol = pol or TolerancePolicy()
     unit = engine._unit_scale(fw)
@@ -179,7 +180,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     current = unit
     added: list[tuple[int, int]] = []
     while True:
-        rank_g, Ng = rank_and_nullspace(engine._matrix_for_verdict(current).matrix, pol)
+        rank_g, Ng = engine._verdict_rank(current, pol)
         if subspace_relation(Nk, Ng, pol) == "equal":
             return (fw.with_graph(current.graph) if added else fw), tuple(added)
         have = set(current.graph.edges)
@@ -191,7 +192,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
         for e in candidates:
             trial = current.with_graph(
                 SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
-            r, _ = rank_and_nullspace(engine._matrix_for_verdict(trial).matrix, pol)
+            r, _ = engine._verdict_rank(trial, pol)
             if r > best_rank:
                 best_edge, best_rank = e, r
         if best_edge is None:

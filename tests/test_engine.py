@@ -291,6 +291,17 @@ def test_hetero_decomposition_is_scale_invariant():
         assert not (B @ rep.virtual.basis).any()
 
 
+@pytest.mark.parametrize("factor", [1e-9, 1e9])
+def test_fd_probe_is_scale_invariant(factor):
+    # the probe runs at unit scale; on the raw formation a step of 1e-6 is
+    # a thousand edge lengths at 1e-9 and lost in rounding at 1e9
+    fw = sample("r2", n=6, seed=4)
+    base = fd_jacobian_check(fw, POL).max_rel_error
+    assert base < 1e-5
+    got = fd_jacobian_check(scaled(fw, factor), POL).max_rel_error
+    assert got == pytest.approx(base, rel=1e-3)
+
+
 def test_degenerate_complete_graph_flagged_but_classified():
     collinear = random_framework(GeneratorSpec(space=SPACES["r2"], n=4,
                                                graph_density=1.0, seed=1,

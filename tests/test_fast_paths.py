@@ -15,15 +15,24 @@
   references are the per-kind state updates and generator branches.
 * Mixed-team decompositions classify their own kernel; the reference is
   ibr_verdict.
+* Every rank decision (verdicts, complete-graph kernels, mixed-team
+  decompositions, augmentation) decomposes the factor rows of the verdict
+  matrix; the reference decomposes the measured matrix itself.
+* The FD probe turns all agents of a trial with one stacked rotation_exp;
+  the reference calls it once per vector.
+* The assembler hands its fresh array to RigidityMatrix without a copy;
+  outside arrays are still copied.
 """
 import dataclasses
 
 import numpy as np
 import pytest
 
-from bearing_rigidity import (AgentState, CoincidentAgentsError, Framework,
-                              GeneratorSpec, MetricSpace, SensingGraph,
+from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
+                              Framework, GeneratorSpec, MetricSpace,
+                              RigidityMatrix, SensingGraph,
                               TolerancePolicy, analysis_report,
+                              augment_to_ibr,
                               complete_edges, complete_graph,
                               complete_graph_kernel, hetero_case_study,
                               ibr_verdict, random_framework,
@@ -137,17 +146,23 @@ def test_verdict_skips_the_complete_graph_only_when_closed_form_applies(monkeypa
 
 
 def test_mixed_report_computes_one_verdict(monkeypatch):
-    # counts work, not calls of one function: the report decomposes its own
-    # unit-scale matrix and the complete graph's, and assembles those two
-    # unified matrices plus the FD probe's
-    counts = {"rank_and_nullspace": 0, "unified_rigidity_matrix": 0}
+    # counts work, not calls of one function: the report decomposes the
+    # factor rows of its own unit-scale matrix and of the complete graph's,
+    # and assembles those two factors plus the FD probe's unified matrix
+    counts = {"rank_and_nullspace": 0, "_assemble": 0, "unified_rigidity_matrix": 0}
+    decomposed = []
     for name in counts:
         def counted(*args, _name=name, _original=getattr(engine, name), **kwargs):
             counts[_name] += 1
+            if _name == "rank_and_nullspace":
+                decomposed.append((args[0].shape, kwargs["shape"]))
             return _original(*args, **kwargs)
         monkeypatch.setattr(engine, name, counted)
     report = analysis_report(hetero_case_study(seed=0), POL)
-    assert counts == {"rank_and_nullspace": 2, "unified_rigidity_matrix": 3}
+    assert counts == {"rank_and_nullspace": 2, "_assemble": 3,
+                      "unified_rigidity_matrix": 1}
+    # 12 edges: 2 factor rows each, 3 measured rows each
+    assert decomposed == [((24, 24), (36, 24))] * 2
     assert report["verdict"]["rank"] == 13
 
 
@@ -313,6 +328,28 @@ def test_per_space_assembly_stays_near_its_output_size():
     assert peak < 3 * rm.matrix.nbytes
 
 
+def test_only_outside_arrays_are_copied():
+    import tracemalloc
+    A = np.arange(12.0).reshape(4, 3)
+    rm = RigidityMatrix(A, "per_space", ((0, 2), (2, 4)), (ColumnBlock(1, (0, 3)),))
+    A[0, 0] = 99.0
+    assert rm.matrix[0, 0] == 0.0
+    assert A.flags.writeable and not rm.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        rm.matrix[0, 0] = 1.0
+    # the assembler's own array is handed over: read-only, and no second
+    # copy of the output at the memory peak
+    fw = placed_framework(SPACES["r2"], 80, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        rm = rigidity_matrix(fw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rm.matrix.flags.writeable
+    assert peak < 1.5 * rm.matrix.nbytes
+
+
 def direct_rank_and_nullspace(M):
     """The SVD of M itself, without the QR reduction."""
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
@@ -397,7 +434,9 @@ def reference_bearing_rows(fw, representation, stack):
 
 
 def reference_fd_error(fw, representation, trials=20, seed=0):
-    """max_rel_error of the FD probe with the per-kind state update."""
+    """max_rel_error of the FD probe with the per-kind state update, one
+    rotation_exp call per agent. The probe runs at unit formation scale, so
+    compare it against this reference on engine._unit_scale(fw)."""
     h = POL.fd_step
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
@@ -466,7 +505,8 @@ def reference_trivial_generators(fw):
 
 def reference_unified_candidates(fw):
     """Labeled trivial candidates of the mixed-team decomposition, in
-    unified coordinates about the centroid."""
+    unified coordinates about the centroid. In the rotation about e, agent
+    a turns by V_a^T e, V_a its rotation-input matrix."""
     n = fw.n
     P = fw.positions()
     P -= P.mean(axis=0)
@@ -484,7 +524,9 @@ def reference_unified_candidates(fw):
         e = np.zeros(3)
         e[hh] = 1.0
         swing = np.array([skew(e) @ P[a] for a in range(n)]).reshape(-1)
-        gens.append(np.concatenate([swing, np.tile(e, n)]))
+        turn = np.concatenate([fw.space_of(a + 1).rotation_input().T @ e
+                               for a in range(n)])
+        gens.append(np.concatenate([swing, turn]))
         labels.append(name)
     return gens, labels
 
@@ -539,8 +581,9 @@ def test_trivial_generators_match_the_per_kind_branches(key, planar_3d):
         np.testing.assert_allclose(tb.generators, ref, rtol=0, atol=1e-15 * scale)
         P = fw.positions()
         P -= P.mean(axis=0)
+        V = np.array([fw.space_of(a + 1).rotation_input() for a in range(fw.n)])
         G, labels = engine._trivial_generators(
-            P, [(e, c) for c, e in enumerate(np.eye(3))])
+            P, [(e, V[:, c]) for c, e in enumerate(np.eye(3))])
         gens, names = reference_unified_candidates(fw)
         assert labels == names
         np.testing.assert_allclose(G, np.column_stack(gens), rtol=0,
@@ -552,7 +595,8 @@ def test_fd_probe_matches_the_per_kind_update(key, planar_3d):
     for fw in reference_frameworks(key, planar_3d):
         for rep in ("per_space", "unified"):
             got = engine.fd_jacobian_check(fw, POL, representation=rep).max_rel_error
-            assert got == pytest.approx(reference_fd_error(fw, rep), rel=1e-12, abs=0)
+            ref = reference_fd_error(engine._unit_scale(fw), rep)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_mixed_fd_probe_and_labels_match_the_references():
@@ -562,21 +606,22 @@ def test_mixed_fd_probe_and_labels_match_the_references():
                   spanning_tree(n, "directed", rng, 0.3)):
             fw = mixed_framework(n, rng, g)
             got = engine.fd_jacobian_check(fw, POL).max_rel_error
-            assert got == pytest.approx(reference_fd_error(fw, "unified"),
-                                        rel=1e-12, abs=0)
+            ref = reference_fd_error(engine._unit_scale(fw), "unified")
+            assert got == pytest.approx(ref, rel=1e-12, abs=0)
     # full-pose agents with x-axis heading agents share a coordinated
     # rotation about x; the heading agents turn in their rotation column 2,
-    # not column 0, so no candidate matches it and it stays unlabeled
+    # not column 0, which the candidate takes from their rotation input
     spaces = tuple(SPACES["se3"] if a % 2 else SPACES["r3s1x"] for a in range(5))
     states = tuple(AgentState(p=rng.standard_normal(3), R=random_rotation(rng)) if a % 2
                    else AgentState(p=rng.standard_normal(3), alpha=0.1 * a)
                    for a in range(5))
     x_team = Framework(SensingGraph(5, complete_edges(5, "directed"), "directed"),
                        spaces, states)
-    assert reference_hetero_trivial(x_team)[0][-1] == "unlabeled"
+    assert reference_hetero_trivial(x_team)[0][-1] == "coord_rotation_x"
     for fw in [hetero_case_study(seed=seed) for seed in range(3)] + [x_team]:
         got = engine.fd_jacobian_check(fw, POL).max_rel_error
-        assert got == pytest.approx(reference_fd_error(fw, "unified"), rel=1e-12, abs=0)
+        ref = reference_fd_error(engine._unit_scale(fw), "unified")
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
         hk = engine.hetero_kernel_analysis(fw, POL)
         labels, gens = reference_hetero_trivial(fw)
         assert hk.trivial.labels == labels
@@ -587,3 +632,165 @@ def test_mixed_fd_probe_and_labels_match_the_references():
         zero = np.flatnonzero(~unified_rigidity_matrix(fw).matrix.any(axis=0))
         assert hk.zero_columns == tuple(zero.tolist())
         np.testing.assert_array_equal(hk.virtual.basis, np.eye(6 * fw.n)[:, zero])
+
+
+# Rank decisions take the factor rows C of the verdict matrix B: per edge
+# W^T [-P(u)/l | P(u)/l | skew(u) V_i], W an orthonormal basis of the
+# complement of the world bearing u (the in-plane normal for planar
+# frameworks). C^T C = B^T B, so the measured matrix B is the reference.
+
+def scaled(fw, factor):
+    return dataclasses.replace(fw, states=tuple(
+        dataclasses.replace(st, p=factor * st.p) for st in fw.states))
+
+
+def factor_rows(fw, representation):
+    return engine._assemble(fw, *engine._layout(fw, representation), factor=True)
+
+
+def measured_rows(fw, representation):
+    return (rigidity_matrix(fw) if representation == "per_space"
+            else unified_rigidity_matrix(fw)).matrix
+
+
+def padded_singular_values(M, size):
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.concatenate([s, np.zeros(size - len(s))])
+
+
+def assert_factor_matches(fw, representation):
+    B = measured_rows(fw, representation)
+    C = factor_rows(fw, representation)
+    per_edge = 1 if engine._uses_planar_projector(fw) else 2
+    assert C.shape == (per_edge * fw.m, B.shape[1])
+    size = B.shape[1]
+    sB, sC = padded_singular_values(B, size), padded_singular_values(C, size)
+    assert np.abs(sC - sB).max() <= 1e-12 * sB[0]
+    np.testing.assert_array_equal(C.any(axis=0), B.any(axis=0))
+    # decisions are made at unit scale, as the verdict makes them
+    unit = engine._unit_scale(fw)
+    B, C = measured_rows(unit, representation), factor_rows(unit, representation)
+    rank_b, N_b = rank_and_nullspace(B, POL)
+    rank_c, N_c = rank_and_nullspace(C, POL, shape=B.shape)
+    assert rank_c == rank_b
+    assert N_c.shape == N_b.shape
+    assert subspace_relation(N_c, N_b, POL) == "equal"
+
+
+FACTOR_SCALES = (1e-10, 1e-5, 1.0, 1e5, 1e10)
+
+
+@pytest.mark.parametrize("key,planar_3d", REFERENCE_CASES)
+def test_factor_rows_match_the_measured_rows(key, planar_3d):
+    space = REFERENCE_SPACES[key]
+    frameworks = list(reference_frameworks(key, planar_3d))
+    if not planar_3d:
+        for n in (3, 6):
+            line = random_framework(GeneratorSpec(space=space, n=n, seed=n,
+                                                  graph_density=0.6,
+                                                  placement="collinear"))
+            frameworks += [line, line.with_graph(complete_graph(line.graph))]
+    for fw in frameworks:
+        for factor in FACTOR_SCALES:
+            moved = scaled(engine._unit_scale(fw), factor)
+            for rep in ("per_space", "unified"):
+                assert_factor_matches(moved, rep)
+            C, shape = engine._verdict_factor(moved)
+            np.testing.assert_array_equal(C, factor_rows(moved, "per_space"))
+            assert shape == measured_rows(moved, "per_space").shape
+
+
+def test_mixed_factor_rows_match_the_measured_rows():
+    rng = np.random.default_rng(29)
+    frameworks = [hetero_case_study(seed=seed) for seed in range(3)]
+    for n in (4, 7):
+        for g in (SensingGraph(n, complete_edges(n, "directed"), "directed"),
+                  spanning_tree(n, "directed", rng, 0.3)):
+            frameworks.append(mixed_framework(n, rng, g))
+    for fw in frameworks:
+        for factor in FACTOR_SCALES:
+            moved = scaled(fw, factor)
+            assert_factor_matches(moved, "unified")
+            C, shape = engine._verdict_factor(moved)
+            np.testing.assert_array_equal(C, factor_rows(moved, "unified"))
+            assert shape == measured_rows(moved, "unified").shape
+
+
+def reference_augmentation(fw):
+    """Edges augment_to_ibr adds when every rank is taken on the measured
+    verdict matrix (the loop before factor rows)."""
+    unit = engine._unit_scale(fw)
+    Nk = complete_graph_kernel(unit, POL)
+    current, added = unit, []
+    while True:
+        rank_g, Ng = rank_and_nullspace(engine._matrix_for_verdict(current).matrix, POL)
+        if subspace_relation(Nk, Ng, POL) == "equal":
+            return tuple(added)
+        best_edge, best_rank = None, rank_g
+        for e in complete_edges(fw.n, fw.graph.kind):
+            if e in current.graph.edges:
+                continue
+            trial = current.with_graph(
+                SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
+            r, _ = rank_and_nullspace(engine._matrix_for_verdict(trial).matrix, POL)
+            if r > best_rank:
+                best_edge, best_rank = e, r
+        assert best_edge is not None
+        current = current.with_graph(
+            SensingGraph(fw.n, current.graph.edges + (best_edge,), fw.graph.kind))
+        added.append(best_edge)
+
+
+def test_augmentation_on_the_factor_matches_the_measured_loop():
+    rng = np.random.default_rng(37)
+    inputs = []
+    for key, n in (("r2", 8), ("r3", 7), ("r2s1", 6), ("r3s1z", 6), ("r3s1x", 6),
+                   ("r3s1d", 6), ("se3", 5)):
+        fw = placed_framework(REFERENCE_SPACES[key], n, rng)
+        for extra in (0.0, 0.2):
+            inputs.append(fw.with_graph(spanning_tree(n, fw.graph.kind, rng, extra)))
+    for n in (5, 6):
+        inputs.append(mixed_framework(n, rng, spanning_tree(n, "directed", rng, 0.1)))
+    case = hetero_case_study(seed=1)
+    inputs.append(case.with_graph(spanning_tree(4, "directed", rng)))
+    added_any = 0
+    for fw in inputs:
+        ref = reference_augmentation(fw)
+        for factor in (1e-9, 1.0, 1e9):
+            assert augment_to_ibr(scaled(fw, factor), POL)[1] == ref
+        added_any += bool(ref)
+    assert added_any == len(inputs)
+
+
+def one_vector_rotation_exp(w):
+    """The Rodrigues step for a single vector, before rotation_exp took
+    stacks."""
+    theta = float(np.linalg.norm(w))
+    K = skew(w)
+    if theta < 1e-8:
+        a, b = 1.0, 0.5
+    else:
+        a = np.sin(theta) / theta
+        b = 2.0 * (np.sin(theta / 2.0) / theta) ** 2
+    return np.eye(3) + a * K + b * (K @ K)
+
+
+def test_stacked_rotation_exp_matches_one_call_per_vector():
+    rng = np.random.default_rng(31)
+    axes = rng.standard_normal((4, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    W = np.concatenate([
+        np.zeros((1, 3)), [[0.0, 0.0, 3.9e-159]], [[1e-9, -2e-9, 0.0]],
+        [[0.0, 0.0, np.pi]], np.pi * axes, (np.pi - 1e-9) * axes,
+        (np.pi + 1e-9) * axes,
+        rng.standard_normal((12, 3)) * np.logspace(-12, 1, 12)[:, None]])
+    R = rotation_exp(W)
+    assert R.shape == (len(W), 3, 3)
+    for w, Rw in zip(W, R):
+        np.testing.assert_array_equal(Rw, rotation_exp(w))
+        np.testing.assert_allclose(Rw, one_vector_rotation_exp(w), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(Rw.T @ Rw, np.eye(3), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(R[0], np.eye(3))
+    np.testing.assert_array_equal(rotation_exp(W.reshape(2, -1, 3)),
+                                  R.reshape(2, -1, 3, 3))
+    np.testing.assert_array_equal(skew(W), [skew(w) for w in W])

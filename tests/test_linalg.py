@@ -113,6 +113,19 @@ def test_rank_and_nullspace_on_known_matrix():
     np.testing.assert_allclose(null.T @ null, np.eye(2), atol=1e-12)
 
 
+def test_rank_threshold_uses_the_given_shape():
+    # singular values 1 and 5e-9: above 1e-10 * 2 of the 2x2 matrix itself,
+    # below 1e-10 * 100 of the 100-row matrix it stands in for
+    M = np.diag([1.0, 5e-9])
+    assert rank_and_nullspace(M, TolerancePolicy())[0] == 2
+    rank, null = rank_and_nullspace(M, TolerancePolicy(), shape=(100, 2))
+    assert rank == 1
+    np.testing.assert_allclose(np.abs(null[:, 0]), [0.0, 1.0], atol=1e-15)
+    # an explicit rank_rtol applies to every shape
+    strict = TolerancePolicy(rank_rtol=1e-12)
+    assert rank_and_nullspace(M, strict, shape=(100, 2))[0] == 2
+
+
 def test_rank_rejects_nan():
     with pytest.raises(NumericalError):
         rank_and_nullspace(np.array([[np.nan, 1.0]]), TolerancePolicy())
