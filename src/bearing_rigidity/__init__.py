@@ -16,9 +16,7 @@ from .linalg import (TOLERANCE_PROFILES, TolerancePolicy, orthogonal_projector,
                      rank_and_nullspace, rotation_axis_angle, rotation_exp,
                      skew, subspace_contains, subspace_relation)
 from .spaces import (AgentState, BearingStack, DegeneracyReport, Framework,
-                     MetricSpace, bearing_measurement,
-                     bearing_rigidity_function, bearings_collinear,
-                     is_non_degenerate)
+                     MetricSpace, bearing_rigidity_function, is_non_degenerate)
 from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,
                      RigidityMatrix, RigidityVerdict, SubspaceBasis,
                      bearing_congruent, bearing_equivalent,

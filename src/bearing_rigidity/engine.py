@@ -47,12 +47,12 @@ bearing flexible (IBF). For non-degenerate homogeneous frameworks IBR is
 equivalent to the rank hitting c*n - c - 1, where c counts controllable
 degrees of freedom per agent.
 
-For non-degenerate homogeneous frameworks the complete-graph kernel is known
-in closed form (the trivial variations above), and verdicts use it instead
-of building and decomposing the complete-graph matrix. Only degenerate
-(collinear) and heterogeneous frameworks pay for the complete graph. A
-heterogeneous framework's kernel decomposition classifies the rank and
-kernel it has already computed, so a mixed team is decomposed once.
+Each framework is decided once (_decide), at unit formation scale: one
+degeneracy test, one factor decomposition, one complete-graph kernel. That
+kernel is known in closed form for non-degenerate homogeneous frameworks
+(the trivial variations above); only degenerate (collinear) and mixed ones
+build the complete graph. ibr_verdict, hetero_kernel_analysis (which splits
+the decided kernel) and the analysis report all read that one decision.
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -377,9 +377,11 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     exp(h * skew(V_a dw_a)) from the left, V_a being the agent's
     rotation-input matrix (agents without one keep their rotation), all
     agents of a trial in one stacked rotation_exp. The compared bearing rows
-    are the first d components of each edge's bearing.
+    are the first d components of each edge's bearing. trials must be >= 1.
     """
     pol = pol or TolerancePolicy()
+    if trials < 1:
+        raise ValidationError(f"fd trials must be at least 1, got {trials}")
     h = pol.fd_step if step is None else float(step)
     if representation == "auto":
         representation = _verdict_representation(fw)
@@ -396,7 +398,7 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     b0 = bearing_stack_raw(edges0, P, R)[:, :d].reshape(-1)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         delta = rng.standard_normal(B.shape[1])
         if representation == "unified" and _uses_planar_projector(fw):
             delta[2:3 * n:3] = 0.0
@@ -508,18 +510,33 @@ def _unit_scale(fw: Framework) -> Framework:
     """The same framework with positions divided by their RMS distance from
     the centroid. Kernels are scale invariant, but translational columns
     scale as 1/length while rotational ones do not, so one relative rank
-    threshold only separates both kinds of singular value near unit scale."""
+    threshold only separates both kinds of singular value near unit scale.
+    A framework within 1e-12 of unit scale is returned as it is."""
     scale = _rms_radius(fw)
+    if abs(scale - 1.0) <= 1e-12:
+        return fw
     return dataclasses.replace(
         fw, states=tuple(dataclasses.replace(st, p=st.p / scale) for st in fw.states))
 
 
-def _graph_vs_complete_kernels(fw: Framework, pol: TolerancePolicy):
-    """(rank_g, nullspace_g, nullspace_complete) in a shared representation,
-    computed at unit formation scale."""
-    fw = _unit_scale(fw)
-    rank_g, Ng = _verdict_rank(fw, pol)
-    return rank_g, Ng, complete_graph_kernel(fw, pol)
+def _decide(fw: Framework, pol: TolerancePolicy):
+    """(verdict, unit, part) of fw, decided once at unit formation scale
+    (unit): one degeneracy test, one factor decomposition and one
+    complete-graph kernel. part is the closed-form trivial basis (in unit's
+    coordinates) that serves as that kernel, None for a degenerate
+    homogeneous framework, or a mixed team's HeteroKernelReport."""
+    unit = _unit_scale(fw)
+    degenerate = not is_non_degenerate(unit, pol)
+    C, shape = _verdict_factor(unit)
+    rank, N = rank_and_nullspace(C, pol, shape=shape)
+    part = (trivial_variation_basis(unit, pol)
+            if fw.is_homogeneous and not degenerate else None)
+    Nk = (part.basis if part is not None
+          else _verdict_rank(unit.with_graph(complete_graph(unit.graph)), pol)[1])
+    verdict = _classify(fw, pol, rank, N, Nk, degenerate)
+    if not fw.is_homogeneous:
+        part = HeteroKernelReport(verdict, *_hetero_split(fw, unit, C, N, pol))
+    return verdict, unit, part
 
 
 def kernel_inclusion_check(fw: Framework, pol: TolerancePolicy | None = None) -> str:
@@ -530,40 +547,38 @@ def kernel_inclusion_check(fw: Framework, pol: TolerancePolicy | None = None) ->
     edges can only grow the kernel.
     """
     pol = pol or TolerancePolicy()
-    _, Ng, Nk = _graph_vs_complete_kernels(fw, pol)
-    return subspace_relation(Nk, Ng, pol)
+    unit = _unit_scale(fw)
+    return subspace_relation(complete_graph_kernel(unit, pol),
+                             _verdict_rank(unit, pol)[1], pol)
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
     """Classify a framework as IBR or IBF.
 
     The deciding test is kernel equality with the complete graph on the same
-    agents. For non-degenerate homogeneous frameworks the complete graph's
-    kernel is the closed-form trivial basis, so only the framework's own
-    matrix is decomposed; degenerate and heterogeneous frameworks decompose
-    the complete-graph matrix too (see complete_graph_kernel). A complete
-    kernel not contained in the framework kernel raises NumericalError. For
-    non-degenerate homogeneous frameworks the rank test against
-    c*n - c - 1 must agree with kernel equality, and a disagreement raises
-    NumericalError rather than returning a verdict that contradicts itself.
-    Degenerate configurations are classified by kernel equality alone and
-    flagged.
+    agents, decided once at unit formation scale (_decide). For non-degenerate
+    homogeneous frameworks the complete graph's kernel is the closed-form
+    trivial basis; degenerate and heterogeneous frameworks decompose the
+    complete-graph matrix too. A complete kernel not contained in the
+    framework kernel raises NumericalError. For non-degenerate homogeneous
+    frameworks the rank test against c*n - c - 1 must agree with kernel
+    equality, and a disagreement raises NumericalError rather than returning
+    a verdict that contradicts itself. Degenerate configurations are
+    classified by kernel equality alone and flagged.
     """
-    pol = pol or TolerancePolicy()
-    return _classify(fw, pol, *_graph_vs_complete_kernels(fw, pol))
+    return _decide(fw, pol or TolerancePolicy())[0]
 
 
 def _classify(fw: Framework, pol: TolerancePolicy, rank_g: int, Ng: np.ndarray,
-              Nk: np.ndarray) -> RigidityVerdict:
-    """The verdict from the framework's rank and kernel Ng and the
-    complete-graph kernel Nk, all in one representation (see ibr_verdict)."""
+              Nk: np.ndarray, degenerate: bool) -> RigidityVerdict:
+    """The verdict from the framework's rank and kernel Ng, the complete-graph
+    kernel Nk (one representation) and the degeneracy test (see ibr_verdict)."""
     rel = subspace_relation(Nk, Ng, pol)
     if rel not in ("equal", "A_subset_B"):
         raise NumericalError(
             f"complete-graph kernel not contained in framework kernel ({rel}); "
             "tolerances are inconsistent with this matrix")
     kernel_eq = rel == "equal"
-    degenerate = not is_non_degenerate(fw, pol)
     notes: list[str] = []
     expected = None
     if fw.is_homogeneous:
@@ -632,20 +647,23 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     residual against the trivial part stays below subspace_tol. Directions
     matched by no candidate are labeled "unlabeled".
 
-    The decomposition runs at unit formation scale, like ibr_verdict, so
-    dimensions and labels do not change when the formation is scaled. The
-    returned generators and bases are in fw's own coordinates: a kernel
-    vector's position rows scale with the formation, its rotation rows do
-    not.
+    It splits the kernel ibr_verdict decides on at unit formation scale
+    (_decide), so dimensions and labels do not change when the formation is
+    scaled. The returned generators and bases are in fw's own coordinates:
+    a kernel vector's position rows scale with the formation, its rotation
+    rows do not.
     """
-    pol = pol or TolerancePolicy()
     if fw.is_homogeneous:
         raise ValidationError("kernel decomposition targets heterogeneous frameworks; "
                               "homogeneous ones have trivial_variation_basis")
-    unit = _unit_scale(fw)
-    C, shape = _verdict_factor(unit)
+    return _decide(fw, pol or TolerancePolicy())[2]
+
+
+def _hetero_split(fw: Framework, unit: Framework, C: np.ndarray, N: np.ndarray,
+                  pol: TolerancePolicy) -> tuple:
+    """(trivial, virtual, zero_columns) of a mixed team's kernel N, that of
+    its verdict factor C at unit scale (see hetero_kernel_analysis)."""
     ambient = C.shape[1]
-    rank, N = rank_and_nullspace(C, pol, shape=shape)
     zero_cols = np.flatnonzero(~C.any(axis=0))
     Qv = np.eye(ambient)[:, zero_cols]
     # structural zero columns must already be kernel directions
@@ -695,9 +713,7 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
                             labels=tuple(labels), generators=gen_mat)
     virtual = SubspaceBasis(ambient_dim=ambient, basis=Qv,
                             labels=("virtual",) * len(zero_cols), generators=Qv)
-    verdict = _classify(fw, pol, rank, N, complete_graph_kernel(unit, pol))
-    return HeteroKernelReport(verdict=verdict, trivial=trivial, virtual=virtual,
-                              zero_columns=tuple(zero_cols.tolist()))
+    return trivial, virtual, tuple(zero_cols.tolist())
 
 
 def degenerate_trivial_dim(space: MetricSpace, n: int,

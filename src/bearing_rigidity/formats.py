@@ -219,22 +219,19 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
     """
     pol = pol or TolerancePolicy()
     subspaces: dict[str, Any] = {}
-    if fw.is_homogeneous:
-        verdict = engine.ibr_verdict(fw, pol)
-        if verdict.degenerate:
-            subspaces["trivial"] = None
-            subspaces["note"] = ("degenerate configuration: closed-form trivial "
-                                 "basis unavailable")
-        else:
-            subspaces["trivial"] = _subspace_summary(
-                engine.trivial_variation_basis(fw, pol))
+    # one decision at unit scale; the FD probe reuses its unit-scale copy
+    verdict, unit, part = engine._decide(fw, pol)
+    if part is None:
+        subspaces["trivial"] = None
+        subspaces["note"] = ("degenerate configuration: closed-form trivial "
+                             "basis unavailable")
+    elif fw.is_homogeneous:
+        subspaces["trivial"] = _subspace_summary(part)
     else:
-        hk = engine.hetero_kernel_analysis(fw, pol)
-        verdict = hk.verdict
-        subspaces["trivial"] = _subspace_summary(hk.trivial)
-        subspaces["virtual"] = _subspace_summary(hk.virtual)
-        subspaces["zero_columns"] = list(hk.zero_columns)
-    fd = engine.fd_jacobian_check(fw, pol, trials=fd_trials, seed=seed)
+        subspaces["trivial"] = _subspace_summary(part.trivial)
+        subspaces["virtual"] = _subspace_summary(part.virtual)
+        subspaces["zero_columns"] = list(part.zero_columns)
+    fd = engine.fd_jacobian_check(unit, pol, trials=fd_trials, seed=seed)
 
     if isinstance(fw.space, tuple):
         space_doc: Any = [space_to_json(s) for s in fw.space]

@@ -96,16 +96,17 @@ def _sample_graph(n: int, density: float, kind: str,
 
 def _generic_positions(spaces: list[MetricSpace], rng: np.random.Generator,
                        min_sep: float) -> np.ndarray:
+    """Uniform in a box of side n**(1/dim) (dim 2 if all agents are planar,
+    else 3), so the density does not grow with n; planar agents at z = 0."""
     n = len(spaces)
+    planar = np.array([s.is_planar for s in spaces])
+    side = n ** (1.0 / (2 if planar.all() else 3))
+    upper = np.triu_indices(n, 1)
     for _ in range(_RESAMPLE_CAP):
-        P = rng.uniform(0.0, 1.0, (n, 3))
-        for a, s in enumerate(spaces):
-            if s.is_planar:
-                P[a, 2] = 0.0
-        seps = [np.linalg.norm(P[i] - P[j]) for i in range(n) for j in range(i + 1, n)]
-        if min(seps) < min_sep:
-            continue
-        if is_non_degenerate(P):
+        P = rng.uniform(0.0, side, (n, 3))
+        P[planar, 2] = 0.0
+        seps = np.linalg.norm(P[:, None] - P[None], axis=2)[upper]
+        if seps.min() >= min_sep and is_non_degenerate(P):
             return P
     raise NumericalError("could not draw a well-separated non-degenerate placement")
 

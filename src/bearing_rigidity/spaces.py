@@ -303,13 +303,6 @@ def measurement_edges(fw: Framework) -> tuple[tuple[int, int], ...]:
     return fw.graph.edges
 
 
-def bearing_measurement(fw: Framework, i: int, j: int) -> np.ndarray:
-    """Unit bearing from agent i to agent j in agent i's frame (1-based)."""
-    if i == j or not (1 <= i <= fw.n and 1 <= j <= fw.n):
-        raise ValidationError(f"bad agent pair ({i}, {j})")
-    return bearing_stack_raw([(i - 1, j - 1)], fw.positions(), fw.rotations())[0]
-
-
 def bearing_rigidity_function(fw: Framework) -> BearingStack:
     """All edge bearings of the framework, in canonical edge order."""
     edges = measurement_edges(fw)
@@ -357,13 +350,3 @@ def is_non_degenerate(fw_or_positions, pol: TolerancePolicy | None = None,
         return DegeneracyReport(True, None, "configuration spans at least a plane section")
     v = Vh[0]
     return DegeneracyReport(False, v, f"agents collinear along {np.round(v, 6).tolist()}")
-
-
-def bearings_collinear(stack: BearingStack, pol: TolerancePolicy | None = None) -> bool:
-    """True when all bearings are parallel to one common direction."""
-    pol = pol or TolerancePolicy()
-    b = stack.bearings
-    s = np.linalg.svd(b, compute_uv=False)
-    if s.size < 2 or s[0] == 0.0:
-        return True
-    return bool(s[1] <= pol.effective_rank_rtol(b.shape) * s[0])

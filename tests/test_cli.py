@@ -242,6 +242,18 @@ def test_batch_not_a_directory(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_fd_trials_below_one_are_rejected(tmp_path, capsys, trials):
+    code, out, err = run(capsys, "analyze", "square-diagonal-r2", "--fd-trials", trials)
+    assert code == 3 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+    run(capsys, "gen", "--fixture", "square-diagonal-r2", "-o", str(tmp_path / "sq.json"))
+    code, out, _ = run(capsys, "batch", str(tmp_path), "--fd-trials", trials)
+    assert code != 0 and "ERROR" in out
+
+
 def test_env_profile_applies(monkeypatch, capsys):
     monkeypatch.setenv("BRL_TOLERANCE_PROFILE", "strict")
     code, out, _ = run(capsys, "analyze", "triangle-r2-complete")

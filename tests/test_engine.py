@@ -174,6 +174,12 @@ def test_fd_probe_hetero():
     assert res.representation == "unified"
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_fd_probe_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValidationError, match="at least 1"):
+        fd_jacobian_check(sample("r2", n=4, seed=11), POL, trials=trials)
+
+
 TRIVIAL_DIMS = {"r2": 3, "r3": 4, "r2s1": 4, "r3s1": 5, "se3": 7}
 
 

@@ -55,6 +55,24 @@ def test_generic_draws_are_connected_separated_nondegenerate(seed):
             assert np.linalg.norm(P[i] - P[j]) >= MIN_SEPARATION
 
 
+FAMILIES = {"r2": R2, "r3": MetricSpace.rd(3), "r2s1": MetricSpace.rd_s1(2),
+            "r3s1": MetricSpace.rd_s1(3, (0.0, 0.0, 1.0)), "se3": SE3}
+MIXED_81 = tuple(list(FAMILIES.values())[a % 5] for a in range(81))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("space", [*FAMILIES, "mixed"])
+def test_generator_works_at_benchmark_sizes(space, seed):
+    """The placement box grows with n, so 80 separated agents still fit."""
+    sp = MIXED_81 if space == "mixed" else FAMILIES[space]
+    n = 81 if space == "mixed" else 80
+    fw = random_framework(GeneratorSpec(space=sp, n=n, graph_density=0.3, seed=seed))
+    assert fw.n == n and bool(is_non_degenerate(fw))
+    P = fw.positions()
+    seps = np.linalg.norm(P[:, None] - P[None], axis=2)[np.triu_indices(n, 1)]
+    assert seps.min() >= MIN_SEPARATION
+
+
 def test_density_too_low_to_connect():
     with pytest.raises(ValidationError):
         random_framework(GeneratorSpec(space=SE3, n=6, graph_density=0.1))
