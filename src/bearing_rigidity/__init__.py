@@ -8,9 +8,8 @@ IBR/IBF verdicts, with seeded generators and a CLI on top.
 from .errors import (BearingRigidityError, CoincidentAgentsError,
                      DegenerateConfigurationError, NumericalError, ParseError,
                      ValidationError)
-from .graphs import (IncidenceMatrices, SensingGraph, complete_edges,
-                     complete_graph, connected_components, incidence_matrices,
-                     is_connected, orient)
+from .graphs import (SensingGraph, complete_edges, complete_graph,
+                     connected_components, is_connected, orient)
 from .linalg import (TOLERANCE_PROFILES, TolerancePolicy, orthogonal_projector,
                      orthonormal_columns, planar_rotation, random_rotation,
                      rank_and_nullspace, rotation_axis_angle, rotation_exp,
@@ -20,12 +19,10 @@ from .spaces import (AgentState, BearingStack, DegeneracyReport, Framework,
 from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,
                      RigidityMatrix, RigidityVerdict, SubspaceBasis,
                      bearing_congruent, bearing_equivalent,
-                     complete_graph_kernel,
-                     degenerate_trivial_dim, fd_jacobian_check,
-                     hetero_kernel_analysis, ibr_verdict,
-                     kernel_inclusion_check, reduced_rank_oracle,
-                     rigidity_matrix, trivial_variation_basis,
-                     unified_rigidity_matrix)
+                     complete_graph_kernel, degenerate_trivial_dim,
+                     fd_jacobian_check, hetero_kernel_analysis, ibr_verdict,
+                     kernel_inclusion_check, rigidity_matrix,
+                     trivial_variation_basis, unified_rigidity_matrix)
 from .scenarios import (FIXTURES, MIN_SEPARATION, GeneratorSpec,
                         augment_to_ibr, case_study_partition, fixture,
                         hetero_case_study, random_framework)

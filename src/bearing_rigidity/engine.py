@@ -469,6 +469,12 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
     report = is_non_degenerate(fw, pol)
     if not report:
         raise DegenerateConfigurationError(report.detail)
+    return _trivial_basis(fw, pol)
+
+
+def _trivial_basis(fw: Framework, pol: TolerancePolicy) -> SubspaceBasis:
+    """trivial_variation_basis of a homogeneous framework its caller has
+    already found non-degenerate."""
     d, rot_cols = _layout(fw, "per_space")
     P = fw.positions()
     P -= P.mean(axis=0)
@@ -496,8 +502,13 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     """
     pol = pol or TolerancePolicy()
     if fw.is_homogeneous and is_non_degenerate(fw, pol):
-        return trivial_variation_basis(fw, pol).basis
-    return _verdict_rank(fw.with_graph(complete_graph(fw.graph)), pol)[1]
+        return _trivial_basis(fw, pol).basis
+    return _verdict_rank(_complete(fw), pol)[1]
+
+
+def _complete(fw: Framework) -> Framework:
+    """fw's agents on the complete graph of fw's graph kind."""
+    return fw.with_graph(complete_graph(fw.graph))
 
 
 def _rms_radius(fw: Framework) -> float:
@@ -529,10 +540,9 @@ def _decide(fw: Framework, pol: TolerancePolicy):
     degenerate = not is_non_degenerate(unit, pol)
     C, shape = _verdict_factor(unit)
     rank, N = rank_and_nullspace(C, pol, shape=shape)
-    part = (trivial_variation_basis(unit, pol)
+    part = (_trivial_basis(unit, pol)
             if fw.is_homogeneous and not degenerate else None)
-    Nk = (part.basis if part is not None
-          else _verdict_rank(unit.with_graph(complete_graph(unit.graph)), pol)[1])
+    Nk = part.basis if part is not None else _verdict_rank(_complete(unit), pol)[1]
     verdict = _classify(fw, pol, rank, N, Nk, degenerate)
     if not fw.is_homogeneous:
         part = HeteroKernelReport(verdict, *_hetero_split(fw, unit, C, N, pol))
@@ -742,42 +752,3 @@ def degenerate_trivial_dim(space: MetricSpace, n: int,
     if axis_aligned_with_line:
         raise ValidationError("full-pose spaces need no alignment flag")
     return 2 * n + 4
-
-
-def reduced_rank_oracle(positions: np.ndarray, edges, d: int | None = None,
-                        pol: TolerancePolicy | None = None) -> int:
-    """Rank of a position-only rigidity matrix by an independent construction.
-
-    Builds, per edge, a basis of the directions perpendicular to the edge (a
-    single rotated difference vector in the plane, two orthonormal
-    complements in 3-space) and stacks +-rows in the endpoint columns. The
-    row span per edge equals that of the projector block, so the rank
-    matches the assembled matrix, with no projectors, scalings, or incidence
-    products involved. Useful as a cross-check for position-only verdicts.
-    """
-    pol = pol or TolerancePolicy()
-    P = np.asarray(positions, dtype=float)
-    if P.ndim != 2 or P.shape[1] not in (2, 3):
-        raise ValidationError("positions must be (n, 2) or (n, 3)")
-    if d is None:
-        d = P.shape[1]
-    if d == 2 and P.shape[1] == 3:
-        P = P[:, :2]
-    n = P.shape[0]
-    rows = []
-    for (i, j) in edges:
-        i0, j0 = i - 1, j - 1
-        diff = P[j0] - P[i0]
-        if d == 2:
-            perps = [np.array([diff[1], -diff[0]])]
-        else:
-            # two orthonormal vectors spanning the complement of diff
-            _, _, Vh = np.linalg.svd(diff.reshape(1, 3))
-            perps = [Vh[1], Vh[2]]
-        for v in perps:
-            row = np.zeros(d * n)
-            row[d * i0:d * i0 + d] = -v
-            row[d * j0:d * j0 + d] = v
-            rows.append(row)
-    rank, _ = rank_and_nullspace(np.array(rows), pol)
-    return rank

@@ -1,4 +1,4 @@
-"""Sensing graphs and their incidence matrices.
+"""Sensing graphs.
 
 Vertices are numbered 1..n. An edge (i, j) points from its head i (the agent
 taking the measurement) to its tail j (the agent being measured). Three kinds
@@ -15,8 +15,6 @@ matrix built downstream follow the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -89,42 +87,6 @@ def orient(g: SensingGraph) -> SensingGraph:
     if g.kind != "undirected":
         raise ValidationError("orient expects an undirected graph")
     return SensingGraph(g.n, g.edges, "oriented")
-
-
-@dataclass(frozen=True)
-class IncidenceMatrices:
-    """Incidence matrix E, its outgoing part, and their d-dimensional liftings.
-
-    E is n x m with E[i, k] = -1 when edge k leaves vertex i+1 (head) and +1
-    when it enters (tail). E_out keeps only the -1 entries. The lifted forms
-    replace every entry by entry * I_d.
-    """
-
-    E: np.ndarray
-    E_out: np.ndarray
-    Ebar: np.ndarray
-    Ebar_out: np.ndarray
-    d: int
-
-
-def incidence_matrices(g: SensingGraph, d: int) -> IncidenceMatrices:
-    """Build incidence matrices for a directed or oriented graph.
-
-    Undirected graphs carry no edge directions, so they are rejected; call
-    orient() first.
-    """
-    if g.kind == "undirected":
-        raise ValidationError("incidence matrices need edge directions; orient() first")
-    if d < 1:
-        raise ValidationError(f"dimension must be positive, got {d}")
-    E = np.zeros((g.n, g.m))
-    for k, (i, j) in enumerate(g.edges):
-        E[i - 1, k] = -1.0
-        E[j - 1, k] = 1.0
-    E_out = np.where(E < 0, E, 0.0)
-    eye = np.eye(d)
-    return IncidenceMatrices(E=E, E_out=E_out, Ebar=np.kron(E, eye),
-                             Ebar_out=np.kron(E_out, eye), d=d)
 
 
 def connected_components(g: SensingGraph) -> list[set[int]]:

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import SensingGraph, complete_edges, is_connected
-from .linalg import TolerancePolicy, random_rotation, rotation_axis_angle, \
-    subspace_relation
+from .linalg import TolerancePolicy, random_rotation, rank_and_nullspace, \
+    rotation_axis_angle, subspace_relation
 from .spaces import AgentState, Framework, MetricSpace, is_non_degenerate
 from . import engine
 
@@ -173,35 +173,59 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     on the verdict matrix's factor rows at unit formation scale, so the
     added edges do not change when the formation is scaled; the returned
     framework keeps fw's own positions.
+
+    An edge's factor rows depend on that edge alone, so the complete graph's
+    factor is assembled once per call, and every rank is taken on a row
+    selection of it: the current edges plus the candidate, in canonical
+    order, which is exactly the factor of that graph. No graph or framework
+    is built per candidate. The complete factor is assembled only once the
+    input is found flexible, or up front when the complete-graph kernel has
+    no closed form (degenerate and mixed teams) and is taken from it.
     """
     pol = pol or TolerancePolicy()
     unit = engine._unit_scale(fw)
-    Nk = engine.complete_graph_kernel(unit, pol)
+    factor = None
+    if unit.is_homogeneous and is_non_degenerate(unit, pol):
+        Nk = engine._trivial_basis(unit, pol).basis
+    else:
+        factor = engine._verdict_factor(engine._complete(unit))
+        Nk = rank_and_nullspace(factor[0], pol, shape=factor[1])[1]
+    rank_g, Ng = engine._verdict_rank(unit, pol)
+    if subspace_relation(Nk, Ng, pol) == "equal":
+        return fw, ()
 
-    current = unit
+    C, (rows, cols) = factor or engine._verdict_factor(engine._complete(unit))
+    edges = complete_edges(fw.n, fw.graph.kind)
+    blocks = C.reshape(len(edges), -1, cols)
+    per_edge = rows // len(edges)  # measured rows per edge set the threshold
+
+    def rank(selected: list[int]) -> tuple[int, np.ndarray]:
+        return rank_and_nullspace(blocks[selected].reshape(-1, cols), pol,
+                                  shape=(per_edge * len(selected), cols))
+
+    index = {e: k for k, e in enumerate(edges)}
+    current = sorted(index[e] for e in fw.graph.edges)
     added: list[tuple[int, int]] = []
     while True:
-        rank_g, Ng = engine._verdict_rank(current, pol)
-        if subspace_relation(Nk, Ng, pol) == "equal":
-            return (fw.with_graph(current.graph) if added else fw), tuple(added)
-        have = set(current.graph.edges)
-        candidates = [e for e in complete_edges(fw.n, fw.graph.kind) if e not in have]
+        have = set(current)
+        candidates = [k for k in range(len(edges)) if k not in have]
         if not candidates:
             raise NumericalError("complete graph reached without kernel equality; "
                                  "tolerances are inconsistent")
-        best_edge, best_rank = None, rank_g
-        for e in candidates:
-            trial = current.with_graph(
-                SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
-            r, _ = engine._verdict_rank(trial, pol)
+        best, best_rank = None, rank_g
+        for k in candidates:
+            r, _ = rank(sorted(current + [k]))
             if r > best_rank:
-                best_edge, best_rank = e, r
-        if best_edge is None:
+                best, best_rank = k, r
+        if best is None:
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
                                  "exceeds the complete graph's")
-        current = current.with_graph(
-            SensingGraph(fw.n, current.graph.edges + (best_edge,), fw.graph.kind))
-        added.append(best_edge)
+        current = sorted(current + [best])
+        added.append(edges[best])
+        rank_g, Ng = rank(current)
+        if subspace_relation(Nk, Ng, pol) == "equal":
+            graph = SensingGraph(fw.n, tuple(edges[k] for k in current), fw.graph.kind)
+            return fw.with_graph(graph), tuple(added)
 
 
 def hetero_case_study(seed: int = 0) -> Framework:

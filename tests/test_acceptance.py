@@ -16,10 +16,10 @@ from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
                               fd_jacobian_check, fixture, hetero_case_study,
                               hetero_kernel_analysis, ibr_verdict,
                               kernel_inclusion_check, random_framework,
-                              rank_and_nullspace, reduced_rank_oracle,
-                              rigidity_matrix, trivial_variation_basis,
-                              unified_rigidity_matrix)
+                              rank_and_nullspace, rigidity_matrix,
+                              trivial_variation_basis, unified_rigidity_matrix)
 import bearing_rigidity as br
+from oracles import reduced_rank_oracle
 
 POL = TolerancePolicy()
 

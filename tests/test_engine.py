@@ -12,12 +12,12 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               bearing_equivalent, bearing_congruent,
                               fd_jacobian_check, fixture,
                               hetero_case_study, hetero_kernel_analysis,
-                              ibr_verdict, incidence_matrices,
-                              kernel_inclusion_check, orient,
+                              ibr_verdict, kernel_inclusion_check, orient,
                               orthogonal_projector, random_framework,
-                              rank_and_nullspace, reduced_rank_oracle,
-                              rigidity_matrix, skew, subspace_contains,
-                              trivial_variation_basis, unified_rigidity_matrix)
+                              rank_and_nullspace, rigidity_matrix, skew,
+                              subspace_contains, trivial_variation_basis,
+                              unified_rigidity_matrix)
+from oracles import incidence_matrices, reduced_rank_oracle
 
 POL = TolerancePolicy()
 

@@ -22,6 +22,11 @@
   the reference calls it once per vector.
 * The assembler hands its fresh array to RigidityMatrix without a copy;
   outside arrays are still copied.
+* Augmentation assembles the complete graph's factor once and ranks each
+  candidate on a row selection of it; the reference rebuilds the framework
+  and assembles its factor for every candidate.
+* The verdict and augmentation test degeneracy once and then build the
+  trivial basis unchecked; the public trivial_variation_basis still checks.
 """
 import dataclasses
 
@@ -39,8 +44,9 @@ from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
                               random_rotation, rank_and_nullspace,
                               rigidity_matrix, subspace_relation,
                               trivial_variation_basis, unified_rigidity_matrix)
-from bearing_rigidity import (engine, orient, orthogonal_projector,
-                              orthonormal_columns, rotation_exp, skew)
+from bearing_rigidity import (engine, formats, orient, orthogonal_projector,
+                              orthonormal_columns, rotation_exp, scenarios,
+                              skew, spaces)
 from bearing_rigidity.spaces import bearing_stack_raw, measurement_edges
 
 POL = TolerancePolicy()
@@ -741,7 +747,8 @@ def reference_augmentation(fw):
         added.append(best_edge)
 
 
-def test_augmentation_on_the_factor_matches_the_measured_loop():
+def augmentation_inputs():
+    """Flexible inputs of every space, mixed teams included."""
     rng = np.random.default_rng(37)
     inputs = []
     for key, n in (("r2", 8), ("r3", 7), ("r2s1", 6), ("r3s1z", 6), ("r3s1x", 6),
@@ -753,13 +760,139 @@ def test_augmentation_on_the_factor_matches_the_measured_loop():
         inputs.append(mixed_framework(n, rng, spanning_tree(n, "directed", rng, 0.1)))
     case = hetero_case_study(seed=1)
     inputs.append(case.with_graph(spanning_tree(4, "directed", rng)))
+    return inputs
+
+
+AUGMENTATION_SCALES = (1e-9, 1.0, 1e9)
+
+
+def test_augmentation_on_the_factor_matches_the_measured_loop():
+    inputs = augmentation_inputs()
     added_any = 0
     for fw in inputs:
         ref = reference_augmentation(fw)
-        for factor in (1e-9, 1.0, 1e9):
+        for factor in AUGMENTATION_SCALES:
             assert augment_to_ibr(scaled(fw, factor), POL)[1] == ref
         added_any += bool(ref)
     assert added_any == len(inputs)
+
+
+def reference_rebuild_augmentation(fw):
+    """Edges augment_to_ibr adds when every candidate is a new framework
+    whose verdict factor is assembled from scratch (the loop before row
+    selection)."""
+    unit = engine._unit_scale(fw)
+    Nk = complete_graph_kernel(unit, POL)
+    current, added = unit, []
+    while True:
+        rank_g, Ng = engine._verdict_rank(current, POL)
+        if subspace_relation(Nk, Ng, POL) == "equal":
+            return tuple(added)
+        best_edge, best_rank = None, rank_g
+        for e in complete_edges(fw.n, fw.graph.kind):
+            if e in current.graph.edges:
+                continue
+            trial = current.with_graph(
+                SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
+            r, _ = engine._verdict_rank(trial, POL)
+            if r > best_rank:
+                best_edge, best_rank = e, r
+        assert best_edge is not None
+        current = current.with_graph(
+            SensingGraph(fw.n, current.graph.edges + (best_edge,), fw.graph.kind))
+        added.append(best_edge)
+
+
+def test_augmentation_by_row_selection_matches_the_rebuild_loop():
+    for fw in augmentation_inputs():
+        for factor in AUGMENTATION_SCALES:
+            moved = scaled(fw, factor)
+            assert augment_to_ibr(moved, POL)[1] == reference_rebuild_augmentation(moved)
+
+
+def decomposed_inputs(monkeypatch, call):
+    """Every (matrix, threshold shape) that call hands to rank_and_nullspace."""
+    seen = []
+
+    def recorded(M, pol=None, *, shape=None):
+        seen.append((np.array(M), shape))
+        return rank_and_nullspace(M, pol, shape=shape)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "rank_and_nullspace", recorded)
+        m.setattr(scenarios, "rank_and_nullspace", recorded)
+        call()
+    return seen
+
+
+def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
+    # same complete kernel, same start, then per round every candidate and
+    # the new current graph: the selected rows are the rebuilt
+    # _verdict_factor(trial) entry for entry, with the same threshold shape
+    for fw in augmentation_inputs():
+        for factor in (1.0, 1e9):
+            moved = scaled(fw, factor)
+            got = decomposed_inputs(monkeypatch, lambda: augment_to_ibr(moved, POL))
+            want = decomposed_inputs(monkeypatch,
+                                     lambda: reference_rebuild_augmentation(moved))
+            assert len(got) == len(want) > moved.n
+            for (M, shape), (M_ref, shape_ref) in zip(got, want):
+                assert shape == shape_ref
+                np.testing.assert_array_equal(M, M_ref)
+
+
+class CallCounter:
+    """Counts calls of one function through every listed owner that holds
+    it (modules import functions by name, so each binding is patched)."""
+
+    def __init__(self, monkeypatch, name, *owners):
+        self.calls = 0
+        original = getattr(owners[0], name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted)
+
+    def take(self):
+        calls, self.calls = self.calls, 0
+        return calls
+
+
+def test_augmentation_validates_a_bounded_number_of_frameworks(monkeypatch):
+    frameworks = CallCounter(monkeypatch, "__post_init__", Framework)
+    graphs = CallCounter(monkeypatch, "__post_init__", SensingGraph)
+    rng = np.random.default_rng(41)
+    fw = placed_framework(SPACES["r2"], 10, rng)
+    tree = fw.with_graph(spanning_tree(10, "undirected", rng))
+    mixed = mixed_framework(6, rng, spanning_tree(6, "directed", rng))
+    for flexible in (tree, mixed):
+        frameworks.take(), graphs.take()
+        out, added = augment_to_ibr(flexible, POL)
+        # a unit-scale copy, its complete graph and the result, however
+        # many candidates were ranked
+        assert len(added) >= 3
+        assert frameworks.take() <= 3
+        assert graphs.take() <= 3
+        assert ibr_verdict(out, POL).classification == "IBR"
+
+
+def test_one_degeneracy_test_per_report_and_augmentation(monkeypatch):
+    tests = CallCounter(monkeypatch, "is_non_degenerate",
+                        spaces, engine, scenarios, formats)
+    rng = np.random.default_rng(43)
+    fw = placed_framework(SPACES["r3s1z"], 6, rng)
+    analysis_report(fw, POL)
+    assert tests.take() == 1
+    augment_to_ibr(fw.with_graph(spanning_tree(6, "directed", rng)), POL)
+    assert tests.take() == 1
+    # the public kernel and basis each test once too
+    for public in (complete_graph_kernel, trivial_variation_basis):
+        public(fw, POL)
+        assert tests.take() == 1
 
 
 def one_vector_rotation_exp(w):
