@@ -21,8 +21,8 @@ from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,
                      bearing_congruent, bearing_equivalent,
                      complete_graph_kernel, degenerate_trivial_dim,
                      fd_jacobian_check, hetero_kernel_analysis, ibr_verdict,
-                     kernel_inclusion_check, rigidity_matrix,
-                     trivial_variation_basis, unified_rigidity_matrix)
+                     rigidity_matrix, trivial_variation_basis,
+                     unified_rigidity_matrix)
 from .scenarios import (FIXTURES, MIN_SEPARATION, GeneratorSpec,
                         augment_to_ibr, case_study_partition, fixture,
                         hetero_case_study, random_framework)

@@ -4,8 +4,9 @@ Subcommands: analyze (full report for one framework), gen (emit framework
 JSON from a recipe or named fixture), export-dot (graph drawing), batch
 (analyze a directory).
 
-Exit codes: 0 success, 2 parse/schema problems, 3 validation problems,
-4 numerical problems. batch exits 1 when any file fails.
+Exit codes: 0 success, 2 parse/schema problems and unusable paths,
+3 validation problems, 4 numerical problems. batch exits 1 when any file
+fails.
 
 Tolerance precedence, lowest to highest: built-in defaults, the profile
 named by the BRL_TOLERANCE_PROFILE environment variable, the --config JSON
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -28,12 +28,13 @@ Rank decisions do not decompose those measured rows. A bearing's variation
 is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
 The same assembler also gives factor rows: per edge, W^T times the unified
 blocks, W an orthonormal basis of the complement of the world bearing (the
-in-plane normal for planar frameworks). Every measured edge block is an
-orthonormal map of its factor block, so the factor has the same Gram
-matrix, hence the same rank, kernel and singular values, with 2 rows per
-edge (1 in the plane) instead of d and no orientations at all. Verdicts,
-complete-graph kernels, mixed-team decompositions and augmentation all
-decompose the factor, with the rank threshold set by the measured shape.
+in-plane normal for planar frameworks). Every measured edge block is built
+as R_i^T W times its factor block, an orthonormal map, so the factor has
+the same Gram matrix, hence the same rank, kernel and singular values,
+with 2 rows per edge (1 in the plane) instead of d and no orientations at
+all. Verdicts, complete-graph kernels, mixed-team decompositions and
+augmentation all decompose the factor, with the rank threshold set by the
+measured shape.
 
 Both forms satisfy the same contract: the matrix maps admissible state
 variation rates to bearing rates. Variations that never change any bearing
@@ -48,11 +49,15 @@ equivalent to the rank hitting c*n - c - 1, where c counts controllable
 degrees of freedom per agent.
 
 Each framework is decided once (_decide), at unit formation scale: one
-degeneracy test, one factor decomposition, one complete-graph kernel. That
+degeneracy test, one complete-graph kernel, one factor decomposition. That
 kernel is known in closed form for non-degenerate homogeneous frameworks
 (the trivial variations above); only degenerate (collinear) and mixed ones
-build the complete graph. ibr_verdict, hetero_kernel_analysis (which splits
-the decided kernel) and the analysis report all read that one decision.
+build and decompose the complete graph. _complete_kernel is the only code
+that makes that choice, and the public complete_graph_kernel shares it at
+the caller's own scale. ibr_verdict, hetero_kernel_analysis (which splits
+the decided kernel), the analysis report and augmentation
+(scenarios.augment_to_ibr, which reuses the decision's complete-graph
+kernel and factor) all read that one decision.
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -72,10 +77,10 @@ import numpy as np
 from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_graph
-from .linalg import (TolerancePolicy, orthonormal_columns, rank_and_nullspace,
-                     rotation_exp, subspace_relation)
+from .linalg import (TolerancePolicy, check_tolerance, orthonormal_columns,
+                     rank_and_nullspace, rotation_exp, subspace_relation)
 from .spaces import (Framework, MetricSpace, bearing_rigidity_function,
-                     bearing_stack_raw, is_non_degenerate, measurement_edges)
+                     bearing_stack_raw, is_non_degenerate)
 
 LABEL_VOCABULARY = frozenset({
     "translation_x", "translation_y", "translation_z", "scaling",
@@ -231,34 +236,28 @@ def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
 
     factor=True gives the factor rows instead: W^T P(u) / dist and
     W^T skew(u) V_i, where the columns of W are the complement rows of u
-    (_complement_rows). Since u^T P(u) = u^T skew(u) = 0, each measured edge
-    block is (R_i^T W) times its factor block, and R_i^T W has orthonormal
-    columns whose dropped rows are zero, so the factor C of a measured
-    matrix B has C^T C = B^T B and needs no orientations: same rank, kernel,
-    singular values and zero columns, with 2 rows per edge (1 in the plane)
-    instead of d.
+    (_complement_rows). W W^T is P(u) (with the out-of-plane direction
+    dropped for planar frameworks), and u^T skew(u) = 0, so the measured
+    rows are built as (R_i^T W) times the factor block. R_i^T W has
+    orthonormal columns whose dropped rows are zero, so the factor C of a
+    measured matrix B has C^T C = B^T B and needs no orientations: same
+    rank, kernel, singular values and zero columns, with 2 rows per edge
+    (1 in the plane) instead of d.
     """
     n = fw.n
-    E = np.array(measurement_edges(fw), dtype=int).reshape(-1, 2) - 1
+    E = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1
     heads, tails = E[:, 0], E[:, 1]
     m = len(E)
     P = fw.positions()
     diff = P[tails] - P[heads]
     dist = np.linalg.norm(diff, axis=1)
     u = diff / dist[:, None]
-    planar = _uses_planar_projector(fw)
-    if factor:
-        left = _complement_rows(u, planar)
-        pos = left / dist[:, None, None]
-        r = left.shape[1]
-    else:
-        left = np.array(fw.rotations()).transpose(0, 2, 1)[heads]
-        proj = np.eye(3) - u[:, :, None] * u[:, None, :]
-        if planar:
-            proj[:, 2, 2] = 0.0
-        pos = left @ proj / dist[:, None, None]
-        r = d
-    pos = pos[:, :r, :d]
+    left = _complement_rows(u, _uses_planar_projector(fw))
+    r = left.shape[1]
+    if not factor:
+        Rt = np.array(fw.rotations()).transpose(0, 2, 1)[heads]
+        left, r = Rt @ left.transpose(0, 2, 1) @ left, d
+    pos = (left / dist[:, None, None])[:, :r, :d]
     w = len(rot_cols)
     B = np.zeros((m, r, (d + w) * n))
     k = np.arange(m)[:, None, None]
@@ -350,12 +349,6 @@ def _verdict_factor(fw: Framework) -> tuple[np.ndarray, tuple[int, int]]:
     return C, (d * fw.m, C.shape[1])
 
 
-def _verdict_rank(fw: Framework, pol: TolerancePolicy) -> tuple[int, np.ndarray]:
-    """Rank and kernel of the verdict matrix, decomposed through its factor."""
-    C, shape = _verdict_factor(fw)
-    return rank_and_nullspace(C, pol, shape=shape)
-
-
 def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
                       trials: int = 20, step: float | None = None,
                       seed: int = 0, representation: str = "auto",
@@ -377,12 +370,13 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     exp(h * skew(V_a dw_a)) from the left, V_a being the agent's
     rotation-input matrix (agents without one keep their rotation), all
     agents of a trial in one stacked rotation_exp. The compared bearing rows
-    are the first d components of each edge's bearing. trials must be >= 1.
+    are the first d components of each edge's bearing. trials must be >= 1,
+    and step, when given, lies in fd_step's range (see TolerancePolicy).
     """
     pol = pol or TolerancePolicy()
     if trials < 1:
         raise ValidationError(f"fd trials must be at least 1, got {trials}")
-    h = pol.fd_step if step is None else float(step)
+    h = pol.fd_step if step is None else check_tolerance("step", float(step), below=1.0)
     if representation == "auto":
         representation = _verdict_representation(fw)
     d, rot_cols = _layout(fw, representation)
@@ -393,7 +387,7 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     lift = _unified_columns(n, d, rot_cols)
     V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
     turning = V.any()
-    edges0 = [(i - 1, j - 1) for i, j in measurement_edges(fw)]
+    edges0 = [(i - 1, j - 1) for i, j in fw.graph.edges]
     P, R = fw.positions(), np.array(fw.rotations())
     b0 = bearing_stack_raw(edges0, P, R)[:, :d].reshape(-1)
     rng = np.random.default_rng(seed)
@@ -498,12 +492,25 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     Zelazo, IEEE TAC 2016), so no complete graph is built. Degenerate and
     heterogeneous frameworks have no such closed form and get the SVD of
     the complete-graph matrix in the verdict representation, through its
-    factor rows (see _assemble).
+    factor rows (see _assemble). The choice is _decide's (_complete_kernel),
+    made at fw's own scale; a mixed team takes the SVD untested.
     """
     pol = pol or TolerancePolicy()
-    if fw.is_homogeneous and is_non_degenerate(fw, pol):
-        return _trivial_basis(fw, pol).basis
-    return _verdict_rank(_complete(fw), pol)[1]
+    degenerate = fw.is_homogeneous and not is_non_degenerate(fw, pol)
+    return _complete_kernel(fw, pol, degenerate)[0]
+
+
+def _complete_kernel(fw: Framework, pol: TolerancePolicy, degenerate: bool,
+                     ) -> tuple[np.ndarray, SubspaceBasis | None, tuple | None]:
+    """(Nk, trivial, complete_factor): the complete-graph kernel of fw, from
+    the closed-form trivial basis when fw is homogeneous and not degenerate
+    (trivial is that basis, complete_factor None), otherwise from the
+    decomposed _verdict_factor of the complete graph (trivial None)."""
+    if fw.is_homogeneous and not degenerate:
+        trivial = _trivial_basis(fw, pol)
+        return trivial.basis, trivial, None
+    factor = _verdict_factor(_complete(fw))
+    return rank_and_nullspace(factor[0], pol, shape=factor[1])[1], None, factor
 
 
 def _complete(fw: Framework) -> Framework:
@@ -530,36 +537,23 @@ def _unit_scale(fw: Framework) -> Framework:
         fw, states=tuple(dataclasses.replace(st, p=st.p / scale) for st in fw.states))
 
 
-def _decide(fw: Framework, pol: TolerancePolicy):
-    """(verdict, unit, part) of fw, decided once at unit formation scale
-    (unit): one degeneracy test, one factor decomposition and one
-    complete-graph kernel. part is the closed-form trivial basis (in unit's
-    coordinates) that serves as that kernel, None for a degenerate
+def _decide(fw: Framework, pol: TolerancePolicy) -> tuple:
+    """(verdict, unit, part, Nk, complete_factor) of fw, decided once at
+    unit formation scale (unit): one degeneracy test, one complete-graph
+    kernel Nk (_complete_kernel; complete_factor is the complete graph's
+    verdict factor and shape when Nk was decomposed from it, else None) and
+    one decomposition of fw's factor. part is the closed-form trivial basis
+    (in unit's coordinates) that serves as Nk, None for a degenerate
     homogeneous framework, or a mixed team's HeteroKernelReport."""
     unit = _unit_scale(fw)
     degenerate = not is_non_degenerate(unit, pol)
+    Nk, part, complete_factor = _complete_kernel(unit, pol, degenerate)
     C, shape = _verdict_factor(unit)
     rank, N = rank_and_nullspace(C, pol, shape=shape)
-    part = (_trivial_basis(unit, pol)
-            if fw.is_homogeneous and not degenerate else None)
-    Nk = part.basis if part is not None else _verdict_rank(_complete(unit), pol)[1]
     verdict = _classify(fw, pol, rank, N, Nk, degenerate)
     if not fw.is_homogeneous:
         part = HeteroKernelReport(verdict, *_hetero_split(fw, unit, C, N, pol))
-    return verdict, unit, part
-
-
-def kernel_inclusion_check(fw: Framework, pol: TolerancePolicy | None = None) -> str:
-    """Relation between the complete-graph kernel and the framework kernel.
-
-    Healthy outcomes are "equal" (rigid) or "A_subset_B" (the framework has
-    extra flexes); anything else signals a numerical problem because removing
-    edges can only grow the kernel.
-    """
-    pol = pol or TolerancePolicy()
-    unit = _unit_scale(fw)
-    return subspace_relation(complete_graph_kernel(unit, pol),
-                             _verdict_rank(unit, pol)[1], pol)
+    return verdict, unit, part, Nk, complete_factor
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -676,9 +670,6 @@ def _hetero_split(fw: Framework, unit: Framework, C: np.ndarray, N: np.ndarray,
     ambient = C.shape[1]
     zero_cols = np.flatnonzero(~C.any(axis=0))
     Qv = np.eye(ambient)[:, zero_cols]
-    # structural zero columns must already be kernel directions
-    if zero_cols.size and np.linalg.norm(C @ Qv) != 0.0:
-        raise NumericalError("zero-column bookkeeping is inconsistent")
     trimmed = N.copy()
     trimmed[zero_cols, :] = 0.0
     Qt = orthonormal_columns(trimmed, pol)

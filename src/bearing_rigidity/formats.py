@@ -160,7 +160,7 @@ def load_framework(path: str) -> Framework:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return framework_from_json(doc)
 
@@ -220,7 +220,7 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
     pol = pol or TolerancePolicy()
     subspaces: dict[str, Any] = {}
     # one decision at unit scale; the FD probe reuses its unit-scale copy
-    verdict, unit, part = engine._decide(fw, pol)
+    verdict, unit, part = engine._decide(fw, pol)[:3]
     if part is None:
         subspaces["trivial"] = None
         subspaces["note"] = ("degenerate configuration: closed-form trivial "

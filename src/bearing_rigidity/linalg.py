@@ -13,6 +13,7 @@ projecting out B: || (I - Q_B Q_B^T) Q_A ||_F < subspace_tol.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class TolerancePolicy:
     """Numeric thresholds used across the package.
 
     rank_rtol None means "adaptive": 1e-10 * max(rows, cols) per matrix.
+    Every value is finite and positive. rank_rtol is below 1, since a
+    threshold of sigma_max or more zeroes every rank, and fd_step is below
+    1, since the probe runs at unit formation scale, where a step of 1 moves
+    an agent by the formation's radius.
     """
 
     rank_rtol: float | None = None
@@ -37,17 +42,23 @@ class TolerancePolicy:
     fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.rank_rtol is not None and not self.rank_rtol > 0:
-            raise ValidationError("rank_rtol must be positive")
-        if not self.subspace_tol > 0:
-            raise ValidationError("subspace_tol must be positive")
-        if not self.fd_step > 0:
-            raise ValidationError("fd_step must be positive")
+        if self.rank_rtol is not None:
+            check_tolerance("rank_rtol", self.rank_rtol, below=1.0)
+        check_tolerance("subspace_tol", self.subspace_tol)
+        check_tolerance("fd_step", self.fd_step, below=1.0)
 
     def effective_rank_rtol(self, shape: tuple[int, int]) -> float:
         if self.rank_rtol is not None:
             return self.rank_rtol
         return 1e-10 * max(shape)
+
+
+def check_tolerance(name: str, value: float, below: float = math.inf) -> float:
+    """value if it is finite and in (0, below), else a ValidationError."""
+    if not (math.isfinite(value) and 0 < value < below):
+        bound = "" if below == math.inf else f" and below {below:g}"
+        raise ValidationError(f"{name} must be finite, positive{bound}; got {value!r}")
+    return value
 
 
 TOLERANCE_PROFILES = {

@@ -168,30 +168,26 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
 
     Each round adds the candidate edge with the largest rank gain of the
     verdict matrix, breaking ties by canonical edge order, and stops as soon
-    as the kernel matches the complete graph's. Already-rigid frameworks
-    come back unchanged. Ranks and kernels are computed like ibr_verdict's,
-    on the verdict matrix's factor rows at unit formation scale, so the
-    added edges do not change when the formation is scaled; the returned
-    framework keeps fw's own positions.
+    as the kernel matches the complete graph's. It starts from ibr_verdict's
+    own decision (engine._decide, at unit formation scale): an IBR verdict
+    returns fw unchanged, a verdict that contradicts itself raises
+    NumericalError as ibr_verdict does, and every round compares against
+    the verdict's complete-graph kernel. Ranks and kernels are taken on the
+    verdict matrix's factor rows at unit scale, so the added edges do not
+    change when the formation is scaled; the returned framework keeps fw's
+    own positions.
 
     An edge's factor rows depend on that edge alone, so the complete graph's
-    factor is assembled once per call, and every rank is taken on a row
-    selection of it: the current edges plus the candidate, in canonical
-    order, which is exactly the factor of that graph. No graph or framework
-    is built per candidate. The complete factor is assembled only once the
-    input is found flexible, or up front when the complete-graph kernel has
-    no closed form (degenerate and mixed teams) and is taken from it.
+    factor is assembled once per call (or taken from the decision, which
+    builds it for degenerate inputs and mixed teams), and every rank is
+    taken on a row selection of it: the current edges plus the candidate,
+    in canonical order, which is exactly the factor of that graph. No graph
+    or framework is built per candidate, and the winning candidate's kernel
+    is the new graph's, so no selection is decomposed twice.
     """
     pol = pol or TolerancePolicy()
-    unit = engine._unit_scale(fw)
-    factor = None
-    if unit.is_homogeneous and is_non_degenerate(unit, pol):
-        Nk = engine._trivial_basis(unit, pol).basis
-    else:
-        factor = engine._verdict_factor(engine._complete(unit))
-        Nk = rank_and_nullspace(factor[0], pol, shape=factor[1])[1]
-    rank_g, Ng = engine._verdict_rank(unit, pol)
-    if subspace_relation(Nk, Ng, pol) == "equal":
+    verdict, unit, _, Nk, factor = engine._decide(fw, pol)
+    if verdict.classification == engine.IBR:
         return fw, ()
 
     C, (rows, cols) = factor or engine._verdict_factor(engine._complete(unit))
@@ -205,6 +201,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
 
     index = {e: k for k, e in enumerate(edges)}
     current = sorted(index[e] for e in fw.graph.edges)
+    rank_g = verdict.rank
     added: list[tuple[int, int]] = []
     while True:
         have = set(current)
@@ -212,17 +209,16 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
         if not candidates:
             raise NumericalError("complete graph reached without kernel equality; "
                                  "tolerances are inconsistent")
-        best, best_rank = None, rank_g
+        best = None
         for k in candidates:
-            r, _ = rank(sorted(current + [k]))
-            if r > best_rank:
-                best, best_rank = k, r
+            r, N = rank(sorted(current + [k]))
+            if r > rank_g:
+                best, rank_g, Ng = k, r, N
         if best is None:
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
                                  "exceeds the complete graph's")
         current = sorted(current + [best])
         added.append(edges[best])
-        rank_g, Ng = rank(current)
         if subspace_relation(Nk, Ng, pol) == "equal":
             graph = SensingGraph(fw.n, tuple(edges[k] for k in current), fw.graph.kind)
             return fw.with_graph(graph), tuple(added)

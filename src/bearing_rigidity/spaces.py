@@ -296,16 +296,9 @@ def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
     return np.einsum("kab,ka->kb", R[heads], diff / dist[:, None])
 
 
-def measurement_edges(fw: Framework) -> tuple[tuple[int, int], ...]:
-    """Edge directions used for measurements: oriented head < tail for
-    undirected graphs (which store their edges that way), the stored
-    directions otherwise."""
-    return fw.graph.edges
-
-
 def bearing_rigidity_function(fw: Framework) -> BearingStack:
     """All edge bearings of the framework, in canonical edge order."""
-    edges = measurement_edges(fw)
+    edges = fw.graph.edges
     P = fw.positions()
     R = fw.rotations()
     b = bearing_stack_raw([(i - 1, j - 1) for i, j in edges], P, R)

@@ -8,13 +8,18 @@ None of these share code with the assembler or the verdict path:
   per-edge perpendicular rows.
 * laman_rank: the generic rank of a planar framework by the 2D pebble game,
   a purely combinatorial count.
+
+kernel_inclusion_check is no oracle: it reads the library's complete-graph
+kernel and verdict factor, and reports their relation instead of raising as
+the verdict does.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from bearing_rigidity import (SensingGraph, TolerancePolicy, ValidationError,
-                              rank_and_nullspace)
+                              complete_graph_kernel, engine,
+                              rank_and_nullspace, subspace_relation)
 
 
 @dataclass(frozen=True)
@@ -138,3 +143,18 @@ def laman_rank(n: int, edges) -> int:
             out[a].append(b)
             rank += 1
     return rank
+
+
+def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:
+    """Relation between the complete-graph kernel and the framework kernel,
+    both at unit formation scale.
+
+    Healthy outcomes are "equal" (rigid) or "A_subset_B" (the framework has
+    extra flexes); anything else signals a numerical problem because removing
+    edges can only grow the kernel.
+    """
+    pol = pol or TolerancePolicy()
+    unit = engine._unit_scale(fw)
+    C, shape = engine._verdict_factor(unit)
+    return subspace_relation(complete_graph_kernel(unit, pol),
+                             rank_and_nullspace(C, pol, shape=shape)[1], pol)

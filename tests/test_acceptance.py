@@ -15,11 +15,11 @@ from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
                               case_study_partition, degenerate_trivial_dim,
                               fd_jacobian_check, fixture, hetero_case_study,
                               hetero_kernel_analysis, ibr_verdict,
-                              kernel_inclusion_check, random_framework,
-                              rank_and_nullspace, rigidity_matrix,
-                              trivial_variation_basis, unified_rigidity_matrix)
+                              random_framework, rank_and_nullspace,
+                              rigidity_matrix, trivial_variation_basis,
+                              unified_rigidity_matrix)
 import bearing_rigidity as br
-from oracles import reduced_rank_oracle
+from oracles import kernel_inclusion_check, reduced_rank_oracle
 
 POL = TolerancePolicy()
 

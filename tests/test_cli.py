@@ -165,6 +165,61 @@ def test_inconsistent_tolerances_are_a_numerical_error(capsys):
     assert "error:" in err
 
 
+def test_export_dot_augment_agrees_with_analyze_on_inconsistent_tolerances(capsys):
+    for argv in (("analyze", "star-r2"), ("export-dot", "star-r2", "--augment")):
+        code, out, err = run(capsys, *argv, "--subspace-tol", "10")
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and "rank test" in err
+
+
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [("--rank-rtol", "1"), ("--fd-step", "inf"),
+                                   ("--fd-step", "1e300")],
+                         ids=["rank-rtol-1", "fd-step-inf", "fd-step-1e300"])
+def test_out_of_range_tolerance_flags_are_validation_errors(capsys, flags):
+    code, out, err = run(capsys, "analyze", "star-r2", *flags)
+    assert code == 3 and out == ""
+    assert one_error_line(err)
+
+
+def test_infinite_config_tolerance_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"rank_rtol": 1e999}', encoding="utf-8")  # parses as inf
+    code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert one_error_line(err)
+
+
+def test_analyze_a_directory_is_an_error_line(tmp_path, capsys):
+    code, out, err = run(capsys, "analyze", str(tmp_path))
+    assert code == 2 and out == ""
+    assert one_error_line(err)
+
+
+def test_analyze_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"space": "\u00e9t\u00e9"}'.encode("latin-1"))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "star-r2", "--report", "{missing}/report.json"),
+    ("analyze", "star-r2", "--matrix-csv", "{missing}/mat"),
+    ("gen", "--fixture", "star-r2", "-o", "{missing}/fw.json"),
+], ids=["report", "matrix-csv", "gen-output"])
+def test_output_into_a_missing_directory_is_an_error_line(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert one_error_line(err)
+
+
 def test_gen_fixture_round_trips_through_analyze(tmp_path, capsys):
     out_path = tmp_path / "fw.json"
     code, _, _ = run(capsys, "gen", "--fixture", "cube-se3-complete",

@@ -12,12 +12,13 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               bearing_equivalent, bearing_congruent,
                               fd_jacobian_check, fixture,
                               hetero_case_study, hetero_kernel_analysis,
-                              ibr_verdict, kernel_inclusion_check, orient,
+                              ibr_verdict, orient,
                               orthogonal_projector, random_framework,
                               rank_and_nullspace, rigidity_matrix, skew,
                               subspace_contains, trivial_variation_basis,
                               unified_rigidity_matrix)
-from oracles import incidence_matrices, reduced_rank_oracle
+from oracles import (incidence_matrices, kernel_inclusion_check,
+                     reduced_rank_oracle)
 
 POL = TolerancePolicy()
 
@@ -178,6 +179,14 @@ def test_fd_probe_hetero():
 def test_fd_probe_rejects_fewer_than_one_trial(trials):
     with pytest.raises(ValidationError, match="at least 1"):
         fd_jacobian_check(sample("r2", n=4, seed=11), POL, trials=trials)
+
+
+def test_fd_probe_rejects_out_of_range_steps():
+    fw = sample("r2", n=4, seed=11)
+    for step in (1.0, 1e300, float("inf"), float("nan"), 0.0, -1e-6):
+        with pytest.raises(ValidationError, match="step must be finite"):
+            fd_jacobian_check(fw, POL, step=step)
+    assert fd_jacobian_check(fw, POL, step=1e-5).step == 1e-5
 
 
 TRIVIAL_DIMS = {"r2": 3, "r3": 4, "r2s1": 4, "r3s1": 5, "se3": 7}

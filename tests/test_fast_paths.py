@@ -47,7 +47,7 @@ from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
 from bearing_rigidity import (engine, formats, orient, orthogonal_projector,
                               orthonormal_columns, rotation_exp, scenarios,
                               skew, spaces)
-from bearing_rigidity.spaces import bearing_stack_raw, measurement_edges
+from bearing_rigidity.spaces import bearing_stack_raw
 
 POL = TolerancePolicy()
 
@@ -217,7 +217,7 @@ def looped_rigidity_matrix(fw, representation):
     n = fw.n
     P = fw.positions()
     geo = []
-    for i, j in measurement_edges(fw):
+    for i, j in fw.graph.edges:
         diff = P[j - 1] - P[i - 1]
         dist = np.linalg.norm(diff)
         geo.append((i - 1, j - 1, 1.0 / dist, diff / dist))
@@ -446,7 +446,7 @@ def reference_fd_error(fw, representation, trials=20, seed=0):
     h = POL.fd_step
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
-    edges0 = [(i - 1, j - 1) for i, j in measurement_edges(fw)]
+    edges0 = [(i - 1, j - 1) for i, j in fw.graph.edges]
     b0 = reference_bearing_rows(
         fw, representation, bearing_stack_raw(edges0, fw.positions(), fw.rotations()))
     rng = np.random.default_rng(seed)
@@ -780,12 +780,14 @@ def test_augmentation_on_the_factor_matches_the_measured_loop():
 def reference_rebuild_augmentation(fw):
     """Edges augment_to_ibr adds when every candidate is a new framework
     whose verdict factor is assembled from scratch (the loop before row
-    selection)."""
+    selection). Ranks go through engine's rank_and_nullspace binding, which
+    decomposed_inputs records."""
     unit = engine._unit_scale(fw)
     Nk = complete_graph_kernel(unit, POL)
     current, added = unit, []
     while True:
-        rank_g, Ng = engine._verdict_rank(current, POL)
+        C, shape = engine._verdict_factor(current)
+        rank_g, Ng = engine.rank_and_nullspace(C, POL, shape=shape)
         if subspace_relation(Nk, Ng, POL) == "equal":
             return tuple(added)
         best_edge, best_rank = None, rank_g
@@ -794,7 +796,8 @@ def reference_rebuild_augmentation(fw):
                 continue
             trial = current.with_graph(
                 SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
-            r, _ = engine._verdict_rank(trial, POL)
+            C, shape = engine._verdict_factor(trial)
+            r, _ = engine.rank_and_nullspace(C, POL, shape=shape)
             if r > best_rank:
                 best_edge, best_rank = e, r
         assert best_edge is not None
@@ -825,16 +828,44 @@ def decomposed_inputs(monkeypatch, call):
     return seen
 
 
+def without_confirmations(seq, fw, added):
+    """The reference's decompositions seq without the one it makes of each
+    round's new graph, after checking that it repeats that round's winning
+    candidate entry for entry, with the same threshold shape."""
+    pool = complete_edges(fw.n, fw.graph.kind)
+    have = set(fw.graph.edges)
+    rounds = []  # (candidate count, position of the winner among them)
+    for e in added:
+        candidates = [f for f in pool if f not in have]
+        rounds.append((len(candidates), candidates.index(e)))
+        have.add(e)
+    # before round 0: the complete graph (when it was decomposed), the input
+    start = len(seq) - sum(count + 1 for count, _ in rounds)
+    assert start in (1, 2)
+    kept = seq[:start]
+    for count, win in rounds:
+        block = seq[start:start + count]
+        M, shape = seq[start + count]
+        assert shape == block[win][1]
+        np.testing.assert_array_equal(M, block[win][0])
+        kept += block
+        start += count + 1
+    return kept
+
+
 def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
-    # same complete kernel, same start, then per round every candidate and
-    # the new current graph: the selected rows are the rebuilt
-    # _verdict_factor(trial) entry for entry, with the same threshold shape
+    # same complete kernel, same start, then per round every candidate: the
+    # selected rows are the rebuilt _verdict_factor(trial) entry for entry,
+    # with the same threshold shape; augmentation keeps the winner's kernel
+    # where the reference decomposes the new graph again
     for fw in augmentation_inputs():
         for factor in (1.0, 1e9):
             moved = scaled(fw, factor)
             got = decomposed_inputs(monkeypatch, lambda: augment_to_ibr(moved, POL))
-            want = decomposed_inputs(monkeypatch,
-                                     lambda: reference_rebuild_augmentation(moved))
+            added = []
+            want = decomposed_inputs(
+                monkeypatch, lambda: added.extend(reference_rebuild_augmentation(moved)))
+            want = without_confirmations(want, moved, added)
             assert len(got) == len(want) > moved.n
             for (M, shape), (M_ref, shape_ref) in zip(got, want):
                 assert shape == shape_ref

@@ -70,6 +70,15 @@ def test_orient_path():
     assert o.edges == ((1, 2), (2, 3))
 
 
+def test_undirected_edges_are_stored_oriented():
+    # undirected graphs store (min, max) pairs in sorted order, which is
+    # exactly their head < tail orientation, so the stored edges are the
+    # measurement directions
+    g = SensingGraph(4, ((4, 2), (3, 1), (2, 1), (4, 3), (1, 4)), "undirected")
+    assert g.edges == orient(g).edges
+    assert all(i < j for i, j in g.edges)
+
+
 def test_orient_rejects_directed():
     with pytest.raises(ValidationError):
         orient(SensingGraph(3, ((1, 2),), "directed"))

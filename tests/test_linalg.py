@@ -32,6 +32,20 @@ def test_policy_rejects_nonpositive():
         TolerancePolicy(subspace_tol=-1e-9)
 
 
+def test_policy_rejects_out_of_range_values():
+    # a rank threshold of sigma_max or more zeroes every rank, and the probe
+    # runs at unit formation scale, where a step of 1 is the formation's size
+    inf, nan = float("inf"), float("nan")
+    for bad in ({"rank_rtol": 1.0}, {"rank_rtol": 2.5}, {"rank_rtol": inf},
+                {"rank_rtol": nan}, {"subspace_tol": inf}, {"subspace_tol": nan},
+                {"fd_step": 1.0}, {"fd_step": 1e300}, {"fd_step": inf},
+                {"fd_step": nan}):
+        with pytest.raises(ValidationError, match="finite, positive"):
+            TolerancePolicy(**bad)
+    edge = TolerancePolicy(rank_rtol=0.999, subspace_tol=10.0, fd_step=0.5)
+    assert (edge.rank_rtol, edge.subspace_tol, edge.fd_step) == (0.999, 10.0, 0.5)
+
+
 def test_adaptive_rank_threshold_scales_with_shape():
     pol = TolerancePolicy()
     assert pol.effective_rank_rtol((30, 12)) == pytest.approx(3e-9)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bearing_rigidity import (FIXTURES, GeneratorSpec, MIN_SEPARATION,
-                              MetricSpace, TolerancePolicy, ValidationError,
+                              MetricSpace, NumericalError, TolerancePolicy,
+                              ValidationError,
                               augment_to_ibr, case_study_partition, fixture,
                               hetero_case_study, ibr_verdict, is_connected,
                               is_non_degenerate, random_framework)
@@ -117,6 +118,17 @@ def test_augment_star_reaches_rigidity():
     assert ibr_verdict(fw, POL).classification == "IBR"
     # every added edge is genuinely new
     assert not (set(added) & set(fixture("star-r2").graph.edges))
+
+
+def test_augment_raises_where_the_verdict_contradicts_itself():
+    # a containment tolerance of 10 makes every kernel look equal while the
+    # rank test still sees the flexible star: the verdict raises, and so
+    # does augmentation, which starts from that same decision
+    loose = TolerancePolicy(subspace_tol=10.0)
+    with pytest.raises(NumericalError, match="rank test"):
+        ibr_verdict(fixture("star-r2"), loose)
+    with pytest.raises(NumericalError, match="rank test"):
+        augment_to_ibr(fixture("star-r2"), loose)
 
 
 def test_case_study_layout():

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from bearing_rigidity import (AgentState, CoincidentAgentsError, Framework,
                               MetricSpace, SensingGraph, ValidationError,
                               bearing_rigidity_function, complete_edges,
-                              is_non_degenerate, orient, random_rotation,
+                              is_non_degenerate, random_rotation,
                               rotation_axis_angle)
-from bearing_rigidity.spaces import measurement_edges
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -115,26 +114,6 @@ def test_planar_positions_get_zero_height():
               AgentState(p=np.array([0.0, 1.0, 0.2])))
     fw = Framework(g, MetricSpace.rd(2), states)
     np.testing.assert_array_equal(fw.positions()[:, 2], 0.0)
-
-
-def test_measurement_edges_are_the_stored_edges():
-    # undirected graphs store (min, max) pairs in sorted order, which is
-    # exactly their head < tail orientation
-    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.2]]
-    states = tuple(AgentState(p=np.array(p)) for p in pts)
-    headed = tuple(AgentState(p=np.array(p), alpha=0.3) for p in pts)
-    scrambled = ((4, 2), (3, 1), (2, 1), (4, 3), (1, 4))
-    for kind, space, sts in (("undirected", MetricSpace.rd(2), states),
-                             ("oriented", MetricSpace.rd(2), states),
-                             ("directed", MetricSpace.rd_s1(2), headed)):
-        edges = (scrambled if kind != "oriented"
-                 else tuple((min(e), max(e)) for e in scrambled))
-        g = SensingGraph(4, edges, kind)
-        fw = Framework(g, space, sts)
-        assert measurement_edges(fw) == g.edges
-        if kind == "undirected":
-            assert measurement_edges(fw) == orient(g).edges
-            assert all(i < j for i, j in measurement_edges(fw))
 
 
 def test_coincident_agents_rejected():
