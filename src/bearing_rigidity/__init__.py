@@ -10,10 +10,9 @@ from .errors import (BearingRigidityError, CoincidentAgentsError,
                      ValidationError)
 from .graphs import (SensingGraph, complete_edges, complete_graph,
                      connected_components, is_connected, orient)
-from .linalg import (TOLERANCE_PROFILES, TolerancePolicy, orthogonal_projector,
-                     orthonormal_columns, planar_rotation, random_rotation,
-                     rank_and_nullspace, rotation_axis_angle, rotation_exp,
-                     skew, subspace_contains, subspace_relation)
+from .linalg import (TOLERANCE_PROFILES, TolerancePolicy, orthonormal_columns,
+                     random_rotation, rank_and_nullspace, rotation_axis_angle,
+                     rotation_exp, skew, subspace_contains)
 from .spaces import (AgentState, BearingStack, DegeneracyReport, Framework,
                      MetricSpace, bearing_rigidity_function, is_non_degenerate)
 from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,

@@ -133,6 +133,8 @@ def resolve_settings(args) -> tuple[TolerancePolicy, int]:
             vals[key] = flag
     if getattr(args, "seed", None) is not None:
         seed = args.seed
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     return TolerancePolicy(**vals), seed
 
 

@@ -44,9 +44,11 @@ axis while their positions swing along). A framework is infinitesimally
 bearing rigid (IBR) when the kernel of its rigidity matrix is exactly the
 kernel of the complete-graph matrix on the same agents, i.e. no flex beyond
 what no sensing topology could ever detect; otherwise it is infinitesimally
-bearing flexible (IBF). For non-degenerate homogeneous frameworks IBR is
-equivalent to the rank hitting c*n - c - 1, where c counts controllable
-degrees of freedom per agent.
+bearing flexible (IBF). That one condition decides in every space: the
+complete kernel always lies in the framework's, so equality is inclusion
+plus equal dimension (_kernel_equal). For non-degenerate homogeneous
+frameworks that is the rank c*n - c - 1, c the controllable degrees of
+freedom per agent, which the verdict reports but does not test again.
 
 Each framework is decided once (_decide), at unit formation scale: one
 degeneracy test, one complete-graph kernel, one factor decomposition. That
@@ -78,7 +80,7 @@ from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_graph
 from .linalg import (TolerancePolicy, check_tolerance, orthonormal_columns,
-                     rank_and_nullspace, rotation_exp, subspace_relation)
+                     rank_and_nullspace, rotation_exp, subspace_contains)
 from .spaces import (Framework, MetricSpace, bearing_rigidity_function,
                      bearing_stack_raw, is_non_degenerate)
 
@@ -559,16 +561,15 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> tuple:
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
     """Classify a framework as IBR or IBF.
 
-    The deciding test is kernel equality with the complete graph on the same
-    agents, decided once at unit formation scale (_decide). For non-degenerate
-    homogeneous frameworks the complete graph's kernel is the closed-form
-    trivial basis; degenerate and heterogeneous frameworks decompose the
-    complete-graph matrix too. A complete kernel not contained in the
-    framework kernel raises NumericalError. For non-degenerate homogeneous
-    frameworks the rank test against c*n - c - 1 must agree with kernel
-    equality, and a disagreement raises NumericalError rather than returning
-    a verdict that contradicts itself. Degenerate configurations are
-    classified by kernel equality alone and flagged.
+    The deciding test, in every space, is kernel equality with the complete
+    graph on the same agents (inclusion plus equal dimension), decided once
+    at unit formation scale (_decide). For non-degenerate homogeneous
+    frameworks the complete graph's kernel is the closed-form trivial basis;
+    degenerate and heterogeneous frameworks decompose the complete-graph
+    matrix too. A complete kernel not contained in the framework kernel
+    raises NumericalError. Homogeneous frameworks report the rank target
+    c*n - c - 1 as expected_rank, not as a second test; degenerate ones are
+    flagged.
     """
     return _decide(fw, pol or TolerancePolicy())[0]
 
@@ -577,12 +578,7 @@ def _classify(fw: Framework, pol: TolerancePolicy, rank_g: int, Ng: np.ndarray,
               Nk: np.ndarray, degenerate: bool) -> RigidityVerdict:
     """The verdict from the framework's rank and kernel Ng, the complete-graph
     kernel Nk (one representation) and the degeneracy test (see ibr_verdict)."""
-    rel = subspace_relation(Nk, Ng, pol)
-    if rel not in ("equal", "A_subset_B"):
-        raise NumericalError(
-            f"complete-graph kernel not contained in framework kernel ({rel}); "
-            "tolerances are inconsistent with this matrix")
-    kernel_eq = rel == "equal"
+    kernel_eq = _kernel_equal(Nk, Ng, pol)
     notes: list[str] = []
     expected = None
     if fw.is_homogeneous:
@@ -591,12 +587,6 @@ def _classify(fw: Framework, pol: TolerancePolicy, rank_g: int, Ng: np.ndarray,
         if degenerate:
             notes.append("degenerate configuration: kernel equality decides, "
                          "rank target not applied")
-        else:
-            rank_says_rigid = rank_g == expected
-            if rank_says_rigid != kernel_eq:
-                raise NumericalError(
-                    f"rank test (rank {rank_g} vs target {expected}) disagrees with "
-                    f"kernel equality ({kernel_eq}); inconsistent tolerances")
     else:
         notes.append("heterogeneous framework: kernel equality decides, "
                      "no single rank target exists")
@@ -608,6 +598,18 @@ def _classify(fw: Framework, pol: TolerancePolicy, rank_g: int, Ng: np.ndarray,
                            kernel_equal_to_complete=kernel_eq,
                            classification=classification, degenerate=degenerate,
                            notes=tuple(notes))
+
+
+def _kernel_equal(Nk: np.ndarray, Ng: np.ndarray, pol: TolerancePolicy) -> bool:
+    """Is the kernel Ng the complete-graph kernel Nk (orthonormal bases)? Nk
+    lies in Ng, else NumericalError; then, as subspace_tol < 1 keeps the
+    reverse residual ||(I - Nk Nk^T) Ng||_F^2 >= dim Ng - dim Nk, equal
+    dimension is equality."""
+    if not subspace_contains(Ng, Nk, pol):
+        raise NumericalError(
+            "complete-graph kernel not contained in framework kernel; "
+            "tolerances are inconsistent with this matrix")
+    return Ng.shape[1] == Nk.shape[1]
 
 
 def _require_comparable(f1: Framework, f2: Framework) -> None:

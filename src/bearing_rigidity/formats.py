@@ -58,6 +58,14 @@ def _json_numbers(value: Any, what: str) -> Any:
     return json_number(value, what)
 
 
+def _json_vector(value: Any, what: str) -> list[float]:
+    """A flat JSON list of numbers: a nested list is a parse error, not
+    flattened."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list of numbers, got {value!r}")
+    return [json_number(v, f"{what} entry") for v in value]
+
+
 def space_from_json(obj: Any) -> MetricSpace:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("space must be an object with a 'type' key")
@@ -70,7 +78,7 @@ def space_from_json(obj: Any) -> MetricSpace:
         d = json_int(obj.get("d", 3), "space 'd'")
         axis = obj.get("axis")
         if axis is not None:
-            axis = _json_numbers(axis, "space 'axis' entry")
+            axis = _json_vector(axis, "space 'axis'")
         return MetricSpace.rd_s1(d, axis)
     raise ParseError(f"unknown space type {t!r}")
 
@@ -137,10 +145,9 @@ def framework_from_json(obj: Any) -> Framework:
     for a, entry in enumerate(raw_agents):
         if not isinstance(entry, dict) or "p" not in entry:
             raise ParseError(f"agent {a + 1} needs a position 'p'")
-        p = entry["p"]
-        if not isinstance(p, list) or len(p) not in (2, 3):
+        p = _json_vector(entry["p"], f"agent {a + 1} position")
+        if len(p) not in (2, 3):
             raise ParseError(f"agent {a + 1}: position must be a 2- or 3-list")
-        p = _json_numbers(p, f"agent {a + 1} position entry")
         alpha = entry.get("alpha")
         if alpha is not None:
             alpha = json_number(alpha, f"agent {a + 1} heading 'alpha'")

@@ -9,7 +9,7 @@ it for all shapes.
 
 Subspaces are always handled through orthonormal column bases. Containment of
 span(A) in span(B) is decided by the Frobenius residual of A's basis after
-projecting out B: || (I - Q_B Q_B^T) Q_A ||_F < subspace_tol.
+projecting out B: || (I - Q_B Q_B^T) Q_A ||_F < subspace_tol (below 1).
 """
 from __future__ import annotations
 
@@ -32,9 +32,10 @@ class TolerancePolicy:
 
     rank_rtol None means "adaptive": 1e-10 * max(rows, cols) per matrix.
     Every value is finite and positive. rank_rtol is below 1, since a
-    threshold of sigma_max or more zeroes every rank, and fd_step is below
-    1, since the probe runs at unit formation scale, where a step of 1 moves
-    an agent by the formation's radius.
+    threshold of sigma_max or more zeroes every rank, subspace_tol is below
+    1, since at 1 a basis can miss a whole direction and still be contained,
+    and fd_step is below 1, since the probe runs at unit formation scale,
+    where a step of 1 moves an agent by the formation's radius.
     """
 
     rank_rtol: float | None = None
@@ -44,7 +45,7 @@ class TolerancePolicy:
     def __post_init__(self) -> None:
         if self.rank_rtol is not None:
             check_tolerance("rank_rtol", self.rank_rtol, below=1.0)
-        check_tolerance("subspace_tol", self.subspace_tol)
+        check_tolerance("subspace_tol", self.subspace_tol, below=1.0)
         check_tolerance("fd_step", self.fd_step, below=1.0)
 
     def effective_rank_rtol(self, shape: tuple[int, int]) -> float:
@@ -68,20 +69,6 @@ TOLERANCE_PROFILES = {
 }
 
 
-def orthogonal_projector(x: np.ndarray) -> np.ndarray:
-    """I - x x^T / ||x||^2, the projector onto the complement of span{x}.
-
-    Idempotent, symmetric, annihilates x. Raises on a (numerically) zero
-    vector, which upstream means two agents coincide.
-    """
-    x = np.asarray(x, dtype=float)
-    nrm = np.linalg.norm(x)
-    if nrm < 1e-12:
-        raise ValidationError("projector of a zero vector is undefined")
-    u = x / nrm
-    return np.eye(x.shape[0]) - np.outer(u, u)
-
-
 def skew(x: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix with skew(x) @ y == cross(x, y); a (..., 3)
     stack of vectors gives a (..., 3, 3) stack of matrices."""
@@ -96,14 +83,14 @@ def skew(x: np.ndarray) -> np.ndarray:
 def rotation_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation by `angle` about a unit `axis` (Rodrigues form).
 
-    A zero axis is legal and returns the identity; any other non-unit axis is
-    rejected rather than silently normalized.
+    A zero axis is legal and returns the identity; any other non-unit axis,
+    NaN included, is rejected rather than silently normalized.
     """
     axis = np.asarray(axis, dtype=float)
     nrm = np.linalg.norm(axis)
     if nrm == 0.0:
         return np.eye(3)
-    if abs(nrm - 1.0) > AXIS_UNIT_TOL:
+    if not abs(nrm - 1.0) <= AXIS_UNIT_TOL:  # NaN fails too
         raise ValidationError(f"rotation axis must be unit or zero, norm {nrm:.3e}")
     K = skew(axis)
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
@@ -127,12 +114,6 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     b = np.where(small, 0.5, 2.0 * (np.sin(t / 2.0) / t) ** 2)
     K = skew(w)
     return np.eye(3) + a * K + b * (K @ K)
-
-
-def planar_rotation(angle: float) -> np.ndarray:
-    """2x2 counter-clockwise rotation."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -210,21 +191,3 @@ def subspace_contains(B: np.ndarray, A: np.ndarray,
         return True
     resid = QA - QB @ (QB.T @ QA)
     return bool(np.linalg.norm(resid) < pol.subspace_tol)
-
-
-def subspace_relation(A: np.ndarray, B: np.ndarray,
-                      pol: TolerancePolicy | None = None) -> str:
-    """Relation between span(A) and span(B).
-
-    One of "equal", "A_subset_B", "B_subset_A", "incomparable".
-    """
-    pol = pol or TolerancePolicy()
-    ab = subspace_contains(B, A, pol)
-    ba = subspace_contains(A, B, pol)
-    if ab and ba:
-        return "equal"
-    if ab:
-        return "A_subset_B"
-    if ba:
-        return "B_subset_A"
-    return "incomparable"

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .graphs import SensingGraph, complete_edges, is_connected
 from .linalg import TolerancePolicy, random_rotation, rank_and_nullspace, \
-    rotation_axis_angle, subspace_relation
+    rotation_axis_angle
 from .spaces import AgentState, Framework, MetricSpace, is_non_degenerate
 from . import engine
 
@@ -167,15 +167,15 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     """Greedily add sensing edges until the framework is rigid.
 
     Each round adds the candidate edge with the largest rank gain of the
-    verdict matrix, breaking ties by canonical edge order, and stops as soon
-    as the kernel matches the complete graph's. It starts from ibr_verdict's
-    own decision (engine._decide, at unit formation scale): an IBR verdict
-    returns fw unchanged, a verdict that contradicts itself raises
-    NumericalError as ibr_verdict does, and every round compares against
-    the verdict's complete-graph kernel. Ranks and kernels are taken on the
-    verdict matrix's factor rows at unit scale, so the added edges do not
-    change when the formation is scaled; the returned framework keeps fw's
-    own positions.
+    verdict matrix, breaking ties by canonical edge order, until the kernel
+    is as small as the complete graph's. It starts from ibr_verdict's own
+    decision (engine._decide, at unit formation scale): an IBR verdict
+    returns fw unchanged, an inconsistent one raises NumericalError as
+    ibr_verdict does, and the final kernel takes the verdict's one test
+    (engine._kernel_equal) against its complete-graph kernel. Ranks and
+    kernels are taken on the verdict matrix's factor rows at unit scale, so
+    the added edges do not change when the formation is scaled; the
+    returned framework keeps fw's own positions.
 
     An edge's factor rows depend on that edge alone, so the complete graph's
     factor is assembled once per call (or taken from the decision, which
@@ -203,12 +203,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     current = sorted(index[e] for e in fw.graph.edges)
     rank_g = verdict.rank
     added: list[tuple[int, int]] = []
-    while True:
+    while rank_g < cols - Nk.shape[1]:
         have = set(current)
         candidates = [k for k in range(len(edges)) if k not in have]
-        if not candidates:
-            raise NumericalError("complete graph reached without kernel equality; "
-                                 "tolerances are inconsistent")
         best = None
         for k in candidates:
             r, N = rank(sorted(current + [k]))
@@ -219,9 +216,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
                                  "exceeds the complete graph's")
         current = sorted(current + [best])
         added.append(edges[best])
-        if subspace_relation(Nk, Ng, pol) == "equal":
-            graph = SensingGraph(fw.n, tuple(edges[k] for k in current), fw.graph.kind)
-            return fw.with_graph(graph), tuple(added)
+    engine._kernel_equal(Nk, Ng, pol)
+    graph = SensingGraph(fw.n, tuple(edges[k] for k in current), fw.graph.kind)
+    return fw.with_graph(graph), tuple(added)
 
 
 def hetero_case_study(seed: int = 0) -> Framework:

@@ -63,7 +63,7 @@ class MetricSpace:
             if self.axis is None:
                 raise ValidationError("rdxs1 with d=3 needs a unit axis")
             ax = np.asarray(self.axis, dtype=float)
-            if ax.shape != (3,) or abs(np.linalg.norm(ax) - 1.0) > 1e-8:
+            if ax.shape != (3,) or not abs(np.linalg.norm(ax) - 1.0) <= 1e-8:
                 raise ValidationError("rotation axis must be a unit 3-vector")
             object.__setattr__(self, "axis", tuple(float(v) for v in ax))
 

@@ -12,6 +12,15 @@ None of these share code with the assembler or the verdict path:
 kernel_inclusion_check is no oracle: it reads the library's complete-graph
 kernel and verdict factor, and reports their relation instead of raising as
 the verdict does.
+
+The small helpers below have no caller in the library:
+
+* orthogonal_projector: the projector onto the complement of a vector, for
+  rebuilding measured edge blocks the textbook way.
+* planar_rotation: the 2x2 counter-clockwise rotation.
+* subspace_relation: the two-way relation between two spans, from two
+  containment tests. The library decides kernel equality by one containment
+  test plus equal dimension; the tests keep this relation as its reference.
 """
 from dataclasses import dataclass
 
@@ -19,7 +28,7 @@ import numpy as np
 
 from bearing_rigidity import (SensingGraph, TolerancePolicy, ValidationError,
                               complete_graph_kernel, engine,
-                              rank_and_nullspace, subspace_relation)
+                              rank_and_nullspace, subspace_contains)
 
 
 @dataclass(frozen=True)
@@ -158,3 +167,41 @@ def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:
     C, shape = engine._verdict_factor(unit)
     return subspace_relation(complete_graph_kernel(unit, pol),
                              rank_and_nullspace(C, pol, shape=shape)[1], pol)
+
+
+def orthogonal_projector(x: np.ndarray) -> np.ndarray:
+    """I - x x^T / ||x||^2, the projector onto the complement of span{x}.
+
+    Idempotent, symmetric, annihilates x. Raises on a (numerically) zero
+    vector, which upstream means two agents coincide.
+    """
+    x = np.asarray(x, dtype=float)
+    nrm = np.linalg.norm(x)
+    if nrm < 1e-12:
+        raise ValidationError("projector of a zero vector is undefined")
+    u = x / nrm
+    return np.eye(x.shape[0]) - np.outer(u, u)
+
+
+def planar_rotation(angle: float) -> np.ndarray:
+    """2x2 counter-clockwise rotation."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def subspace_relation(A: np.ndarray, B: np.ndarray,
+                      pol: TolerancePolicy | None = None) -> str:
+    """Relation between span(A) and span(B).
+
+    One of "equal", "A_subset_B", "B_subset_A", "incomparable".
+    """
+    pol = pol or TolerancePolicy()
+    ab = subspace_contains(B, A, pol)
+    ba = subspace_contains(A, B, pol)
+    if ab and ba:
+        return "equal"
+    if ab:
+        return "A_subset_B"
+    if ba:
+        return "B_subset_A"
+    return "incomparable"

@@ -118,8 +118,12 @@ def test_malformed_numbers_are_parse_errors(tmp_path, capsys, space, graph):
     ({"type": "rdxs1", "d": 3, "axis": ["0", "0", "1"]},
      [{"p": [0.0, 0.0, 0.0], "alpha": 0.0}, {"p": [1.0, 0.0, 0.0], "alpha": 0.0},
       {"p": [0.0, 1.0, 0.0], "alpha": 0.0}]),
+    (None, [{"p": [[0.0], [1.0]]}, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]),
+    ({"type": "rdxs1", "d": 3, "axis": [[0, 0, 1]]},
+     [{"p": [0.0, 0.0, 0.0], "alpha": 0.0}, {"p": [1.0, 0.0, 0.0], "alpha": 0.0},
+      {"p": [0.0, 1.0, 0.0], "alpha": 0.0}]),
 ], ids=["string-position", "bool-position", "string-heading", "string-rotation",
-        "string-axis"])
+        "string-axis", "nested-position", "nested-axis"])
 def test_numeric_strings_in_agent_states_are_parse_errors(tmp_path, capsys, space,
                                                           agents):
     graph = None
@@ -158,18 +162,18 @@ def test_non_finite_heading_is_a_validation_error(tmp_path, capsys, alpha):
 
 
 def test_inconsistent_tolerances_are_a_numerical_error(capsys):
-    # an absurd containment tolerance makes every kernel look equal while
-    # the rank test still sees a flexible framework
-    code, _, err = run(capsys, "analyze", "star-r2", "--subspace-tol", "1e6")
-    assert code == 4
-    assert "error:" in err
+    # a containment tolerance of 1 or more would make every kernel look
+    # equal to the complete graph's, so it is rejected as out of range
+    code, out, err = run(capsys, "analyze", "star-r2", "--subspace-tol", "1e6")
+    assert code == 3 and out == ""
+    assert one_error_line(err) and "subspace_tol" in err
 
 
 def test_export_dot_augment_agrees_with_analyze_on_inconsistent_tolerances(capsys):
     for argv in (("analyze", "star-r2"), ("export-dot", "star-r2", "--augment")):
         code, out, err = run(capsys, *argv, "--subspace-tol", "10")
-        assert code == 4 and out == ""
-        assert err.startswith("error:") and "rank test" in err
+        assert code == 3 and out == ""
+        assert one_error_line(err) and "subspace_tol" in err
 
 
 def one_error_line(err):
@@ -245,6 +249,52 @@ def test_gen_random_space_deterministic(capsys):
 def test_gen_bad_axis(capsys):
     code, _, _ = run(capsys, "gen", "--space", "r3s1", "--axis", "up")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("analyze", "star-r2"), ("gen", "--space", "r2"),
+                                  ("export-dot", "star-r2", "--augment")],
+                         ids=["analyze", "gen", "export-dot"])
+def test_negative_seed_flag_is_a_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 3 and out == ""
+    assert one_error_line(err) and "seed" in err
+
+
+def test_negative_config_seed_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -3}), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert one_error_line(err) and "seed" in err
+
+
+def test_batch_with_a_negative_seed_stops_before_any_file(tmp_path, capsys):
+    code, _, _ = run(capsys, "gen", "--fixture", "star-r2",
+                     "-o", str(tmp_path / "star.json"))
+    assert code == 0
+    code, out, err = run(capsys, "batch", str(tmp_path), "--seed", "-1")
+    assert code == 3 and out == ""
+    assert one_error_line(err)
+
+
+def test_gen_nan_axis_is_a_validation_error(tmp_path, capsys):
+    out_path = tmp_path / "team.json"
+    code, out, err = run(capsys, "gen", "--space", "r3s1", "--axis", "nan,0,0",
+                         "-o", str(out_path))
+    assert code == 3 and out == "" and one_error_line(err)
+    assert not out_path.exists()
+
+
+def test_nan_axis_in_a_file_is_a_validation_error(tmp_path, capsys):
+    # json.dumps writes the NaN literal, which json.load reads back
+    path = write_triangle(tmp_path, space={"type": "rdxs1", "d": 3,
+                                           "axis": [float("nan"), 0.0, 0.0]},
+                          graph={"n": 3, "kind": "directed",
+                                 "edges": [[1, 2], [2, 3], [3, 1]]},
+                          agents=[{"p": p, "alpha": 0.0} for p in
+                                  ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])])
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 3 and out == "" and one_error_line(err)
 
 
 def test_gen_collinear_placement_reports_degenerate(tmp_path, capsys):

@@ -12,13 +12,12 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               bearing_equivalent, bearing_congruent,
                               fd_jacobian_check, fixture,
                               hetero_case_study, hetero_kernel_analysis,
-                              ibr_verdict, orient,
-                              orthogonal_projector, random_framework,
+                              ibr_verdict, orient, random_framework,
                               rank_and_nullspace, rigidity_matrix, skew,
                               subspace_contains, trivial_variation_basis,
                               unified_rigidity_matrix)
 from oracles import (incidence_matrices, kernel_inclusion_check,
-                     reduced_rank_oracle)
+                     orthogonal_projector, reduced_rank_oracle)
 
 POL = TolerancePolicy()
 

@@ -42,12 +42,13 @@ from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
                               complete_graph_kernel, hetero_case_study,
                               ibr_verdict, random_framework,
                               random_rotation, rank_and_nullspace,
-                              rigidity_matrix, subspace_relation,
-                              trivial_variation_basis, unified_rigidity_matrix)
-from bearing_rigidity import (engine, formats, orient, orthogonal_projector,
+                              rigidity_matrix, trivial_variation_basis,
+                              unified_rigidity_matrix)
+from bearing_rigidity import (engine, formats, linalg, orient,
                               orthonormal_columns, rotation_exp, scenarios,
                               skew, spaces)
 from bearing_rigidity.spaces import bearing_stack_raw
+from oracles import orthogonal_projector, subspace_relation
 
 POL = TolerancePolicy()
 
@@ -924,6 +925,34 @@ def test_one_degeneracy_test_per_report_and_augmentation(monkeypatch):
     for public in (complete_graph_kernel, trivial_variation_basis):
         public(fw, POL)
         assert tests.take() == 1
+
+
+def test_kernel_equality_is_one_containment_test(monkeypatch):
+    # containment plus equal dimension: one test per decision, and
+    # augmentation adds one on its final kernel
+    tests = CallCounter(monkeypatch, "subspace_contains", linalg, engine)
+    rng = np.random.default_rng(47)
+    fw = placed_framework(SPACES["r3s1z"], 6, rng)
+    mixed = mixed_framework(5, rng, complete_graph(
+        SensingGraph(5, ((1, 2),), "directed")))
+    for rigid in (fw, mixed):
+        analysis_report(rigid, POL)
+        assert tests.take() == 1
+        assert augment_to_ibr(rigid, POL)[1] == ()
+        assert tests.take() == 1
+    for flexible in (fw.with_graph(spanning_tree(6, "directed", rng)),
+                     mixed.with_graph(spanning_tree(5, "directed", rng))):
+        analysis_report(flexible, POL)
+        assert tests.take() == 1
+        assert augment_to_ibr(flexible, POL)[1]
+        assert tests.take() == 2
+
+
+def test_containment_tolerance_just_below_one_decides_as_the_default():
+    near_one = TolerancePolicy(subspace_tol=0.999)
+    star = scenarios.fixture("star-r2")
+    assert ibr_verdict(star, near_one).classification == "IBF"
+    assert augment_to_ibr(star, near_one)[1] == augment_to_ibr(star, POL)[1]
 
 
 def one_vector_rotation_exp(w):

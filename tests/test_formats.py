@@ -68,6 +68,27 @@ def test_malformed_documents_raise_parse_errors(doc):
         framework_from_json(doc)
 
 
+@pytest.mark.parametrize("p", [[[0.0], [1.0]], [[0.0, 1.0]]], ids=["column", "row"])
+def test_positions_must_be_flat_lists_of_numbers(p):
+    # flattened, [[0.0], [1.0]] would read as the position (0, 1)
+    doc = {"space": {"type": "rd", "d": 2},
+           "graph": {"n": 3, "kind": "undirected", "edges": [[1, 2], [2, 3]]},
+           "agents": [{"p": p}, {"p": [1.0, 0.0]}, {"p": [0.0, 1.0]}]}
+    with pytest.raises(ParseError, match="agent 1 position"):
+        framework_from_json(doc)
+
+
+@pytest.mark.parametrize("axis", [[[0, 0, 1]], [[0], [0], [1]], 1.0],
+                         ids=["row", "column", "scalar"])
+def test_axis_must_be_a_flat_list_of_numbers(axis):
+    doc = {"space": {"type": "rdxs1", "d": 3, "axis": axis},
+           "graph": {"n": 3, "kind": "directed", "edges": [[1, 2], [2, 3]]},
+           "agents": [{"p": p, "alpha": 0.0}
+                      for p in ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]}
+    with pytest.raises(ParseError, match="axis"):
+        framework_from_json(doc)
+
+
 def test_load_framework_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")

@@ -4,11 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from bearing_rigidity import (NumericalError, TOLERANCE_PROFILES,
                               TolerancePolicy, ValidationError,
-                              orthogonal_projector, orthonormal_columns,
-                              planar_rotation, random_rotation,
+                              orthonormal_columns, random_rotation,
                               rank_and_nullspace, rotation_axis_angle,
-                              rotation_exp, skew, subspace_contains,
-                              subspace_relation)
+                              rotation_exp, skew, subspace_contains)
+from oracles import orthogonal_projector, planar_rotation, subspace_relation
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 vectors3 = st.lists(finite, min_size=3, max_size=3).map(np.array)
@@ -33,17 +32,20 @@ def test_policy_rejects_nonpositive():
 
 
 def test_policy_rejects_out_of_range_values():
-    # a rank threshold of sigma_max or more zeroes every rank, and the probe
-    # runs at unit formation scale, where a step of 1 is the formation's size
+    # a rank threshold of sigma_max or more zeroes every rank, a containment
+    # residual of 1 or more lets a basis miss a whole direction, and the
+    # probe runs at unit formation scale, where a step of 1 is the
+    # formation's size
     inf, nan = float("inf"), float("nan")
     for bad in ({"rank_rtol": 1.0}, {"rank_rtol": 2.5}, {"rank_rtol": inf},
-                {"rank_rtol": nan}, {"subspace_tol": inf}, {"subspace_tol": nan},
+                {"rank_rtol": nan}, {"subspace_tol": 1.0}, {"subspace_tol": 10.0},
+                {"subspace_tol": inf}, {"subspace_tol": nan},
                 {"fd_step": 1.0}, {"fd_step": 1e300}, {"fd_step": inf},
                 {"fd_step": nan}):
         with pytest.raises(ValidationError, match="finite, positive"):
             TolerancePolicy(**bad)
-    edge = TolerancePolicy(rank_rtol=0.999, subspace_tol=10.0, fd_step=0.5)
-    assert (edge.rank_rtol, edge.subspace_tol, edge.fd_step) == (0.999, 10.0, 0.5)
+    edge = TolerancePolicy(rank_rtol=0.999, subspace_tol=0.999, fd_step=0.5)
+    assert (edge.rank_rtol, edge.subspace_tol, edge.fd_step) == (0.999, 0.999, 0.5)
 
 
 def test_adaptive_rank_threshold_scales_with_shape():
@@ -88,8 +90,9 @@ def test_rotation_zero_axis_is_identity():
 
 
 def test_rotation_rejects_non_unit_axis():
-    with pytest.raises(ValidationError):
-        rotation_axis_angle(np.array([0.0, 0.0, 2.0]), 0.1)
+    for axis in ([0.0, 0.0, 2.0], [np.nan, 0.0, 0.0]):
+        with pytest.raises(ValidationError):
+            rotation_axis_angle(np.array(axis), 0.1)
 
 
 def test_planar_rotation_quarter_turn():

@@ -1,15 +1,20 @@
-"""The README's Python examples run as written.
+"""The README's examples run as written.
 
 Every ```python block runs in order in one namespace, one statement at a
 time. A print statement whose line ends in a one-word comment (# IBR,
-# 13) must print exactly that word; longer comments are prose.
+# 13) must print exactly that word; longer comments are prose. Every `brl`
+line of the ```sh blocks runs in order, through cli.main, in one empty
+directory, and exits 0.
 """
 import ast
 import contextlib
 import io
 import pathlib
 import re
+import shlex
 import tokenize
+
+from bearing_rigidity import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +56,22 @@ def test_readme_python_blocks_run_and_print_their_annotations():
                     ast.get_source_segment(block, stmt)
                 checked += 1
     assert checked >= 3
+
+
+def brl_lines():
+    """Every `brl ...` line of the README's ```sh blocks, in order."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                        flags=re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("brl ")]
+
+
+def test_readme_cli_block_runs_in_an_empty_directory(tmp_path, monkeypatch):
+    monkeypatch.delenv("BRL_TOLERANCE_PROFILE", raising=False)
+    monkeypatch.chdir(tmp_path)
+    lines = brl_lines()
+    assert len(lines) >= 8
+    for line in lines:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(shlex.split(line)[1:])
+        assert code == 0, line

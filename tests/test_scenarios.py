@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bearing_rigidity import (FIXTURES, GeneratorSpec, MIN_SEPARATION,
-                              MetricSpace, NumericalError, TolerancePolicy,
+                              MetricSpace, TolerancePolicy,
                               ValidationError,
                               augment_to_ibr, case_study_partition, fixture,
                               hetero_case_study, ibr_verdict, is_connected,
@@ -121,14 +121,10 @@ def test_augment_star_reaches_rigidity():
 
 
 def test_augment_raises_where_the_verdict_contradicts_itself():
-    # a containment tolerance of 10 makes every kernel look equal while the
-    # rank test still sees the flexible star: the verdict raises, and so
-    # does augmentation, which starts from that same decision
-    loose = TolerancePolicy(subspace_tol=10.0)
-    with pytest.raises(NumericalError, match="rank test"):
-        ibr_verdict(fixture("star-r2"), loose)
-    with pytest.raises(NumericalError, match="rank test"):
-        augment_to_ibr(fixture("star-r2"), loose)
+    # a containment tolerance of 10 would make every kernel look equal to
+    # the complete graph's; the policy rejects it before any verdict runs
+    with pytest.raises(ValidationError, match="subspace_tol"):
+        TolerancePolicy(subspace_tol=10.0)
 
 
 def test_case_study_layout():

@@ -41,6 +41,8 @@ def test_space_validation():
         MetricSpace.rd_s1(3)  # 3D heading needs an explicit axis
     with pytest.raises(ValidationError):
         MetricSpace.rd_s1(3, axis=(0.0, 0.0, 2.0))  # not unit
+    with pytest.raises(ValidationError):
+        MetricSpace.rd_s1(3, axis=(np.nan, 0.0, 0.0))
 
 
 def test_rotation_input_shapes():
