@@ -9,7 +9,7 @@ from .errors import (BearingRigidityError, CoincidentAgentsError,
                      DegenerateConfigurationError, NumericalError, ParseError,
                      ValidationError)
 from .graphs import (SensingGraph, complete_edges, complete_graph,
-                     connected_components, is_connected, orient)
+                     connected_components, is_connected)
 from .linalg import (TOLERANCE_PROFILES, TolerancePolicy, orthonormal_columns,
                      random_rotation, rank_and_nullspace, rotation_axis_angle,
                      rotation_exp, skew, subspace_contains)
@@ -23,8 +23,8 @@ from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,
                      rigidity_matrix, trivial_variation_basis,
                      unified_rigidity_matrix)
 from .scenarios import (FIXTURES, MIN_SEPARATION, GeneratorSpec,
-                        augment_to_ibr, case_study_partition, fixture,
-                        hetero_case_study, random_framework)
+                        augment_to_ibr, fixture, hetero_case_study,
+                        random_framework)
 from .formats import (SCHEMA_VERSION, analysis_report, dumps, export_dot,
                       framework_from_json, framework_to_json, load_framework,
                       space_from_json, space_to_json, verdict_to_json,

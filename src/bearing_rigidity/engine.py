@@ -51,15 +51,15 @@ frameworks that is the rank c*n - c - 1, c the controllable degrees of
 freedom per agent, which the verdict reports but does not test again.
 
 Each framework is decided once (_decide), at unit formation scale: one
-degeneracy test, one complete-graph kernel, one factor decomposition. That
-kernel is known in closed form for non-degenerate homogeneous frameworks
-(the trivial variations above); only degenerate (collinear) and mixed ones
-build and decompose the complete graph. _complete_kernel is the only code
-that makes that choice, and the public complete_graph_kernel shares it at
-the caller's own scale. ibr_verdict, hetero_kernel_analysis (which splits
-the decided kernel), the analysis report and augmentation
-(scenarios.augment_to_ibr, which reuses the decision's complete-graph
-kernel and factor) all read that one decision.
+degeneracy test, one complete-graph kernel, one factor decomposition, in
+one record (_Decision) read by name. That kernel is known in closed form
+for non-degenerate homogeneous frameworks (the trivial variations above);
+only degenerate (collinear) and mixed ones decompose the complete graph,
+a choice only _complete_kernel makes (complete_graph_kernel shares it at
+the caller's own scale). ibr_verdict, the analysis report and augmentation
+(scenarios.augment_to_ibr, which reuses the record's complete-graph kernel
+and factor) read that record; only hetero_kernel_analysis and a mixed
+team's report build its kernel split (_hetero_split).
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -79,8 +79,8 @@ import numpy as np
 from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_graph
-from .linalg import (TolerancePolicy, check_tolerance, orthonormal_columns,
-                     rank_and_nullspace, rotation_exp, subspace_contains)
+from .linalg import (TolerancePolicy, orthonormal_columns, rank_and_nullspace,
+                     rotation_exp, subspace_contains)
 from .spaces import (Framework, MetricSpace, bearing_rigidity_function,
                      bearing_stack_raw, is_non_degenerate)
 
@@ -352,8 +352,7 @@ def _verdict_factor(fw: Framework) -> tuple[np.ndarray, tuple[int, int]]:
 
 
 def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
-                      trials: int = 20, step: float | None = None,
-                      seed: int = 0, representation: str = "auto",
+                      trials: int = 20, seed: int = 0, representation: str = "auto",
                       ) -> FDCheckResult:
     """Probe the rigidity matrix against finite differences of the bearings.
 
@@ -372,13 +371,13 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     exp(h * skew(V_a dw_a)) from the left, V_a being the agent's
     rotation-input matrix (agents without one keep their rotation), all
     agents of a trial in one stacked rotation_exp. The compared bearing rows
-    are the first d components of each edge's bearing. trials must be >= 1,
-    and step, when given, lies in fd_step's range (see TolerancePolicy).
+    are the first d components of each edge's bearing. The step h is
+    pol.fd_step, and trials must be >= 1.
     """
     pol = pol or TolerancePolicy()
     if trials < 1:
         raise ValidationError(f"fd trials must be at least 1, got {trials}")
-    h = pol.fd_step if step is None else check_tolerance("step", float(step), below=1.0)
+    h = pol.fd_step
     if representation == "auto":
         representation = _verdict_representation(fw)
     d, rot_cols = _layout(fw, representation)
@@ -539,23 +538,51 @@ def _unit_scale(fw: Framework) -> Framework:
         fw, states=tuple(dataclasses.replace(st, p=st.p / scale) for st in fw.states))
 
 
-def _decide(fw: Framework, pol: TolerancePolicy) -> tuple:
-    """(verdict, unit, part, Nk, complete_factor) of fw, decided once at
-    unit formation scale (unit): one degeneracy test, one complete-graph
-    kernel Nk (_complete_kernel; complete_factor is the complete graph's
-    verdict factor and shape when Nk was decomposed from it, else None) and
-    one decomposition of fw's factor. part is the closed-form trivial basis
-    (in unit's coordinates) that serves as Nk, None for a degenerate
-    homogeneous framework, or a mixed team's HeteroKernelReport."""
+@dataclass(frozen=True)
+class _Decision:
+    """One framework decided at unit formation scale (see _decide)."""
+
+    fw: Framework
+    unit: Framework
+    verdict: RigidityVerdict
+    Nk: np.ndarray
+    trivial: SubspaceBasis | None
+    complete_factor: tuple[np.ndarray, tuple[int, int]] | None
+    N: np.ndarray
+    zero_columns: np.ndarray
+
+
+def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
+    """fw decided once at unit formation scale (unit): one degeneracy test,
+    the complete-graph kernel Nk with its trivial basis or complete factor
+    (_complete_kernel), one decomposition of fw's factor (kernel N; its zero
+    columns are for _hetero_split) and the verdict (see ibr_verdict)."""
     unit = _unit_scale(fw)
     degenerate = not is_non_degenerate(unit, pol)
-    Nk, part, complete_factor = _complete_kernel(unit, pol, degenerate)
+    Nk, trivial, complete_factor = _complete_kernel(unit, pol, degenerate)
     C, shape = _verdict_factor(unit)
     rank, N = rank_and_nullspace(C, pol, shape=shape)
-    verdict = _classify(fw, pol, rank, N, Nk, degenerate)
-    if not fw.is_homogeneous:
-        part = HeteroKernelReport(verdict, *_hetero_split(fw, unit, C, N, pol))
-    return verdict, unit, part, Nk, complete_factor
+    kernel_eq = _kernel_equal(Nk, N, pol)
+    notes: list[str] = []
+    expected = None
+    if fw.is_homogeneous:
+        c = fw.space.c
+        expected = c * fw.n - c - 1
+        if degenerate:
+            notes.append("degenerate configuration: kernel equality decides, "
+                         "rank target not applied")
+    else:
+        notes.append("heterogeneous framework: kernel equality decides, "
+                     "no single rank target exists")
+    if kernel_eq:
+        notes.append("infinitesimal rigidity implies global bearing rigidity, "
+                     "which implies bearing rigidity")
+    verdict = RigidityVerdict(rank=rank, nullity=N.shape[1], expected_rank=expected,
+                              kernel_equal_to_complete=kernel_eq,
+                              classification=IBR if kernel_eq else IBF,
+                              degenerate=degenerate, notes=tuple(notes))
+    return _Decision(fw, unit, verdict, Nk, trivial, complete_factor, N,
+                     np.flatnonzero(~C.any(axis=0)))
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -571,33 +598,7 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
     c*n - c - 1 as expected_rank, not as a second test; degenerate ones are
     flagged.
     """
-    return _decide(fw, pol or TolerancePolicy())[0]
-
-
-def _classify(fw: Framework, pol: TolerancePolicy, rank_g: int, Ng: np.ndarray,
-              Nk: np.ndarray, degenerate: bool) -> RigidityVerdict:
-    """The verdict from the framework's rank and kernel Ng, the complete-graph
-    kernel Nk (one representation) and the degeneracy test (see ibr_verdict)."""
-    kernel_eq = _kernel_equal(Nk, Ng, pol)
-    notes: list[str] = []
-    expected = None
-    if fw.is_homogeneous:
-        c = fw.space.c
-        expected = c * fw.n - c - 1
-        if degenerate:
-            notes.append("degenerate configuration: kernel equality decides, "
-                         "rank target not applied")
-    else:
-        notes.append("heterogeneous framework: kernel equality decides, "
-                     "no single rank target exists")
-    classification = IBR if kernel_eq else IBF
-    if classification == IBR:
-        notes.append("infinitesimal rigidity implies global bearing rigidity, "
-                     "which implies bearing rigidity")
-    return RigidityVerdict(rank=rank_g, nullity=Ng.shape[1], expected_rank=expected,
-                           kernel_equal_to_complete=kernel_eq,
-                           classification=classification, degenerate=degenerate,
-                           notes=tuple(notes))
+    return _decide(fw, pol or TolerancePolicy()).verdict
 
 
 def _kernel_equal(Nk: np.ndarray, Ng: np.ndarray, pol: TolerancePolicy) -> bool:
@@ -653,24 +654,24 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     residual against the trivial part stays below subspace_tol. Directions
     matched by no candidate are labeled "unlabeled".
 
-    It splits the kernel ibr_verdict decides on at unit formation scale
-    (_decide), so dimensions and labels do not change when the formation is
-    scaled. The returned generators and bases are in fw's own coordinates:
-    a kernel vector's position rows scale with the formation, its rotation
-    rows do not.
+    It splits the kernel of ibr_verdict's one decision (_decide) at unit
+    formation scale, so dimensions and labels do not change when the
+    formation is scaled. The returned generators and bases are in fw's own
+    coordinates: a kernel vector's position rows scale with the formation,
+    its rotation rows do not.
     """
     if fw.is_homogeneous:
         raise ValidationError("kernel decomposition targets heterogeneous frameworks; "
                               "homogeneous ones have trivial_variation_basis")
-    return _decide(fw, pol or TolerancePolicy())[2]
+    pol = pol or TolerancePolicy()
+    return _hetero_split(_decide(fw, pol), pol)
 
 
-def _hetero_split(fw: Framework, unit: Framework, C: np.ndarray, N: np.ndarray,
-                  pol: TolerancePolicy) -> tuple:
-    """(trivial, virtual, zero_columns) of a mixed team's kernel N, that of
-    its verdict factor C at unit scale (see hetero_kernel_analysis)."""
-    ambient = C.shape[1]
-    zero_cols = np.flatnonzero(~C.any(axis=0))
+def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelReport:
+    """The split of a mixed team's decided kernel, that of its verdict
+    factor at unit scale (see hetero_kernel_analysis)."""
+    fw, unit, N, zero_cols = decision.fw, decision.unit, decision.N, decision.zero_columns
+    ambient = N.shape[0]
     Qv = np.eye(ambient)[:, zero_cols]
     trimmed = N.copy()
     trimmed[zero_cols, :] = 0.0
@@ -716,7 +717,8 @@ def _hetero_split(fw: Framework, unit: Framework, C: np.ndarray, N: np.ndarray,
                             labels=tuple(labels), generators=gen_mat)
     virtual = SubspaceBasis(ambient_dim=ambient, basis=Qv,
                             labels=("virtual",) * len(zero_cols), generators=Qv)
-    return trivial, virtual, tuple(zero_cols.tolist())
+    return HeteroKernelReport(decision.verdict, trivial, virtual,
+                              tuple(zero_cols.tolist()))
 
 
 def degenerate_trivial_dim(space: MetricSpace, n: int,

@@ -51,13 +51,6 @@ def json_number(value: Any, what: str) -> float:
     return float(value)
 
 
-def _json_numbers(value: Any, what: str) -> Any:
-    """Nested JSON lists of numbers, with their nesting kept."""
-    if isinstance(value, list):
-        return [_json_numbers(v, what) for v in value]
-    return json_number(value, what)
-
-
 def _json_vector(value: Any, what: str) -> list[float]:
     """A flat JSON list of numbers: a nested list is a parse error, not
     flattened."""
@@ -153,7 +146,10 @@ def framework_from_json(obj: Any) -> Framework:
             alpha = json_number(alpha, f"agent {a + 1} heading 'alpha'")
         R = entry.get("R")
         if R is not None:
-            R = _json_numbers(R, f"agent {a + 1} rotation entry")
+            rows = R if isinstance(R, list) else [R]  # a bare number fails as a row
+            R = [_json_vector(row, f"agent {a + 1} rotation row") for row in rows]
+            if [len(row) for row in R] != [3, 3, 3]:
+                raise ParseError(f"agent {a + 1}: rotation must be 3 rows of 3 numbers")
         try:
             states.append(AgentState(
                 p=np.asarray(p, dtype=float), alpha=alpha,
@@ -199,45 +195,43 @@ def write_matrix_csv(rm: engine.RigidityMatrix, prefix: str) -> tuple[str, str]:
 
 
 def verdict_to_json(v: engine.RigidityVerdict) -> dict:
-    return {
-        "rank": v.rank,
-        "nullity": v.nullity,
-        "expected_rank": v.expected_rank,
-        "kernel_equal_to_complete": v.kernel_equal_to_complete,
-        "classification": v.classification,
-        "degenerate": v.degenerate,
-        "notes": list(v.notes),
-    }
+    return {**vars(v), "notes": list(v.notes)}
 
 
 def _subspace_summary(basis: engine.SubspaceBasis) -> dict:
     return {"dim": basis.dim, "labels": list(basis.labels)}
 
 
+def _decided(fw: Framework, pol: TolerancePolicy,
+             ) -> tuple[engine.RigidityVerdict, Framework, dict]:
+    """(verdict, unit-scale copy, subspace summary) of fw's one decision;
+    the record ends here, before the FD probe builds its matrix."""
+    decision = engine._decide(fw, pol)
+    if not fw.is_homogeneous:
+        split = engine._hetero_split(decision, pol)
+        subspaces = {"trivial": _subspace_summary(split.trivial),
+                     "virtual": _subspace_summary(split.virtual),
+                     "zero_columns": list(split.zero_columns)}
+    elif decision.trivial is None:
+        subspaces = {"trivial": None, "note": "degenerate configuration: "
+                     "closed-form trivial basis unavailable"}
+    else:
+        subspaces = {"trivial": _subspace_summary(decision.trivial)}
+    return decision.verdict, decision.unit, subspaces
+
+
 def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
-                    seed: int = 0, fd_trials: int = 20,
-                    timing_seconds: float | None = None) -> dict:
+                    seed: int = 0, fd_trials: int = 20) -> dict:
     """Full analysis of one framework as a JSON-ready dictionary.
 
     Contains the framework summary, the rigidity verdict, subspace
-    dimensions, and a finite-difference consistency probe. With the default
-    timing of None the document is byte-identical across runs for identical
+    dimensions, and a finite-difference consistency probe. timing_seconds
+    is None, so the document is byte-identical across runs for identical
     inputs, seeds, and tolerances.
     """
     pol = pol or TolerancePolicy()
-    subspaces: dict[str, Any] = {}
     # one decision at unit scale; the FD probe reuses its unit-scale copy
-    verdict, unit, part = engine._decide(fw, pol)[:3]
-    if part is None:
-        subspaces["trivial"] = None
-        subspaces["note"] = ("degenerate configuration: closed-form trivial "
-                             "basis unavailable")
-    elif fw.is_homogeneous:
-        subspaces["trivial"] = _subspace_summary(part)
-    else:
-        subspaces["trivial"] = _subspace_summary(part.trivial)
-        subspaces["virtual"] = _subspace_summary(part.virtual)
-        subspaces["zero_columns"] = list(part.zero_columns)
+    verdict, unit, subspaces = _decided(fw, pol)
     fd = engine.fd_jacobian_check(unit, pol, trials=fd_trials, seed=seed)
 
     if isinstance(fw.space, tuple):
@@ -257,19 +251,10 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
         },
         "verdict": verdict_to_json(verdict),
         "subspaces": subspaces,
-        "fd_check": {
-            "max_rel_error": fd.max_rel_error,
-            "step": fd.step,
-            "trials": fd.trials,
-            "representation": fd.representation,
-        },
-        "tolerances": {
-            "rank_rtol": pol.rank_rtol,
-            "subspace_tol": pol.subspace_tol,
-            "fd_step": pol.fd_step,
-        },
+        "fd_check": dict(vars(fd)),
+        "tolerances": dict(vars(pol)),
         "seed": seed,
-        "timing_seconds": timing_seconds,
+        "timing_seconds": None,
     }
 
 

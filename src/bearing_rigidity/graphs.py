@@ -76,19 +76,6 @@ def complete_graph(g: SensingGraph) -> SensingGraph:
     return SensingGraph(g.n, complete_edges(g.n, g.kind), g.kind)
 
 
-def orient(g: SensingGraph) -> SensingGraph:
-    """Orientation of an undirected graph: each pair gets the head < tail direction.
-
-    Oriented input is returned unchanged; directed input is rejected because
-    collapsing a genuinely directed edge set would silently drop measurements.
-    """
-    if g.kind == "oriented":
-        return g
-    if g.kind != "undirected":
-        raise ValidationError("orient expects an undirected graph")
-    return SensingGraph(g.n, g.edges, "oriented")
-
-
 def connected_components(g: SensingGraph) -> list[set[int]]:
     """Weakly connected components (edge directions ignored), as vertex sets."""
     adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}

@@ -44,9 +44,9 @@ class TolerancePolicy:
 
     def __post_init__(self) -> None:
         if self.rank_rtol is not None:
-            check_tolerance("rank_rtol", self.rank_rtol, below=1.0)
-        check_tolerance("subspace_tol", self.subspace_tol, below=1.0)
-        check_tolerance("fd_step", self.fd_step, below=1.0)
+            check_tolerance("rank_rtol", self.rank_rtol)
+        check_tolerance("subspace_tol", self.subspace_tol)
+        check_tolerance("fd_step", self.fd_step)
 
     def effective_rank_rtol(self, shape: tuple[int, int]) -> float:
         if self.rank_rtol is not None:
@@ -54,12 +54,10 @@ class TolerancePolicy:
         return 1e-10 * max(shape)
 
 
-def check_tolerance(name: str, value: float, below: float = math.inf) -> float:
-    """value if it is finite and in (0, below), else a ValidationError."""
-    if not (math.isfinite(value) and 0 < value < below):
-        bound = "" if below == math.inf else f" and below {below:g}"
-        raise ValidationError(f"{name} must be finite, positive{bound}; got {value!r}")
-    return value
+def check_tolerance(name: str, value: float) -> None:
+    """A ValidationError unless value is finite and in (0, 1)."""
+    if not (math.isfinite(value) and 0 < value < 1):
+        raise ValidationError(f"{name} must be finite, positive and below 1; got {value!r}")
 
 
 TOLERANCE_PROFILES = {

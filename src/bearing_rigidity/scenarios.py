@@ -41,6 +41,8 @@ class GeneratorSpec:
             raise ValidationError("graph_density must be in (0, 1]")
         if self.placement not in PLACEMENTS:
             raise ValidationError(f"unknown placement {self.placement!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if isinstance(self.space, (list, tuple)):
             object.__setattr__(self, "space", tuple(self.space))
 
@@ -186,11 +188,12 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     is the new graph's, so no selection is decomposed twice.
     """
     pol = pol or TolerancePolicy()
-    verdict, unit, _, Nk, factor = engine._decide(fw, pol)
-    if verdict.classification == engine.IBR:
+    decision = engine._decide(fw, pol)
+    if decision.verdict.classification == engine.IBR:
         return fw, ()
 
-    C, (rows, cols) = factor or engine._verdict_factor(engine._complete(unit))
+    C, (rows, cols) = (decision.complete_factor
+                       or engine._verdict_factor(engine._complete(decision.unit)))
     edges = complete_edges(fw.n, fw.graph.kind)
     blocks = C.reshape(len(edges), -1, cols)
     per_edge = rows // len(edges)  # measured rows per edge set the threshold
@@ -201,9 +204,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
 
     index = {e: k for k, e in enumerate(edges)}
     current = sorted(index[e] for e in fw.graph.edges)
-    rank_g = verdict.rank
+    rank_g = decision.verdict.rank
     added: list[tuple[int, int]] = []
-    while rank_g < cols - Nk.shape[1]:
+    while rank_g < cols - decision.Nk.shape[1]:
         have = set(current)
         candidates = [k for k in range(len(edges)) if k not in have]
         best = None
@@ -216,7 +219,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
                                  "exceeds the complete graph's")
         current = sorted(current + [best])
         added.append(edges[best])
-    engine._kernel_equal(Nk, Ng, pol)
+    engine._kernel_equal(decision.Nk, Ng, pol)
     graph = SensingGraph(fw.n, tuple(edges[k] for k in current), fw.graph.kind)
     return fw.with_graph(graph), tuple(added)
 
@@ -228,6 +231,8 @@ def hetero_case_study(seed: int = 0) -> Framework:
     Ground agents are drawn non-collinear and pairwise separated at zero
     height; the aerial agent hovers strictly above the unit box floor.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     se2 = MetricSpace.rd_s1(2)
     se3 = MetricSpace.se3()
@@ -247,19 +252,6 @@ def hetero_case_study(seed: int = 0) -> Framework:
     states.append(AgentState(p=aerial, R=random_rotation(rng)))
     g = SensingGraph(4, complete_edges(4, "directed"), "directed")
     return Framework(graph=g, space=(se2, se2, se2, se3), states=tuple(states))
-
-
-def case_study_partition(fw: Framework) -> tuple[Framework, Framework]:
-    """Split a complete sensing topology by who measures: the planar agents'
-    edges versus the full-pose agent's edges."""
-    planar_heads = {i for i in range(1, fw.n + 1) if fw.space_of(i).kind != "se3"}
-    e1 = tuple(e for e in fw.graph.edges if e[0] in planar_heads)
-    e2 = tuple(e for e in fw.graph.edges if e[0] not in planar_heads)
-    if not e1 or not e2:
-        raise ValidationError("partition needs both planar and full-pose measuring agents")
-    g1 = SensingGraph(fw.n, e1, fw.graph.kind)
-    g2 = SensingGraph(fw.n, e2, fw.graph.kind)
-    return fw.with_graph(g1), fw.with_graph(g2)
 
 
 def _triangle_positions() -> np.ndarray:

@@ -18,6 +18,10 @@ The small helpers below have no caller in the library:
 * orthogonal_projector: the projector onto the complement of a vector, for
   rebuilding measured edge blocks the textbook way.
 * planar_rotation: the 2x2 counter-clockwise rotation.
+* orient: the oriented copy of an undirected graph, the edge directions
+  the incidence matrices and the position-only oracle read.
+* case_study_partition: the mixed case study's edges split by who
+  measures, for the criterion that both halves are flexible.
 * subspace_relation: the two-way relation between two spans, from two
   containment tests. The library decides kernel equality by one containment
   test plus equal dimension; the tests keep this relation as its reference.
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bearing_rigidity import (SensingGraph, TolerancePolicy, ValidationError,
-                              complete_graph_kernel, engine,
+from bearing_rigidity import (Framework, SensingGraph, TolerancePolicy,
+                              ValidationError, complete_graph_kernel, engine,
                               rank_and_nullspace, subspace_contains)
 
 
@@ -187,6 +191,32 @@ def planar_rotation(angle: float) -> np.ndarray:
     """2x2 counter-clockwise rotation."""
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def orient(g: SensingGraph) -> SensingGraph:
+    """Orientation of an undirected graph: each pair gets the head < tail direction.
+
+    Oriented input is returned unchanged; directed input is rejected because
+    collapsing a genuinely directed edge set would silently drop measurements.
+    """
+    if g.kind == "oriented":
+        return g
+    if g.kind != "undirected":
+        raise ValidationError("orient expects an undirected graph")
+    return SensingGraph(g.n, g.edges, "oriented")
+
+
+def case_study_partition(fw: Framework) -> tuple[Framework, Framework]:
+    """Split a complete sensing topology by who measures: the planar agents'
+    edges versus the full-pose agent's edges."""
+    planar_heads = {i for i in range(1, fw.n + 1) if fw.space_of(i).kind != "se3"}
+    e1 = tuple(e for e in fw.graph.edges if e[0] in planar_heads)
+    e2 = tuple(e for e in fw.graph.edges if e[0] not in planar_heads)
+    if not e1 or not e2:
+        raise ValidationError("partition needs both planar and full-pose measuring agents")
+    g1 = SensingGraph(fw.n, e1, fw.graph.kind)
+    g2 = SensingGraph(fw.n, e2, fw.graph.kind)
+    return fw.with_graph(g1), fw.with_graph(g2)
 
 
 def subspace_relation(A: np.ndarray, B: np.ndarray,

@@ -12,14 +12,14 @@ import numpy as np
 from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
                               SensingGraph, TolerancePolicy, augment_to_ibr,
                               bearing_congruent, bearing_equivalent,
-                              case_study_partition, degenerate_trivial_dim,
+                              degenerate_trivial_dim,
                               fd_jacobian_check, fixture, hetero_case_study,
                               hetero_kernel_analysis, ibr_verdict,
                               random_framework, rank_and_nullspace,
                               rigidity_matrix, trivial_variation_basis,
                               unified_rigidity_matrix)
-import bearing_rigidity as br
-from oracles import kernel_inclusion_check, reduced_rank_oracle
+from oracles import (case_study_partition, kernel_inclusion_check, orient,
+                     reduced_rank_oracle)
 
 POL = TolerancePolicy()
 
@@ -63,7 +63,7 @@ def test_criterion_01_complete_rank_position_only(acceptance_record):
                     bad += 1
                 if t % 10 == 0:
                     oracle_checked += 1
-                    edges = br.orient(fw.graph).edges
+                    edges = orient(fw.graph).edges
                     if reduced_rank_oracle(fw.positions()[:, :d], edges,
                                            d=d, pol=POL) != rank:
                         oracle_bad += 1
@@ -171,9 +171,9 @@ def test_criterion_06_finite_difference_probe(acceptance_record):
             worst_err = max(worst_err, res.max_rel_error)
             if res.max_rel_error > 1e-5:
                 bad_err += 1
-            e4 = fd_jacobian_check(fw, POL, trials=20, step=1e-4,
+            e4 = fd_jacobian_check(fw, TolerancePolicy(fd_step=1e-4), trials=20,
                                    seed=seed).max_rel_error
-            e5 = fd_jacobian_check(fw, POL, trials=20, step=1e-5,
+            e5 = fd_jacobian_check(fw, TolerancePolicy(fd_step=1e-5), trials=20,
                                    seed=seed).max_rel_error
             ratio = e4 / e5
             if not 5.0 <= ratio <= 20.0:

@@ -135,6 +135,22 @@ def test_numeric_strings_in_agent_states_are_parse_errors(tmp_path, capsys, spac
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("R", [[1, 0, 0, 0, 1, 0, 0, 0, 1],
+                               [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]],
+                               [[1, 0], [0, 1], [0, 0]]],
+                         ids=["flat", "nested", "short-rows"])
+def test_malformed_rotation_shapes_are_parse_errors(tmp_path, capsys, R):
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    agents = [{"p": [0.0, 0.0, 0.0], "R": R}, {"p": [1.0, 0.0, 0.0], "R": eye},
+              {"p": [0.0, 1.0, 0.0], "R": eye}]
+    path = write_triangle(tmp_path, {"type": "se3"},
+                          {"n": 3, "kind": "directed", "edges": [[1, 2], [2, 3], [3, 1]]},
+                          agents)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("config", [{"fd_step": "x"}, {"rank_rtol": "1e-9"},
                                     {"subspace_tol": True}, {"seed": 2.5},
                                     {"seed": "3"}])

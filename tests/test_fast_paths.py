@@ -27,8 +27,12 @@
   and assembles its factor for every candidate.
 * The verdict and augmentation test degeneracy once and then build the
   trivial basis unchecked; the public trivial_variation_basis still checks.
+* A mixed team's kernel split is built only for its readers (the report and
+  hetero_kernel_analysis), and a report lets the decision go before its FD
+  probe builds the measured matrix.
 """
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,11 +48,12 @@ from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
                               random_rotation, rank_and_nullspace,
                               rigidity_matrix, trivial_variation_basis,
                               unified_rigidity_matrix)
-from bearing_rigidity import (engine, formats, linalg, orient,
+from bearing_rigidity import (engine, formats, linalg,
                               orthonormal_columns, rotation_exp, scenarios,
                               skew, spaces)
 from bearing_rigidity.spaces import bearing_stack_raw
-from oracles import orthogonal_projector, subspace_relation
+from oracles import (case_study_partition, orient, orthogonal_projector,
+                     subspace_relation)
 
 POL = TolerancePolicy()
 
@@ -171,6 +176,41 @@ def test_mixed_report_computes_one_verdict(monkeypatch):
     # 12 edges: 2 factor rows each, 3 measured rows each
     assert decomposed == [((24, 24), (36, 24))] * 2
     assert report["verdict"]["rank"] == 13
+
+
+def test_only_the_readers_of_the_split_build_it(monkeypatch):
+    calls = []
+
+    def counted(*args, _original=engine._hetero_split, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_hetero_split", counted)
+    fw = hetero_case_study(seed=0)
+    flexible = case_study_partition(fw)[0]
+    counts = {}
+    for name, call in (("augment", lambda: augment_to_ibr(flexible, POL)),
+                       ("verdict", lambda: ibr_verdict(fw, POL)),
+                       ("report", lambda: analysis_report(fw, POL))):
+        calls.clear()
+        call()
+        counts[name] = len(calls)
+    assert counts == {"augment": 0, "verdict": 0, "report": 1}
+
+
+def test_report_holds_no_decision_across_the_fd_probe():
+    # the probe's measured matrix plus the verdict's factor: a report that
+    # kept the decision while the probe runs peaks above this
+    fw = random_framework(GeneratorSpec(MetricSpace.rd(2), n=80,
+                                        graph_density=0.3, seed=0))
+    bound = rigidity_matrix(fw).matrix.nbytes + engine._verdict_factor(fw)[0].nbytes
+    tracemalloc.start()
+    try:
+        analysis_report(fw, POL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def looped_bearings(edges, positions, rotations):

@@ -1,9 +1,10 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from bearing_rigidity import (GeneratorSpec, MetricSpace, ParseError,
+from bearing_rigidity import (FIXTURES, GeneratorSpec, MetricSpace, ParseError,
                               TolerancePolicy, analysis_report, dumps,
                               export_dot, fixture, framework_from_json,
                               framework_to_json, hetero_case_study,
@@ -123,6 +124,21 @@ def test_report_fields_homogeneous():
     assert rep["fd_check"]["max_rel_error"] < 1e-5
     assert rep["seed"] == 4
     assert rep["timing_seconds"] is None
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_reports_match_the_golden_files(name):
+    # golden/<name>.json is dumps(analysis_report(fixture(name), seed=0));
+    # the FD error's last digits depend on the platform's BLAS, so it is
+    # held to criterion 06's bound instead of compared
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    got = json.loads(dumps(analysis_report(fixture(name), seed=0)))
+    assert got["fd_check"].pop("max_rel_error") < 1e-5
+    want["fd_check"].pop("max_rel_error")
+    assert got == want
 
 
 def test_report_fields_heterogeneous():

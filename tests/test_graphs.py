@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from bearing_rigidity import (SensingGraph, ValidationError, complete_edges,
                               complete_graph, connected_components,
-                              is_connected, orient)
-from oracles import incidence_matrices
+                              is_connected)
+from oracles import incidence_matrices, orient
 
 
 def test_edges_canonicalized_lexicographically():

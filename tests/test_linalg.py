@@ -4,8 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from bearing_rigidity import (NumericalError, TOLERANCE_PROFILES,
                               TolerancePolicy, ValidationError,
-                              orthonormal_columns, random_rotation,
-                              rank_and_nullspace, rotation_axis_angle,
+                              fd_jacobian_check, fixture, orthonormal_columns,
+                              random_rotation, rank_and_nullspace,
+                              rotation_axis_angle,
                               rotation_exp, skew, subspace_contains)
 from oracles import orthogonal_projector, planar_rotation, subspace_relation
 
@@ -41,11 +42,13 @@ def test_policy_rejects_out_of_range_values():
                 {"rank_rtol": nan}, {"subspace_tol": 1.0}, {"subspace_tol": 10.0},
                 {"subspace_tol": inf}, {"subspace_tol": nan},
                 {"fd_step": 1.0}, {"fd_step": 1e300}, {"fd_step": inf},
-                {"fd_step": nan}):
-        with pytest.raises(ValidationError, match="finite, positive"):
+                {"fd_step": nan}, {"fd_step": 0.0}, {"fd_step": -1e-6}):
+        with pytest.raises(ValidationError, match="finite, positive and below 1"):
             TolerancePolicy(**bad)
     edge = TolerancePolicy(rank_rtol=0.999, subspace_tol=0.999, fd_step=0.5)
     assert (edge.rank_rtol, edge.subspace_tol, edge.fd_step) == (0.999, 0.999, 0.5)
+    # the policy is the probe's only step
+    assert fd_jacobian_check(fixture("star-r2"), TolerancePolicy(fd_step=1e-5)).step == 1e-5
 
 
 def test_adaptive_rank_threshold_scales_with_shape():

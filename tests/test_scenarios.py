@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from bearing_rigidity import (FIXTURES, GeneratorSpec, MIN_SEPARATION,
                               MetricSpace, TolerancePolicy,
                               ValidationError,
-                              augment_to_ibr, case_study_partition, fixture,
+                              augment_to_ibr, fixture,
                               hetero_case_study, ibr_verdict, is_connected,
                               is_non_degenerate, random_framework)
+from oracles import case_study_partition
 
 POL = TolerancePolicy()
 R2 = MetricSpace.rd(2)
@@ -23,6 +24,13 @@ def test_spec_validation():
         GeneratorSpec(space=R2, n=4, graph_density=1.2)
     with pytest.raises(ValidationError):
         GeneratorSpec(space=R2, n=4, placement="grid")
+
+
+def test_negative_seeds_are_validation_errors():
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        GeneratorSpec(space=R2, n=4, seed=-1)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        hetero_case_study(seed=-1)
 
 
 def test_same_seed_same_framework():
