@@ -180,6 +180,18 @@ def test_fd_probe_rejects_fewer_than_one_trial(trials):
         fd_jacobian_check(sample("r2", n=4, seed=11), POL, trials=trials)
 
 
+def test_fd_probe_rejects_out_of_range_steps():
+    # the policy is the probe's only step, so an out-of-range step is
+    # refused where the policy is built and never reaches the probe
+    fw = sample("r2", n=4, seed=11)
+    for step in (1.0, 1e300, float("inf"), float("nan"), 0.0, -1e-6):
+        with pytest.raises(ValidationError, match="finite, positive and below 1"):
+            fd_jacobian_check(fw, dataclasses.replace(POL, fd_step=step))
+    with pytest.raises(TypeError):
+        fd_jacobian_check(fw, POL, step=1e-5)
+    assert fd_jacobian_check(fw, TolerancePolicy(fd_step=1e-5)).step == 1e-5
+
+
 TRIVIAL_DIMS = {"r2": 3, "r3": 4, "r2s1": 4, "r3s1": 5, "se3": 7}
 
 
