@@ -52,14 +52,14 @@ freedom per agent, which the verdict reports but does not test again.
 
 Each framework is decided once (_decide), at unit formation scale: one
 degeneracy test, one complete-graph kernel, one factor decomposition, in
-one record (_Decision) read by name. That kernel is known in closed form
-for non-degenerate homogeneous frameworks (the trivial variations above);
-only degenerate (collinear) and mixed ones decompose the complete graph,
-a choice only _complete_kernel makes (complete_graph_kernel shares it at
-the caller's own scale). ibr_verdict, the analysis report and augmentation
-(scenarios.augment_to_ibr, which reuses the record's complete-graph kernel
-and factor) read that record; only hetero_kernel_analysis and a mixed
-team's report build its kernel split (_hetero_split).
+one record of results (_Decision) read by name. That kernel is known in
+closed form for non-degenerate homogeneous frameworks (the trivial
+variations above); only degenerate (collinear) and mixed ones decompose
+the factor of the complete edge list, a choice only _complete_kernel makes
+(complete_graph_kernel reads it, then lifts the basis to the caller's scale).
+ibr_verdict, the analysis report and augmentation (scenarios.augment_to_ibr)
+read that record; only hetero_kernel_analysis and a mixed team's report
+build its kernel split (_hetero_split).
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -78,10 +78,10 @@ import numpy as np
 
 from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
-from .graphs import complete_graph
-from .linalg import (TolerancePolicy, orthonormal_columns, rank_and_nullspace,
-                     rotation_exp, subspace_contains)
-from .spaces import (Framework, MetricSpace, bearing_rigidity_function,
+from .graphs import complete_edges, complete_graph
+from .linalg import (TolerancePolicy, _residual, orthonormal_columns,
+                     rank_and_nullspace, rotation_exp)
+from .spaces import (Framework, MetricSpace, _rms_radius, bearing_rigidity_function,
                      bearing_stack_raw, is_non_degenerate)
 
 LABEL_VOCABULARY = frozenset({
@@ -226,9 +226,9 @@ def _complement_rows(u: np.ndarray, planar: bool) -> np.ndarray:
                      np.stack([b, sign + y * y * a, -y], axis=1)], axis=1)
 
 
-def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
+def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
               factor: bool = False) -> np.ndarray:
-    """Scatter the unified edge blocks straight into a selected layout.
+    """Scatter the unified blocks of edges (1-based) straight into a layout.
 
     Edge k = (i, j) with unit bearing u and length dist has the unified
     position block R_i^T P(u) / dist (at agent j's columns, negated at agent
@@ -247,7 +247,7 @@ def _assemble(fw: Framework, d: int, rot_cols: tuple[int, ...],
     (1 in the plane) instead of d.
     """
     n = fw.n
-    E = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1
+    E = np.array(edges, dtype=int).reshape(-1, 2) - 1
     heads, tails = E[:, 0], E[:, 1]
     m = len(E)
     P = fw.positions()
@@ -284,7 +284,8 @@ def _measured(fw: Framework, representation: str) -> RigidityMatrix:
     cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d),
                              (d * n + w * a, d * n + w * a + w) if w else None)
                  for a in range(n))
-    return RigidityMatrix._adopt(_assemble(fw, d, rot_cols), representation, rows, cols)
+    return RigidityMatrix._adopt(_assemble(fw, fw.graph.edges, d, rot_cols),
+                                 representation, rows, cols)
 
 
 def _layout(fw: Framework, representation: str) -> tuple[int, tuple[int, ...]]:
@@ -343,12 +344,12 @@ def _matrix_for_verdict(fw: Framework) -> RigidityMatrix:
     return rigidity_matrix(fw) if fw.is_homogeneous else unified_rigidity_matrix(fw)
 
 
-def _verdict_factor(fw: Framework) -> tuple[np.ndarray, tuple[int, int]]:
-    """Factor rows of the verdict matrix (see _assemble) and the verdict
+def _verdict_factor(fw: Framework, edges) -> tuple[np.ndarray, tuple[int, int]]:
+    """Factor rows of fw's verdict matrix on edges (see _assemble) and that
     matrix's own shape, which sets the rank threshold."""
     d, rot_cols = _layout(fw, _verdict_representation(fw))
-    C = _assemble(fw, d, rot_cols, factor=True)
-    return C, (d * fw.m, C.shape[1])
+    C = _assemble(fw, edges, d, rot_cols, factor=True)
+    return C, (d * len(edges), C.shape[1])
 
 
 def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
@@ -490,39 +491,34 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
 
     Non-degenerate homogeneous frameworks take the closed form: that kernel
     is exactly the trivial variations (trivial_variation_basis; Zhao &
-    Zelazo, IEEE TAC 2016), so no complete graph is built. Degenerate and
-    heterogeneous frameworks have no such closed form and get the SVD of
-    the complete-graph matrix in the verdict representation, through its
-    factor rows (see _assemble). The choice is _decide's (_complete_kernel),
-    made at fw's own scale; a mixed team takes the SVD untested.
+    Zelazo, IEEE TAC 2016). Degenerate and heterogeneous frameworks get the
+    SVD of the factor rows of the complete edge list (see _assemble). The
+    choice and the kernel are _decide's, at unit formation scale, so the
+    dimension is the verdict's at any scale; the basis is then lifted to
+    fw's coordinates (position rows scale with the formation) by QR, with
+    no second rank threshold.
     """
     pol = pol or TolerancePolicy()
-    degenerate = fw.is_homogeneous and not is_non_degenerate(fw, pol)
-    return _complete_kernel(fw, pol, degenerate)[0]
+    Nk = _complete_kernel(_unit_scale(fw), pol)[0]
+    d, _ = _layout(fw, _verdict_representation(fw))
+    lift = np.ones((Nk.shape[0], 1))
+    lift[:d * fw.n] = _rms_radius(fw.positions())
+    return np.linalg.qr(lift * Nk)[0]
 
 
-def _complete_kernel(fw: Framework, pol: TolerancePolicy, degenerate: bool,
-                     ) -> tuple[np.ndarray, SubspaceBasis | None, tuple | None]:
-    """(Nk, trivial, complete_factor): the complete-graph kernel of fw, from
-    the closed-form trivial basis when fw is homogeneous and not degenerate
-    (trivial is that basis, complete_factor None), otherwise from the
-    decomposed _verdict_factor of the complete graph (trivial None)."""
-    if fw.is_homogeneous and not degenerate:
-        trivial = _trivial_basis(fw, pol)
-        return trivial.basis, trivial, None
-    factor = _verdict_factor(_complete(fw))
-    return rank_and_nullspace(factor[0], pol, shape=factor[1])[1], None, factor
-
-
-def _complete(fw: Framework) -> Framework:
-    """fw's agents on the complete graph of fw's graph kind."""
-    return fw.with_graph(complete_graph(fw.graph))
-
-
-def _rms_radius(fw: Framework) -> float:
-    """RMS distance of the agents from their centroid."""
-    P = fw.positions()
-    return float(np.sqrt(np.mean(np.sum((P - P.mean(axis=0)) ** 2, axis=1))))
+def _complete_kernel(unit: Framework, pol: TolerancePolicy,
+                     ) -> tuple[np.ndarray, SubspaceBasis | None, bool]:
+    """(Nk, trivial, degenerate) of a unit-scale framework: one degeneracy
+    test, then the complete-graph kernel Nk, from the closed-form trivial
+    basis when unit is homogeneous and not degenerate (trivial is that
+    basis), otherwise from the decomposed _verdict_factor of the complete
+    edge list (trivial None)."""
+    degenerate = not is_non_degenerate(unit, pol)
+    if unit.is_homogeneous and not degenerate:
+        trivial = _trivial_basis(unit, pol)
+        return trivial.basis, trivial, degenerate
+    C, shape = _verdict_factor(unit, complete_edges(unit.n, unit.graph.kind))
+    return rank_and_nullspace(C, pol, shape=shape)[1], None, degenerate
 
 
 def _unit_scale(fw: Framework) -> Framework:
@@ -531,7 +527,7 @@ def _unit_scale(fw: Framework) -> Framework:
     scale as 1/length while rotational ones do not, so one relative rank
     threshold only separates both kinds of singular value near unit scale.
     A framework within 1e-12 of unit scale is returned as it is."""
-    scale = _rms_radius(fw)
+    scale = _rms_radius(fw.positions())
     if abs(scale - 1.0) <= 1e-12:
         return fw
     return dataclasses.replace(
@@ -547,20 +543,18 @@ class _Decision:
     verdict: RigidityVerdict
     Nk: np.ndarray
     trivial: SubspaceBasis | None
-    complete_factor: tuple[np.ndarray, tuple[int, int]] | None
     N: np.ndarray
     zero_columns: np.ndarray
 
 
 def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
-    """fw decided once at unit formation scale (unit): one degeneracy test,
-    the complete-graph kernel Nk with its trivial basis or complete factor
+    """fw decided once at unit formation scale (unit): the complete-graph
+    kernel Nk with its degeneracy test and closed-form trivial basis
     (_complete_kernel), one decomposition of fw's factor (kernel N; its zero
-    columns are for _hetero_split) and the verdict (see ibr_verdict)."""
+    columns are for _hetero_split) and the verdict. Results only, no matrix."""
     unit = _unit_scale(fw)
-    degenerate = not is_non_degenerate(unit, pol)
-    Nk, trivial, complete_factor = _complete_kernel(unit, pol, degenerate)
-    C, shape = _verdict_factor(unit)
+    Nk, trivial, degenerate = _complete_kernel(unit, pol)
+    C, shape = _verdict_factor(unit, unit.graph.edges)
     rank, N = rank_and_nullspace(C, pol, shape=shape)
     kernel_eq = _kernel_equal(Nk, N, pol)
     notes: list[str] = []
@@ -581,8 +575,7 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
                               kernel_equal_to_complete=kernel_eq,
                               classification=IBR if kernel_eq else IBF,
                               degenerate=degenerate, notes=tuple(notes))
-    return _Decision(fw, unit, verdict, Nk, trivial, complete_factor, N,
-                     np.flatnonzero(~C.any(axis=0)))
+    return _Decision(fw, unit, verdict, Nk, trivial, N, np.flatnonzero(~C.any(axis=0)))
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -602,11 +595,11 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
 
 
 def _kernel_equal(Nk: np.ndarray, Ng: np.ndarray, pol: TolerancePolicy) -> bool:
-    """Is the kernel Ng the complete-graph kernel Nk (orthonormal bases)? Nk
-    lies in Ng, else NumericalError; then, as subspace_tol < 1 keeps the
-    reverse residual ||(I - Nk Nk^T) Ng||_F^2 >= dim Ng - dim Nk, equal
-    dimension is equality."""
-    if not subspace_contains(Ng, Nk, pol):
+    """Is the kernel Ng the complete-graph kernel Nk (orthonormal bases, so
+    taken as they are)? Nk lies in Ng, else NumericalError; then, as
+    subspace_tol < 1 keeps the reverse residual ||(I - Nk Nk^T) Ng||_F^2 >=
+    dim Ng - dim Nk, equal dimension is equality."""
+    if not _residual(Ng, Nk) < pol.subspace_tol:
         raise NumericalError(
             "complete-graph kernel not contained in framework kernel; "
             "tolerances are inconsistent with this matrix")
@@ -708,7 +701,7 @@ def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelRepo
         labels.append("unlabeled")
     if matched:
         lift = np.ones((ambient, 1))
-        lift[:3 * fw.n] = _rms_radius(fw)
+        lift[:3 * fw.n] = _rms_radius(fw.positions())
         gen_mat = lift * np.column_stack(matched)
         basis = orthonormal_columns(gen_mat / np.linalg.norm(gen_mat, axis=0), pol)
     else:

@@ -202,10 +202,16 @@ def _subspace_summary(basis: engine.SubspaceBasis) -> dict:
     return {"dim": basis.dim, "labels": list(basis.labels)}
 
 
-def _decided(fw: Framework, pol: TolerancePolicy,
-             ) -> tuple[engine.RigidityVerdict, Framework, dict]:
-    """(verdict, unit-scale copy, subspace summary) of fw's one decision;
-    the record ends here, before the FD probe builds its matrix."""
+def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
+                    seed: int = 0, fd_trials: int = 20) -> dict:
+    """Full analysis of one framework as a JSON-ready dictionary.
+
+    Contains the framework summary, the rigidity verdict, subspace
+    dimensions, and a finite-difference consistency probe. timing_seconds
+    is None, so the document is byte-identical across runs for identical
+    inputs, seeds, and tolerances.
+    """
+    pol = pol or TolerancePolicy()
     decision = engine._decide(fw, pol)
     if not fw.is_homogeneous:
         split = engine._hetero_split(decision, pol)
@@ -217,22 +223,8 @@ def _decided(fw: Framework, pol: TolerancePolicy,
                      "closed-form trivial basis unavailable"}
     else:
         subspaces = {"trivial": _subspace_summary(decision.trivial)}
-    return decision.verdict, decision.unit, subspaces
-
-
-def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
-                    seed: int = 0, fd_trials: int = 20) -> dict:
-    """Full analysis of one framework as a JSON-ready dictionary.
-
-    Contains the framework summary, the rigidity verdict, subspace
-    dimensions, and a finite-difference consistency probe. timing_seconds
-    is None, so the document is byte-identical across runs for identical
-    inputs, seeds, and tolerances.
-    """
-    pol = pol or TolerancePolicy()
-    # one decision at unit scale; the FD probe reuses its unit-scale copy
-    verdict, unit, subspaces = _decided(fw, pol)
-    fd = engine.fd_jacobian_check(unit, pol, trials=fd_trials, seed=seed)
+    # the FD probe reuses the decision's unit-scale copy
+    fd = engine.fd_jacobian_check(decision.unit, pol, trials=fd_trials, seed=seed)
 
     if isinstance(fw.space, tuple):
         space_doc: Any = [space_to_json(s) for s in fw.space]
@@ -247,9 +239,9 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
             "graph_kind": fw.graph.kind,
             "homogeneous": fw.is_homogeneous,
             "space": space_doc,
-            "degenerate": verdict.degenerate,
+            "degenerate": decision.verdict.degenerate,
         },
-        "verdict": verdict_to_json(verdict),
+        "verdict": verdict_to_json(decision.verdict),
         "subspaces": subspaces,
         "fd_check": dict(vars(fd)),
         "tolerances": dict(vars(pol)),

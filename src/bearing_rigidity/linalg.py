@@ -32,10 +32,12 @@ class TolerancePolicy:
 
     rank_rtol None means "adaptive": 1e-10 * max(rows, cols) per matrix.
     Every value is finite and positive. rank_rtol is below 1, since a
-    threshold of sigma_max or more zeroes every rank, subspace_tol is below
-    1, since at 1 a basis can miss a whole direction and still be contained,
-    and fd_step is below 1, since the probe runs at unit formation scale,
-    where a step of 1 moves an agent by the formation's radius.
+    threshold of sigma_max or more zeroes every rank, and at least 1e-14,
+    since below that rounding noise counts toward the rank and verdicts
+    flip without any error; subspace_tol is below 1, since at 1 a basis
+    can miss a whole direction and still be contained, and fd_step is below
+    1, since the probe runs at unit formation scale, where a step of 1
+    moves an agent by the formation's radius.
     """
 
     rank_rtol: float | None = None
@@ -45,6 +47,8 @@ class TolerancePolicy:
     def __post_init__(self) -> None:
         if self.rank_rtol is not None:
             check_tolerance("rank_rtol", self.rank_rtol)
+            if self.rank_rtol < 1e-14:
+                raise ValidationError(f"rank_rtol must be at least 1e-14, got {self.rank_rtol!r}")
         check_tolerance("subspace_tol", self.subspace_tol)
         check_tolerance("fd_step", self.fd_step)
 
@@ -185,7 +189,10 @@ def subspace_contains(B: np.ndarray, A: np.ndarray,
     QB = orthonormal_columns(B, pol)
     if QA.shape[0] != QB.shape[0]:
         raise ValidationError("subspaces live in different ambient dimensions")
-    if QA.shape[1] == 0:
-        return True
-    resid = QA - QB @ (QB.T @ QA)
-    return bool(np.linalg.norm(resid) < pol.subspace_tol)
+    return _residual(QB, QA) < pol.subspace_tol
+
+
+def _residual(QB: np.ndarray, QA: np.ndarray) -> float:
+    """||(I - QB QB^T) QA||_F for orthonormal bases QA and QB: below
+    subspace_tol, span(QA) lies in span(QB). Zero when QA has no columns."""
+    return float(np.linalg.norm(QA - QB @ (QB.T @ QA)))

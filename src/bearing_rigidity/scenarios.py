@@ -180,47 +180,45 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     returned framework keeps fw's own positions.
 
     An edge's factor rows depend on that edge alone, so the complete graph's
-    factor is assembled once per call (or taken from the decision, which
-    builds it for degenerate inputs and mixed teams), and every rank is
-    taken on a row selection of it: the current edges plus the candidate,
-    in canonical order, which is exactly the factor of that graph. No graph
-    or framework is built per candidate, and the winning candidate's kernel
-    is the new graph's, so no selection is decomposed twice.
+    factor is assembled once per call from the complete edge list, and every
+    rank is taken on a row selection of it: the current edges plus the
+    candidate, one boolean mask over the complete edges, which keeps their
+    canonical order and so is exactly the factor of that graph. No graph or
+    framework is built per candidate, and the winning candidate's kernel is
+    the new graph's, so no selection is decomposed twice.
     """
     pol = pol or TolerancePolicy()
     decision = engine._decide(fw, pol)
     if decision.verdict.classification == engine.IBR:
         return fw, ()
 
-    C, (rows, cols) = (decision.complete_factor
-                       or engine._verdict_factor(engine._complete(decision.unit)))
     edges = complete_edges(fw.n, fw.graph.kind)
+    C, (rows, cols) = engine._verdict_factor(decision.unit, edges)
     blocks = C.reshape(len(edges), -1, cols)
     per_edge = rows // len(edges)  # measured rows per edge set the threshold
 
-    def rank(selected: list[int]) -> tuple[int, np.ndarray]:
+    def rank(selected: np.ndarray) -> tuple[int, np.ndarray]:
         return rank_and_nullspace(blocks[selected].reshape(-1, cols), pol,
-                                  shape=(per_edge * len(selected), cols))
+                                  shape=(per_edge * int(selected.sum()), cols))
 
-    index = {e: k for k, e in enumerate(edges)}
-    current = sorted(index[e] for e in fw.graph.edges)
+    present = frozenset(fw.graph.edges)
+    chosen = np.array([e in present for e in edges])
+    ids = np.arange(len(edges))
     rank_g = decision.verdict.rank
     added: list[tuple[int, int]] = []
     while rank_g < cols - decision.Nk.shape[1]:
-        have = set(current)
-        candidates = [k for k in range(len(edges)) if k not in have]
         best = None
-        for k in candidates:
-            r, N = rank(sorted(current + [k]))
+        for k in np.flatnonzero(~chosen):
+            r, N = rank(chosen | (ids == k))
             if r > rank_g:
                 best, rank_g, Ng = k, r, N
         if best is None:
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
                                  "exceeds the complete graph's")
-        current = sorted(current + [best])
+        chosen[best] = True
         added.append(edges[best])
     engine._kernel_equal(decision.Nk, Ng, pol)
-    graph = SensingGraph(fw.n, tuple(edges[k] for k in current), fw.graph.kind)
+    graph = SensingGraph(fw.n, tuple(e for e, c in zip(edges, chosen) if c), fw.graph.kind)
     return fw.with_graph(graph), tuple(added)
 
 

@@ -20,13 +20,14 @@ which is why directed graphs are required whenever orientations are present.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoincidentAgentsError, ValidationError
 from .graphs import SensingGraph
-from .linalg import TolerancePolicy, rotation_axis_angle
+from .linalg import TolerancePolicy, rank_and_nullspace, rotation_axis_angle
 
 SPACE_KINDS = ("rd", "rdxs1", "se3")
 COINCIDENT_TOL = 1e-12
@@ -154,6 +155,8 @@ class Framework:
     `space` is either one MetricSpace shared by all agents or a tuple with
     one entry per agent. A per-agent tuple whose entries are all equal is
     collapsed to the shared form, so homogeneity is a property of content.
+    Two agents coincide when at most COINCIDENT_TOL times the positions'
+    RMS radius apart, at any scale; agents all at one point coincide.
     """
 
     graph: SensingGraph
@@ -208,7 +211,7 @@ class Framework:
 
         P = self.positions()
         dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-        close = np.argwhere(np.triu(dist < COINCIDENT_TOL, k=1))
+        close = np.argwhere(np.triu(dist <= COINCIDENT_TOL * _rms_radius(P), k=1))
         if close.size:
             i, j = close[0]
             raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
@@ -253,6 +256,12 @@ class Framework:
         return dataclasses.replace(self, graph=g)
 
 
+def _rms_radius(P: np.ndarray) -> float:
+    """RMS distance of the points P (one per row) from their centroid."""
+    C = P - P.sum(axis=0) / len(P)
+    return math.sqrt((C * C).sum(axis=1).sum() / len(P))
+
+
 @dataclass(frozen=True)
 class BearingStack:
     """Stacked unit bearings, one 3-vector per edge in canonical edge order."""
@@ -280,15 +289,15 @@ def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
     """(m, 3) bearing stack from raw arrays; edges are 0-based (head, tail).
 
     No framework validation happens here; finite-difference probing relies on
-    evaluating bearings at perturbed raw states. A coincident pair raises,
-    naming the first such edge in the given order.
+    evaluating bearings at perturbed raw states. A coincident pair (see
+    Framework) raises, naming the first such edge in the given order.
     """
     E = np.asarray(edges, dtype=int).reshape(-1, 2)
     heads, tails = E[:, 0], E[:, 1]
     P = np.asarray(positions, dtype=float)
     diff = P[tails] - P[heads]
     dist = np.linalg.norm(diff, axis=1)
-    close = np.flatnonzero(dist < COINCIDENT_TOL)
+    close = np.flatnonzero(dist <= COINCIDENT_TOL * _rms_radius(P))
     if close.size:
         i, j = E[close[0]]
         raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
@@ -320,10 +329,12 @@ class DegeneracyReport:
 def is_non_degenerate(fw_or_positions, pol: TolerancePolicy | None = None,
                       ) -> DegeneracyReport:
     """A configuration is non-degenerate when its centered positions have
-    rank at least 2, i.e. the agents are not all on one line.
+    rank at least 2 (rank_and_nullspace), i.e. the agents are not all on
+    one line.
 
     Accepts a Framework or an (n, 2)/(n, 3) position array. The report
-    carries the line direction when the test fails.
+    carries the line direction when the rank is 1: the cross product of
+    the two kernel vectors.
     """
     pol = pol or TolerancePolicy()
     if isinstance(fw_or_positions, Framework):
@@ -334,12 +345,10 @@ def is_non_degenerate(fw_or_positions, pol: TolerancePolicy | None = None,
             raise ValidationError("positions must be an (n, 2) or (n, 3) array")
         if P.shape[1] == 2:
             P = np.hstack([P, np.zeros((P.shape[0], 1))])
-    C = P - P.mean(axis=0)
-    _, s, Vh = np.linalg.svd(C, full_matrices=False)
-    thresh = pol.effective_rank_rtol(C.shape) * (s[0] if s.size else 0.0)
-    if s[0] <= 0.0:
+    rank, N = rank_and_nullspace(P - P.mean(axis=0), pol)
+    if rank == 0:
         return DegeneracyReport(False, None, "all agents at one point")
-    if s[1] > thresh:
+    if rank >= 2:
         return DegeneracyReport(True, None, "configuration spans at least a plane section")
-    v = Vh[0]
+    v = np.cross(N[:, 0], N[:, 1])
     return DegeneracyReport(False, v, f"agents collinear along {np.round(v, 6).tolist()}")

@@ -168,7 +168,7 @@ def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:
     """
     pol = pol or TolerancePolicy()
     unit = engine._unit_scale(fw)
-    C, shape = engine._verdict_factor(unit)
+    C, shape = engine._verdict_factor(unit, unit.graph.edges)
     return subspace_relation(complete_graph_kernel(unit, pol),
                              rank_and_nullspace(C, pol, shape=shape)[1], pol)
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from bearing_rigidity import GeneratorSpec, MetricSpace, random_framework
 from bearing_rigidity.cli import main
+from bearing_rigidity.formats import framework_to_json
 
 
 @pytest.fixture(autouse=True)
@@ -197,9 +199,10 @@ def one_error_line(err):
     return len(lines) == 1 and lines[0].startswith("error:")
 
 
-@pytest.mark.parametrize("flags", [("--rank-rtol", "1"), ("--fd-step", "inf"),
-                                   ("--fd-step", "1e300")],
-                         ids=["rank-rtol-1", "fd-step-inf", "fd-step-1e300"])
+@pytest.mark.parametrize("flags", [("--rank-rtol", "1"), ("--rank-rtol", "1e-15"),
+                                   ("--fd-step", "inf"), ("--fd-step", "1e300")],
+                         ids=["rank-rtol-1", "rank-rtol-1e-15", "fd-step-inf",
+                              "fd-step-1e300"])
 def test_out_of_range_tolerance_flags_are_validation_errors(capsys, flags):
     code, out, err = run(capsys, "analyze", "star-r2", *flags)
     assert code == 3 and out == ""
@@ -212,6 +215,38 @@ def test_infinite_config_tolerance_is_a_validation_error(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
     assert code == 3 and out == ""
     assert one_error_line(err)
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1e-9]"],
+                         ids=["missing", "malformed", "not-an-object"])
+def test_unusable_config_files_are_parse_errors(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert one_error_line(err)
+
+
+def test_a_complete_kernel_outside_the_framework_kernel_is_a_numerical_error(
+        tmp_path, capsys):
+    # a complete graph on a line of agents jittered off it by 1e-8: they span
+    # a plane, so the complete kernel is the closed-form trivial basis, but
+    # the jitter's singular values straddle the rank threshold and the kernel
+    # left above it misses that basis by more than subspace_tol
+    fw = random_framework(GeneratorSpec(MetricSpace.rd(2), n=6, seed=3,
+                                        placement="collinear"))
+    doc = framework_to_json(fw)
+    rng = np.random.default_rng(0)
+    for agent in doc["agents"]:
+        agent["p"][1] += 1e-8 * rng.standard_normal()
+    path = tmp_path / "jittered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (("analyze", str(path)), ("export-dot", str(path), "--augment")):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert one_error_line(err)
+        assert err.startswith("error: complete-graph kernel not contained")
 
 
 def test_analyze_a_directory_is_an_error_line(tmp_path, capsys):

@@ -28,8 +28,8 @@
 * The verdict and augmentation test degeneracy once and then build the
   trivial basis unchecked; the public trivial_variation_basis still checks.
 * A mixed team's kernel split is built only for its readers (the report and
-  hetero_kernel_analysis), and a report lets the decision go before its FD
-  probe builds the measured matrix.
+  hetero_kernel_analysis), and the decision record keeps no matrix, so a
+  report's memory peak stays below the FD probe's matrix plus the factor.
 """
 import dataclasses
 import tracemalloc
@@ -143,10 +143,10 @@ def test_closed_form_kernel_matches_complete_graph(key, planar_3d):
 
 
 def test_verdict_skips_the_complete_graph_only_when_closed_form_applies(monkeypatch):
-    def no_complete_graph(g):
+    def no_complete_graph(n, kind):
         raise AssertionError("complete graph built")
 
-    monkeypatch.setattr(engine, "complete_graph", no_complete_graph)
+    monkeypatch.setattr(engine, "complete_edges", no_complete_graph)
     rng = np.random.default_rng(3)
     assert ibr_verdict(placed_framework(SPACES["se3"], 6, rng), POL).classification == "IBR"
     collinear = random_framework(GeneratorSpec(space=SPACES["r2"], n=4, seed=1,
@@ -155,6 +155,26 @@ def test_verdict_skips_the_complete_graph_only_when_closed_form_applies(monkeypa
         ibr_verdict(collinear, POL)
     with pytest.raises(AssertionError, match="complete graph built"):
         ibr_verdict(hetero_case_study(seed=0), POL)
+
+
+def test_complete_graph_kernel_keeps_the_decided_dimension_at_any_scale():
+    # the choice and the decomposition are made at unit scale and only the
+    # basis is lifted, so a degenerate line or a mixed team keeps its kernel
+    # dimension where a caller-scale threshold would drift
+    cases = [random_framework(GeneratorSpec(space=SPACES[key], n=5, seed=1,
+                                            placement="collinear"))
+             for key in ("r2s1", "r3s1z", "se3")]
+    cases += [hetero_case_study(0), placed_framework(SPACES["se3"], 5,
+                                                     np.random.default_rng(2))]
+    for fw in cases:
+        dim = engine._decide(fw, POL).Nk.shape[1]
+        for factor in (1e-9, 1e-5, 1.0, 1e5, 1e9):
+            moved = scaled(fw, factor)
+            K = complete_graph_kernel(moved, POL)
+            assert K.shape[1] == dim
+            np.testing.assert_allclose(K.T @ K, np.eye(dim), rtol=0, atol=1e-12)
+            B = engine._matrix_for_verdict(moved.with_graph(complete_graph(moved.graph))).matrix
+            assert np.linalg.norm(B @ K) / np.linalg.norm(B) < 1e-6
 
 
 def test_mixed_report_computes_one_verdict(monkeypatch):
@@ -198,12 +218,13 @@ def test_only_the_readers_of_the_split_build_it(monkeypatch):
     assert counts == {"augment": 0, "verdict": 0, "report": 1}
 
 
-def test_report_holds_no_decision_across_the_fd_probe():
-    # the probe's measured matrix plus the verdict's factor: a report that
-    # kept the decision while the probe runs peaks above this
+def test_report_peaks_below_the_probe_matrix_plus_the_verdict_factor():
+    # the decision keeps results only, so a report holding it across the FD
+    # probe peaks below the probe's measured matrix plus the verdict's factor
     fw = random_framework(GeneratorSpec(MetricSpace.rd(2), n=80,
                                         graph_density=0.3, seed=0))
-    bound = rigidity_matrix(fw).matrix.nbytes + engine._verdict_factor(fw)[0].nbytes
+    bound = (rigidity_matrix(fw).matrix.nbytes
+             + engine._verdict_factor(fw, fw.graph.edges)[0].nbytes)
     tracemalloc.start()
     try:
         analysis_report(fw, POL)
@@ -596,7 +617,7 @@ def reference_hetero_trivial(fw):
     sv = np.linalg.svd(Qt - Qm @ (Qm.T @ Qt), compute_uv=False)
     labels += ["unlabeled"] * int(np.sum(sv > POL.subspace_tol))
     lift = np.ones((B.shape[1], 1))
-    lift[:3 * fw.n] = engine._rms_radius(fw)
+    lift[:3 * fw.n] = engine._rms_radius(fw.positions())
     return tuple(labels), lift * np.column_stack(matched)
 
 
@@ -692,7 +713,8 @@ def scaled(fw, factor):
 
 
 def factor_rows(fw, representation):
-    return engine._assemble(fw, *engine._layout(fw, representation), factor=True)
+    return engine._assemble(fw, fw.graph.edges, *engine._layout(fw, representation),
+                            factor=True)
 
 
 def measured_rows(fw, representation):
@@ -742,7 +764,7 @@ def test_factor_rows_match_the_measured_rows(key, planar_3d):
             moved = scaled(engine._unit_scale(fw), factor)
             for rep in ("per_space", "unified"):
                 assert_factor_matches(moved, rep)
-            C, shape = engine._verdict_factor(moved)
+            C, shape = engine._verdict_factor(moved, moved.graph.edges)
             np.testing.assert_array_equal(C, factor_rows(moved, "per_space"))
             assert shape == measured_rows(moved, "per_space").shape
 
@@ -758,7 +780,7 @@ def test_mixed_factor_rows_match_the_measured_rows():
         for factor in FACTOR_SCALES:
             moved = scaled(fw, factor)
             assert_factor_matches(moved, "unified")
-            C, shape = engine._verdict_factor(moved)
+            C, shape = engine._verdict_factor(moved, moved.graph.edges)
             np.testing.assert_array_equal(C, factor_rows(moved, "unified"))
             assert shape == measured_rows(moved, "unified").shape
 
@@ -827,7 +849,7 @@ def reference_rebuild_augmentation(fw):
     Nk = complete_graph_kernel(unit, POL)
     current, added = unit, []
     while True:
-        C, shape = engine._verdict_factor(current)
+        C, shape = engine._verdict_factor(current, current.graph.edges)
         rank_g, Ng = engine.rank_and_nullspace(C, POL, shape=shape)
         if subspace_relation(Nk, Ng, POL) == "equal":
             return tuple(added)
@@ -837,7 +859,7 @@ def reference_rebuild_augmentation(fw):
                 continue
             trial = current.with_graph(
                 SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
-            C, shape = engine._verdict_factor(trial)
+            C, shape = engine._verdict_factor(trial, trial.graph.edges)
             r, _ = engine.rank_and_nullspace(C, POL, shape=shape)
             if r > best_rank:
                 best_edge, best_rank = e, r
@@ -944,11 +966,11 @@ def test_augmentation_validates_a_bounded_number_of_frameworks(monkeypatch):
     for flexible in (tree, mixed):
         frameworks.take(), graphs.take()
         out, added = augment_to_ibr(flexible, POL)
-        # a unit-scale copy, its complete graph and the result, however
-        # many candidates were ranked
+        # a unit-scale copy and the result, however many candidates were
+        # ranked: the complete graph is an edge list, not a framework
         assert len(added) >= 3
-        assert frameworks.take() <= 3
-        assert graphs.take() <= 3
+        assert frameworks.take() <= 2
+        assert graphs.take() <= 1
         assert ibr_verdict(out, POL).classification == "IBR"
 
 
@@ -967,10 +989,22 @@ def test_one_degeneracy_test_per_report_and_augmentation(monkeypatch):
         assert tests.take() == 1
 
 
+def test_homogeneous_report_makes_three_svds(monkeypatch):
+    # the degeneracy test, the trivial basis and the verdict factor; the
+    # containment test takes the decided bases as they are
+    svds = CallCounter(monkeypatch, "svd", np.linalg)
+    rng = np.random.default_rng(53)
+    for key in ("r2", "r3s1z", "se3"):
+        fw = placed_framework(SPACES[key], 6, rng)
+        for sub in (fw, fw.with_graph(spanning_tree(6, fw.graph.kind, rng, 0.3))):
+            analysis_report(sub, POL)
+            assert svds.take() == 3
+
+
 def test_kernel_equality_is_one_containment_test(monkeypatch):
-    # containment plus equal dimension: one test per decision, and
+    # containment plus equal dimension: one residual per decision, and
     # augmentation adds one on its final kernel
-    tests = CallCounter(monkeypatch, "subspace_contains", linalg, engine)
+    tests = CallCounter(monkeypatch, "_residual", linalg, engine)
     rng = np.random.default_rng(47)
     fw = placed_framework(SPACES["r3s1z"], 6, rng)
     mixed = mixed_framework(5, rng, complete_graph(

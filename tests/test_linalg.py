@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bearing_rigidity import (NumericalError, TOLERANCE_PROFILES,
-                              TolerancePolicy, ValidationError,
-                              fd_jacobian_check, fixture, orthonormal_columns,
+from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
+                              TOLERANCE_PROFILES, TolerancePolicy, ValidationError,
+                              fd_jacobian_check, fixture, hetero_case_study,
+                              ibr_verdict, orthonormal_columns, random_framework,
                               random_rotation, rank_and_nullspace,
                               rotation_axis_angle,
                               rotation_exp, skew, subspace_contains)
@@ -49,6 +50,31 @@ def test_policy_rejects_out_of_range_values():
     assert (edge.rank_rtol, edge.subspace_tol, edge.fd_step) == (0.999, 0.999, 0.5)
     # the policy is the probe's only step
     assert fd_jacobian_check(fixture("star-r2"), TolerancePolicy(fd_step=1e-5)).step == 1e-5
+
+
+def rank_rtol_floor_inputs():
+    """Inputs whose verdict flips without an error below the floor: a
+    collinear heading team (IBF at 1e-15), the complete collinear heading
+    graph (IBF at 3e-16), and the mixed case study (rank 24 at 1e-300, so
+    not even the translations stay in its kernel)."""
+    r2s1 = MetricSpace.rd_s1(2)
+    return [random_framework(GeneratorSpec(r2s1, n=40, graph_density=0.5, seed=0,
+                                           placement="collinear")),
+            random_framework(GeneratorSpec(r2s1, n=6, seed=0, placement="collinear")),
+            hetero_case_study(0)]
+
+
+def test_rank_rtol_below_the_rounding_level_is_rejected():
+    for bad in (9.9e-15, 1e-15, 3e-16, 1e-300):
+        with pytest.raises(ValidationError, match="at least 1e-14"):
+            TolerancePolicy(rank_rtol=bad)
+    # at the floor itself every such input decides as by default
+    floor = TolerancePolicy(rank_rtol=1e-14)
+    for fw in rank_rtol_floor_inputs():
+        at_floor, default = ibr_verdict(fw, floor), ibr_verdict(fw)
+        assert default.classification == "IBR"
+        assert ((at_floor.classification, at_floor.rank, at_floor.nullity)
+                == (default.classification, default.rank, default.nullity))
 
 
 def test_adaptive_rank_threshold_scales_with_shape():

@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from bearing_rigidity import (AgentState, CoincidentAgentsError, Framework,
                               MetricSpace, SensingGraph, ValidationError,
-                              bearing_rigidity_function, complete_edges,
-                              is_non_degenerate, random_rotation,
+                              bearing_rigidity_function, complete_edges, fixture,
+                              ibr_verdict, is_non_degenerate, random_rotation,
                               rotation_axis_angle)
+from bearing_rigidity.spaces import bearing_stack_raw
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -127,6 +128,36 @@ def test_coincident_agents_rejected():
                                [2.0, 0.0]])
 
 
+def scaled_copy(fw, factor):
+    return Framework(fw.graph, fw.space, tuple(
+        AgentState(p=factor * st.p, alpha=st.alpha, R=st.R) for st in fw.states))
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-13])
+def test_coincidence_is_relative_to_the_formation_size(scale):
+    # an absolute distance floor would reject these tiny but distinct agents
+    fw = fixture("square-diagonal-r2")
+    small, ref = ibr_verdict(scaled_copy(fw, scale)), ibr_verdict(fw)
+    assert small.classification == ref.classification == "IBR"
+    assert (small.rank, small.nullity) == (ref.rank, ref.nullity)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-13, 1.0, 1e9])
+def test_coincident_agents_raise_at_every_scale(scale):
+    pts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
+    near = pts.copy()
+    near[3, 1] += 1e-13 * scale  # closer than COINCIDENT_TOL times the radius
+    for P in (pts, near):
+        with pytest.raises(CoincidentAgentsError, match="^agents 2 and 4 coincide$"):
+            shared_frame_triangle(P)
+        P3 = np.hstack([P, np.zeros((4, 1))])
+        with pytest.raises(CoincidentAgentsError, match="^agents 2 and 4 coincide$"):
+            bearing_stack_raw([(0, 1), (1, 3)], P3, [np.eye(3)] * 4)
+    # all agents at one point have zero radius and still coincide
+    with pytest.raises(CoincidentAgentsError, match="^agents 1 and 2 coincide$"):
+        shared_frame_triangle([[scale, scale]] * 3)
+
+
 def test_bearing_hand_values():
     fw = shared_frame_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(bearing(fw, 1, 2), [1, 0, 0],
@@ -211,3 +242,13 @@ def test_degeneracy_detection():
     assert not report
     direction = np.abs(report.collinear_direction)
     np.testing.assert_allclose(direction, [1.0, 0.0, 0.0], atol=1e-10)
+    # the direction from the rank-1 kernel is the top singular vector's
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        v = rng.standard_normal(3)
+        P = rng.standard_normal(3) + np.outer(rng.uniform(-2.0, 2.0, 6), v)
+        report = is_non_degenerate(P)
+        top = np.linalg.svd(P - P.mean(axis=0))[2][0]
+        assert not report
+        assert min(np.linalg.norm(report.collinear_direction - top),
+                   np.linalg.norm(report.collinear_direction + top)) < 1e-12
