@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_settings(args) -> tuple[TolerancePolicy, int]:
-    """Fold defaults, environment profile, config file, and flags."""
+    """Fold defaults, environment profile, config file, and flags. Every
+    setting is checked here, before any input is read."""
     profile_name = os.environ.get("BRL_TOLERANCE_PROFILE", "").strip()
     if profile_name:
         if profile_name not in TOLERANCE_PROFILES:
@@ -135,6 +136,9 @@ def resolve_settings(args) -> tuple[TolerancePolicy, int]:
         seed = args.seed
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    trials = getattr(args, "fd_trials", None)
+    if trials is not None and trials < 1:
+        raise ValidationError(f"--fd-trials must be at least 1, got {trials}")
     return TolerancePolicy(**vals), seed
 
 

@@ -81,8 +81,8 @@ from .errors import (DegenerateConfigurationError, NumericalError,
 from .graphs import complete_edges, complete_graph
 from .linalg import (TolerancePolicy, _residual, orthonormal_columns,
                      rank_and_nullspace, rotation_exp)
-from .spaces import (Framework, MetricSpace, _rms_radius, bearing_rigidity_function,
-                     bearing_stack_raw, is_non_degenerate)
+from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings, _rms_radius,
+                     bearing_rigidity_function, is_non_degenerate)
 
 LABEL_VOCABULARY = frozenset({
     "translation_x", "translation_y", "translation_z", "scaling",
@@ -391,7 +391,10 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     turning = V.any()
     edges0 = [(i - 1, j - 1) for i, j in fw.graph.edges]
     P, R = fw.positions(), np.array(fw.rotations())
-    b0 = bearing_stack_raw(edges0, P, R)[:, :d].reshape(-1)
+    # the base state's coincidence threshold serves every trial: a step of
+    # fd_step < 1 at unit scale barely moves the radius
+    coincident = COINCIDENT_TOL * _rms_radius(P)
+    b0 = _bearings(edges0, P, R, coincident)[:, :d].reshape(-1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -403,7 +406,7 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
         full[lift] = delta
         dp, dw = full.reshape(2, n, 3)
         R2 = rotation_exp(h * np.einsum("aij,aj->ai", V, dw)) @ R if turning else R
-        b1 = bearing_stack_raw(edges0, P + h * dp, R2)[:, :d].reshape(-1)
+        b1 = _bearings(edges0, P + h * dp, R2, coincident)[:, :d].reshape(-1)
         fd = (b1 - b0) / h
         Bd = B @ delta
         err = np.linalg.norm(Bd - fd) / max(1.0, np.linalg.norm(Bd))

@@ -1,11 +1,12 @@
 """Numeric kernel: tolerance policy, small geometric operators, rank and
 subspace computations.
 
-Every rank decision in the package funnels through rank_and_nullspace so that
-a single threshold convention applies everywhere: a singular value counts
-toward the rank when it exceeds rtol * sigma_max. The default rtol adapts to
-the matrix shape (1e-10 * max(rows, cols)); an explicit policy value overrides
-it for all shapes.
+Every rank decision in the package funnels through rank_and_nullspace, or
+its rank-only form _rank, so that a single threshold convention applies
+everywhere: a singular value counts toward the rank when it exceeds
+rtol * sigma_max. The default rtol adapts to the matrix shape
+(1e-10 * max(rows, cols)); an explicit policy value overrides it for all
+shapes.
 
 Subspaces are always handled through orthonormal column bases. Containment of
 span(A) in span(B) is decided by the Frobenius residual of A's basis after
@@ -150,6 +151,17 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     the same Gram matrix (M^T M = B^T B, hence the same singular values and
     kernel); the threshold then uses B's shape, so M decides exactly as B.
     """
+    return _rank(M, pol, shape=shape, kernel=True)
+
+
+def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
+          shape: tuple[int, int] | None = None, kernel: bool = False,
+          ) -> tuple[int, np.ndarray | None]:
+    """(rank, N) as rank_and_nullspace decides them: the same checks, QR
+    reduction and threshold. Without kernel, N is None and the SVD computes
+    singular values only, which may differ from the full SVD's in the last
+    bits; a rank that must agree with a kernel is confirmed by
+    rank_and_nullspace."""
     pol = pol or TolerancePolicy()
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -157,12 +169,15 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     if not np.all(np.isfinite(M)):
         raise NumericalError("matrix contains NaN or Inf")
     if M.size == 0:
-        return 0, np.eye(M.shape[1])
+        return 0, np.eye(M.shape[1]) if kernel else None
     A = np.linalg.qr(M, mode="r") if M.shape[0] > M.shape[1] else M
-    _, s, Vh = np.linalg.svd(A, full_matrices=M.shape[0] < M.shape[1])
+    if kernel:
+        _, s, Vh = np.linalg.svd(A, full_matrices=M.shape[0] < M.shape[1])
+    else:
+        s = np.linalg.svd(A, compute_uv=False)
     rtol = pol.effective_rank_rtol(M.shape if shape is None else shape)
     rank = int(np.sum(s > rtol * (s[0] if s.size else 0.0)))
-    return rank, Vh[rank:].T.copy()
+    return rank, Vh[rank:].T.copy() if kernel else None
 
 
 def orthonormal_columns(A: np.ndarray, pol: TolerancePolicy | None = None) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import SensingGraph, complete_edges, is_connected
-from .linalg import TolerancePolicy, random_rotation, rank_and_nullspace, \
+from .linalg import TolerancePolicy, _rank, random_rotation, rank_and_nullspace, \
     rotation_axis_angle
 from .spaces import AgentState, Framework, MetricSpace, is_non_degenerate
 from . import engine
@@ -184,8 +184,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     rank is taken on a row selection of it: the current edges plus the
     candidate, one boolean mask over the complete edges, which keeps their
     canonical order and so is exactly the factor of that graph. No graph or
-    framework is built per candidate, and the winning candidate's kernel is
-    the new graph's, so no selection is decomposed twice.
+    framework is built per candidate. Candidates are ranked from singular
+    values alone (linalg._rank, same threshold); one rank_and_nullspace of
+    the final selection gives the kernel, and its rank must be the loop's.
     """
     pol = pol or TolerancePolicy()
     decision = engine._decide(fw, pol)
@@ -197,9 +198,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     blocks = C.reshape(len(edges), -1, cols)
     per_edge = rows // len(edges)  # measured rows per edge set the threshold
 
-    def rank(selected: np.ndarray) -> tuple[int, np.ndarray]:
-        return rank_and_nullspace(blocks[selected].reshape(-1, cols), pol,
-                                  shape=(per_edge * int(selected.sum()), cols))
+    def rank(selected: np.ndarray, decompose=_rank) -> tuple[int, np.ndarray | None]:
+        return decompose(blocks[selected].reshape(-1, cols), pol,
+                         shape=(per_edge * int(selected.sum()), cols))
 
     present = frozenset(fw.graph.edges)
     chosen = np.array([e in present for e in edges])
@@ -209,14 +210,18 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     while rank_g < cols - decision.Nk.shape[1]:
         best = None
         for k in np.flatnonzero(~chosen):
-            r, N = rank(chosen | (ids == k))
+            r, _ = rank(chosen | (ids == k))
             if r > rank_g:
-                best, rank_g, Ng = k, r, N
+                best, rank_g = k, r
         if best is None:
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
                                  "exceeds the complete graph's")
         chosen[best] = True
         added.append(edges[best])
+    rank_final, Ng = rank(chosen, rank_and_nullspace)
+    if rank_final != rank_g:
+        raise NumericalError(f"the augmented graph's rank {rank_final} is not the "
+                             f"{rank_g} its edges were chosen by")
     engine._kernel_equal(decision.Nk, Ng, pol)
     graph = SensingGraph(fw.n, tuple(e for e, c in zip(edges, chosen) if c), fw.graph.kind)
     return fw.with_graph(graph), tuple(added)

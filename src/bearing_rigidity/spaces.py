@@ -292,12 +292,19 @@ def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
     evaluating bearings at perturbed raw states. A coincident pair (see
     Framework) raises, naming the first such edge in the given order.
     """
+    P = np.asarray(positions, dtype=float)
+    return _bearings(edges, P, rotations, COINCIDENT_TOL * _rms_radius(P))
+
+
+def _bearings(edges, positions: np.ndarray, rotations, coincident: float) -> np.ndarray:
+    """bearing_stack_raw with the absolute coincidence threshold given:
+    agents at distance <= coincident raise."""
     E = np.asarray(edges, dtype=int).reshape(-1, 2)
     heads, tails = E[:, 0], E[:, 1]
     P = np.asarray(positions, dtype=float)
     diff = P[tails] - P[heads]
     dist = np.linalg.norm(diff, axis=1)
-    close = np.flatnonzero(dist <= COINCIDENT_TOL * _rms_radius(P))
+    close = np.flatnonzero(dist <= coincident)
     if close.size:
         i, j = E[close[0]]
         raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")

@@ -6,8 +6,9 @@ None of these share code with the assembler or the verdict path:
   lifted forms, for rebuilding rigidity matrices as block products.
 * reduced_rank_oracle: the rank of a position-only rigidity matrix from
   per-edge perpendicular rows.
-* laman_rank: the generic rank of a planar framework by the 2D pebble game,
-  a purely combinatorial count.
+* pebble_rank: the rank of a count matroid by the (k, l) pebble game, a
+  purely combinatorial count; the generic rank of position-only frameworks
+  in the plane (2, 3, 1) and in 3-space (3, 4, 2).
 
 kernel_inclusion_check is no oracle: it reads the library's complete-graph
 kernel and verdict factor, and reports their relation instead of raising as
@@ -110,18 +111,24 @@ def reduced_rank_oracle(positions: np.ndarray, edges, d: int | None = None,
     return rank
 
 
-def laman_rank(n: int, edges) -> int:
-    """Generic rank of a planar framework on vertices 1..n, by the 2D
-    pebble game (Jacobs & Hendrickson, J. Comput. Phys. 1997).
+def pebble_rank(n: int, edges, k: int, l: int, copies: int) -> int:
+    """Size of a largest (k, l)-sparse subset of the graph on vertices 1..n
+    with every edge taken `copies` times, by the (k, l) pebble game (Lee &
+    Streinu, Discrete Math. 308, 2008); 0 <= l < 2k.
 
-    Every vertex starts with two pebbles. An edge is independent when four
-    pebbles can be gathered on its two ends; one of them then covers the
-    edge, which is directed away from the vertex that gave it. Pebbles are
-    gathered by reversing a directed path to a vertex that still has one.
-    The independent edges are a basis of the generic rigidity matroid, so
-    their count is the rank. Edge directions in the input are ignored.
+    Every vertex starts with k pebbles. An edge copy is independent when
+    l + 1 pebbles can be gathered on its two ends; one of them then covers
+    it, and the copy is directed away from the vertex that gave the pebble.
+    Pebbles are gathered by reversing a directed path to a vertex that
+    still has one. The independent copies are a basis of the count matroid,
+    so their number is its rank. Edge directions in the input are ignored.
+
+    (2, 3, 1) is the Laman count, the generic rank of a planar framework
+    (Jacobs & Hendrickson, J. Comput. Phys. 1997). In R^d, generic bearing
+    rows count each edge d - 1 times against (d, d + 1) (Whiteley, Contemp.
+    Math. 197, 1996), so (3, 4, 2) is the generic rank in 3-space.
     """
-    pebbles = [2] * (n + 1)
+    pebbles = [k] * (n + 1)
     out: list[list[int]] = [[] for _ in range(n + 1)]
 
     def fetch(root: int, other: int) -> bool:
@@ -149,12 +156,14 @@ def laman_rank(n: int, edges) -> int:
 
     rank = 0
     for a, b in sorted({(min(e), max(e)) for e in edges}):
-        while pebbles[a] + pebbles[b] < 4 and (fetch(a, b) or fetch(b, a)):
-            pass
-        if pebbles[a] + pebbles[b] == 4:
-            pebbles[a] -= 1
-            out[a].append(b)
-            rank += 1
+        for _ in range(copies):
+            while pebbles[a] + pebbles[b] <= l and (fetch(a, b) or fetch(b, a)):
+                pass
+            if pebbles[a] + pebbles[b] > l:
+                giver, other = (a, b) if pebbles[a] else (b, a)
+                pebbles[giver] -= 1
+                out[giver].append(other)
+                rank += 1
     return rank
 
 

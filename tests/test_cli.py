@@ -405,9 +405,12 @@ def test_fd_trials_below_one_are_rejected(tmp_path, capsys, trials):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+    # batch rejects the flag once, before it reads the directory: no table
     run(capsys, "gen", "--fixture", "square-diagonal-r2", "-o", str(tmp_path / "sq.json"))
-    code, out, _ = run(capsys, "batch", str(tmp_path), "--fd-trials", trials)
-    assert code != 0 and "ERROR" in out
+    for directory in (tmp_path, tmp_path / "missing"):
+        code, out, err = run(capsys, "batch", str(directory), "--fd-trials", trials)
+        assert code == 3 and out == ""
+        assert one_error_line(err) and "fd-trials" in err
 
 
 def test_env_profile_applies(monkeypatch, capsys):

@@ -19,12 +19,17 @@
   decompositions, augmentation) decomposes the factor rows of the verdict
   matrix; the reference decomposes the measured matrix itself.
 * The FD probe turns all agents of a trial with one stacked rotation_exp;
-  the reference calls it once per vector.
+  the reference calls it once per vector. Its trials share the base
+  state's coincidence threshold; the reference calls bearing_stack_raw,
+  which takes the radius of every state it is given.
 * The assembler hands its fresh array to RigidityMatrix without a copy;
   outside arrays are still copied.
 * Augmentation assembles the complete graph's factor once and ranks each
   candidate on a row selection of it; the reference rebuilds the framework
   and assembles its factor for every candidate.
+* Augmentation ranks candidates from singular values alone (linalg._rank)
+  and decomposes only the final graph; the reference is rank_and_nullspace
+  on every candidate and every round's new graph.
 * The verdict and augmentation test degeneracy once and then build the
   trivial basis unchecked; the public trivial_variation_basis still checks.
 * A mixed team's kernel split is built only for its readers (the report and
@@ -39,7 +44,7 @@ import pytest
 
 from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
                               Framework, GeneratorSpec, MetricSpace,
-                              RigidityMatrix, SensingGraph,
+                              NumericalError, RigidityMatrix, SensingGraph,
                               TolerancePolicy, analysis_report,
                               augment_to_ibr,
                               complete_edges, complete_graph,
@@ -702,6 +707,18 @@ def test_mixed_fd_probe_and_labels_match_the_references():
         np.testing.assert_array_equal(hk.virtual.basis, np.eye(6 * fw.n)[:, zero])
 
 
+def test_fd_probe_takes_the_coincidence_radius_once(monkeypatch):
+    # every trial reuses the base state's coincidence threshold, so the
+    # radius calls do not grow with the trial count
+    fw = hetero_case_study(seed=0)
+    radii = CallCounter(monkeypatch, "_rms_radius", spaces, engine)
+    counts = []
+    for trials in (1, 20):
+        engine.fd_jacobian_check(fw, POL, trials=trials)
+        counts.append(radii.take())
+    assert counts[0] == counts[1]
+
+
 # Rank decisions take the factor rows C of the verdict matrix B: per edge
 # W^T [-P(u)/l | P(u)/l | skew(u) V_i], W an orthonormal basis of the
 # complement of the world bearing u (the in-plane normal for planar
@@ -877,24 +894,32 @@ def test_augmentation_by_row_selection_matches_the_rebuild_loop():
 
 
 def decomposed_inputs(monkeypatch, call):
-    """Every (matrix, threshold shape) that call hands to rank_and_nullspace."""
-    seen = []
+    """Every (matrix, threshold shape) that call hands to rank_and_nullspace,
+    and every one it ranks on augmentation's rank-only path."""
+    seen, ranked = [], []
 
     def recorded(M, pol=None, *, shape=None):
         seen.append((np.array(M), shape))
         return rank_and_nullspace(M, pol, shape=shape)
 
+    def recorded_rank(M, pol=None, *, shape=None, kernel=False):
+        ranked.append((np.array(M), shape))
+        return linalg._rank(M, pol, shape=shape, kernel=kernel)
+
     with monkeypatch.context() as m:
         m.setattr(engine, "rank_and_nullspace", recorded)
         m.setattr(scenarios, "rank_and_nullspace", recorded)
+        m.setattr(scenarios, "_rank", recorded_rank)
         call()
-    return seen
+    return seen, ranked
 
 
-def without_confirmations(seq, fw, added):
-    """The reference's decompositions seq without the one it makes of each
-    round's new graph, after checking that it repeats that round's winning
-    candidate entry for entry, with the same threshold shape."""
+def split_reference(seq, fw, added):
+    """The reference's decompositions seq as (head, candidates, new graphs):
+    the head is the complete graph (when it was decomposed) and the input;
+    then per round come every candidate and the new graph, which is
+    checked to repeat that round's winning candidate entry for entry, with
+    the same threshold shape."""
     pool = complete_edges(fw.n, fw.graph.kind)
     have = set(fw.graph.edges)
     rounds = []  # (candidate count, position of the winner among them)
@@ -902,37 +927,90 @@ def without_confirmations(seq, fw, added):
         candidates = [f for f in pool if f not in have]
         rounds.append((len(candidates), candidates.index(e)))
         have.add(e)
-    # before round 0: the complete graph (when it was decomposed), the input
     start = len(seq) - sum(count + 1 for count, _ in rounds)
     assert start in (1, 2)
-    kept = seq[:start]
+    head, candidates, new_graphs = seq[:start], [], []
     for count, win in rounds:
         block = seq[start:start + count]
         M, shape = seq[start + count]
         assert shape == block[win][1]
         np.testing.assert_array_equal(M, block[win][0])
-        kept += block
+        candidates += block
+        new_graphs.append((M, shape))
         start += count + 1
-    return kept
+    return head, candidates, new_graphs
+
+
+def assert_same_inputs(got, want):
+    assert len(got) == len(want)
+    for (M, shape), (M_ref, shape_ref) in zip(got, want):
+        assert shape == shape_ref
+        np.testing.assert_array_equal(M, M_ref)
 
 
 def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
     # same complete kernel, same start, then per round every candidate: the
-    # selected rows are the rebuilt _verdict_factor(trial) entry for entry,
-    # with the same threshold shape; augmentation keeps the winner's kernel
-    # where the reference decomposes the new graph again
+    # rows the rank-only path ranks are the rebuilt _verdict_factor(trial)
+    # entry for entry, with the same threshold shape; augmentation then
+    # decomposes only the final graph, where the reference decomposes every
+    # round's new graph
     for fw in augmentation_inputs():
         for factor in (1.0, 1e9):
             moved = scaled(fw, factor)
-            got = decomposed_inputs(monkeypatch, lambda: augment_to_ibr(moved, POL))
+            got, ranked = decomposed_inputs(monkeypatch, lambda: augment_to_ibr(moved, POL))
             added = []
-            want = decomposed_inputs(
+            want, none = decomposed_inputs(
                 monkeypatch, lambda: added.extend(reference_rebuild_augmentation(moved)))
-            want = without_confirmations(want, moved, added)
-            assert len(got) == len(want) > moved.n
-            for (M, shape), (M_ref, shape_ref) in zip(got, want):
-                assert shape == shape_ref
-                np.testing.assert_array_equal(M, M_ref)
+            head, candidates, new_graphs = split_reference(want, moved, added)
+            assert none == [] and len(candidates) > moved.n
+            assert_same_inputs(ranked, candidates)
+            assert_same_inputs(got, head + new_graphs[-1:])
+
+
+RANK_SCALES = (1e-9, 1.0, 1e9)
+
+
+def test_rank_only_path_matches_rank_and_nullspace():
+    tested = 0
+    for name, M in rank_deficient_matrices():
+        for factor in RANK_SCALES:
+            A = factor * M
+            stand_in = (3 * A.shape[0], A.shape[1])
+            for shape in (None, stand_in):
+                rank, N = linalg._rank(A, POL, shape=shape)
+                assert N is None
+                assert rank == rank_and_nullspace(A, POL, shape=shape)[0], (name, factor)
+                tested += 1
+    assert tested >= 70 * len(RANK_SCALES) * 2
+
+
+def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
+    # the candidates are ranked without rank_and_nullspace; the final graph
+    # is its one call beyond the verdict's own
+    inputs = augmentation_inputs()
+    full = CallCounter(monkeypatch, "rank_and_nullspace", linalg, engine, scenarios, spaces)
+    ranked = CallCounter(monkeypatch, "_rank", scenarios)
+    for fw in inputs:
+        engine._decide(fw, POL)
+        decided = full.take()
+        assert ranked.take() == 0
+        assert augment_to_ibr(fw, POL)[1]
+        assert full.take() == decided + 1
+        assert ranked.take() > fw.n
+
+
+def test_final_rank_must_be_the_chosen_one(monkeypatch):
+    # a final decomposition that disagrees with the ranked candidates is a
+    # numerical error, not a silently different kernel
+    flexible = scenarios.fixture("star-r2")
+
+    def one_short(M, pol=None, *, shape=None):
+        rank, N = rank_and_nullspace(M, pol, shape=shape)
+        return rank - 1, N
+
+    monkeypatch.setattr(scenarios, "rank_and_nullspace", one_short)
+    with pytest.raises(NumericalError, match="rank"):
+        augment_to_ibr(flexible, POL)
 
 
 class CallCounter:
