@@ -29,13 +29,9 @@ from .scenarios import (FIXTURES, GeneratorSpec, augment_to_ibr, fixture,
 from .spaces import Framework, MetricSpace
 from . import engine
 
-SPACE_SHORTHAND = {
-    "r2": lambda axis: MetricSpace.rd(2),
-    "r3": lambda axis: MetricSpace.rd(3),
-    "r2s1": lambda axis: MetricSpace.rd_s1(2),
-    "r3s1": lambda axis: MetricSpace.rd_s1(3, axis or (0.0, 0.0, 1.0)),
-    "se3": lambda axis: MetricSpace.se3(),
-}
+# --space name -> (kind, d) of its MetricSpace
+SPACE_SHORTHAND = {"r2": ("rd", 2), "r3": ("rd", 3), "r2s1": ("rdxs1", 2),
+                   "r3s1": ("rdxs1", 3), "se3": ("se3", 3)}
 
 
 def _tolerance_parent() -> argparse.ArgumentParser:
@@ -166,8 +162,7 @@ def cmd_analyze(args) -> int:
     if args.timing:
         report["timing_seconds"] = time.perf_counter() - started
     if args.matrix_csv:
-        rm = {"auto": engine._matrix_for_verdict, "per-space": engine.rigidity_matrix,
-              "unified": engine.unified_rigidity_matrix}[args.representation](fw)
+        rm = engine._measured(fw, args.representation.replace("-", "_"))
         write_matrix_csv(rm, args.matrix_csv)
     _emit(dumps(report), args.report)
     return 0
@@ -184,7 +179,10 @@ def cmd_gen(args) -> int:
                 axis = tuple(float(v) for v in args.axis.split(","))
             except ValueError as exc:
                 raise ParseError(f"bad axis {args.axis!r}") from exc
-        space = SPACE_SHORTHAND[args.space](axis)
+        if axis is None and args.space == "r3s1":
+            axis = (0.0, 0.0, 1.0)
+        # MetricSpace refuses an axis where the space has none
+        space = MetricSpace(*SPACE_SHORTHAND[args.space], axis)
         placement = "generic_random" if args.placement == "generic" else "collinear"
         spec = GeneratorSpec(space=space, n=args.n, graph_density=args.density,
                              seed=seed, placement=placement)

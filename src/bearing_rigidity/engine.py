@@ -17,12 +17,12 @@ a fixed row/column selection of the unified blocks (the first d rows per
 edge, the first d position columns per agent, the heading column or all
 three rotation columns), scattered straight into its own layout, so the
 larger unified matrix is never built on the way. That one selection
-(_layout, with _unified_columns mapping each layout column to its unified
-column) also serves the finite-difference probe, which lifts every
-variation into unified coordinates and moves the state one way for all
-spaces (all agents of a trial turned by one stacked rotation_exp, at unit
-formation scale), and the trivial basis, whose per-space generators are the
-unified ones restricted to the layout.
+(_layout, the only place a layout is chosen, with _unified_columns mapping
+each layout column to its unified column) also serves the finite-difference
+probe, which lifts every variation into unified coordinates and moves the
+state one way for all spaces (all agents of a trial turned by one stacked
+rotation_exp, at unit formation scale), and the trivial basis, whose
+per-space generators are the unified ones restricted to the layout.
 
 Rank decisions do not decompose those measured rows. A bearing's variation
 is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
@@ -56,7 +56,8 @@ one record of results (_Decision) read by name. That kernel is known in
 closed form for non-degenerate homogeneous frameworks (the trivial
 variations above); only degenerate (collinear) and mixed ones decompose
 the factor of the complete edge list, a choice only _complete_kernel makes
-(complete_graph_kernel reads it, then lifts the basis to the caller's scale).
+(complete_graph_kernel reads it; it and the mixed-team split move their
+bases back to the caller's scale by one lift, _to_caller_scale).
 ibr_verdict, the analysis report and augmentation (scenarios.augment_to_ibr)
 read that record; only hetero_kernel_analysis and a mixed team's report
 build its kernel split (_hetero_split).
@@ -277,8 +278,9 @@ def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
 
 
 def _measured(fw: Framework, representation: str) -> RigidityMatrix:
-    """The assembled matrix of a representation with its block structure."""
-    d, rot_cols = _layout(fw, representation)
+    """The assembled matrix of a representation ("auto" too, see _layout)
+    with its block structure."""
+    representation, d, rot_cols = _layout(fw, representation)
     n, w = fw.n, len(rot_cols)
     rows = tuple((d * e, d * e + d) for e in range(fw.m))
     cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d),
@@ -288,18 +290,24 @@ def _measured(fw: Framework, representation: str) -> RigidityMatrix:
                                  representation, rows, cols)
 
 
-def _layout(fw: Framework, representation: str) -> tuple[int, tuple[int, ...]]:
-    """(d, rot_cols) of a representation: the rows kept per edge and position
-    columns kept per agent, then the rotation columns kept of each agent's
-    unified rotation block (see _assemble and _unified_columns)."""
+def _layout(fw: Framework, representation: str,
+            ) -> tuple[str, int, tuple[int, ...]]:
+    """(representation, d, rot_cols), the one place a layout is chosen:
+    "auto" resolves to the verdict's form (per_space for a homogeneous
+    framework, unified otherwise); d is the rows kept per edge and position
+    columns kept per agent, rot_cols the rotation columns kept of each
+    agent's unified rotation block (see _assemble and _unified_columns)."""
+    if representation == "auto":
+        representation = "per_space" if fw.is_homogeneous else "unified"
     if representation == "unified":
-        return 3, (0, 1, 2)
+        return representation, 3, (0, 1, 2)
     if representation != "per_space":
         raise ValidationError(f"unknown representation {representation!r}")
     if not fw.is_homogeneous:
         raise ValidationError("per-space form needs a homogeneous framework; "
                               "use unified_rigidity_matrix")
-    return fw.space.d, {"rd": (), "rdxs1": (2,), "se3": (0, 1, 2)}[fw.space.kind]
+    return (representation, fw.space.d,
+            {"rd": (), "rdxs1": (2,), "se3": (0, 1, 2)}[fw.space.kind])
 
 
 def _unified_columns(n: int, d: int, rot_cols: tuple[int, ...]) -> np.ndarray:
@@ -335,19 +343,10 @@ def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
     return _measured(fw, "unified")
 
 
-def _verdict_representation(fw: Framework) -> str:
-    return "per_space" if fw.is_homogeneous else "unified"
-
-
-def _matrix_for_verdict(fw: Framework) -> RigidityMatrix:
-    """Per-space matrix of a homogeneous framework, unified otherwise."""
-    return rigidity_matrix(fw) if fw.is_homogeneous else unified_rigidity_matrix(fw)
-
-
 def _verdict_factor(fw: Framework, edges) -> tuple[np.ndarray, tuple[int, int]]:
     """Factor rows of fw's verdict matrix on edges (see _assemble) and that
     matrix's own shape, which sets the rank threshold."""
-    d, rot_cols = _layout(fw, _verdict_representation(fw))
+    _, d, rot_cols = _layout(fw, "auto")
     C = _assemble(fw, edges, d, rot_cols, factor=True)
     return C, (d * len(edges), C.shape[1])
 
@@ -379,9 +378,7 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     if trials < 1:
         raise ValidationError(f"fd trials must be at least 1, got {trials}")
     h = pol.fd_step
-    if representation == "auto":
-        representation = _verdict_representation(fw)
-    d, rot_cols = _layout(fw, representation)
+    representation, d, rot_cols = _layout(fw, representation)
     fw = _unit_scale(fw)
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
@@ -474,7 +471,7 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
 def _trivial_basis(fw: Framework, pol: TolerancePolicy) -> SubspaceBasis:
     """trivial_variation_basis of a homogeneous framework its caller has
     already found non-degenerate."""
-    d, rot_cols = _layout(fw, "per_space")
+    _, d, rot_cols = _layout(fw, "per_space")
     P = fw.positions()
     P -= P.mean(axis=0)
     V = fw.space.rotation_input()
@@ -503,10 +500,7 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     """
     pol = pol or TolerancePolicy()
     Nk = _complete_kernel(_unit_scale(fw), pol)[0]
-    d, _ = _layout(fw, _verdict_representation(fw))
-    lift = np.ones((Nk.shape[0], 1))
-    lift[:d * fw.n] = _rms_radius(fw.positions())
-    return np.linalg.qr(lift * Nk)[0]
+    return np.linalg.qr(_to_caller_scale(fw, Nk))[0]
 
 
 def _complete_kernel(unit: Framework, pol: TolerancePolicy,
@@ -522,6 +516,16 @@ def _complete_kernel(unit: Framework, pol: TolerancePolicy,
         return trivial.basis, trivial, degenerate
     C, shape = _verdict_factor(unit, complete_edges(unit.n, unit.graph.kind))
     return rank_and_nullspace(C, pol, shape=shape)[1], None, degenerate
+
+
+def _to_caller_scale(fw: Framework, X: np.ndarray) -> np.ndarray:
+    """Columns X of fw's verdict layout (_layout "auto") at unit scale, moved
+    to fw's coordinates: position rows times fw's RMS radius, rotation rows
+    as they are."""
+    _, d, _ = _layout(fw, "auto")
+    lift = np.ones((X.shape[0], 1))
+    lift[:d * fw.n] = _rms_radius(fw.positions())
+    return lift * X
 
 
 def _unit_scale(fw: Framework) -> Framework:
@@ -680,35 +684,19 @@ def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelRepo
     # whenever e lies in the range of its rotation-input matrix V_a
     candidates, names = _trivial_generators(
         P, [(e, V[:, c]) for c, e in enumerate(np.eye(3))])
-    matched: list[np.ndarray] = []
-    labels: list[str] = []
-    for g, name in zip(candidates.T, names):
-        resid = g - Qt @ (Qt.T @ g)
-        if np.linalg.norm(resid) / np.linalg.norm(g) < pol.subspace_tol:
-            matched.append(g)
-            labels.append(name)
-    if matched:
-        Qm = orthonormal_columns(np.column_stack(matched), pol)
-        leftover = Qt - Qm @ (Qm.T @ Qt)
-    else:
-        leftover = Qt
-    if leftover.size:
-        # absolute cutoff: Qt columns are unit, so tiny singular values here
-        # mean the matched generators already cover the direction
-        U, sv, _ = np.linalg.svd(leftover, full_matrices=False)
-        extra = U[:, sv > pol.subspace_tol]
-    else:
-        extra = np.zeros((ambient, 0))
-    for eidx in range(extra.shape[1]):
-        matched.append(extra[:, eidx])
-        labels.append("unlabeled")
-    if matched:
-        lift = np.ones((ambient, 1))
-        lift[:3 * fw.n] = _rms_radius(fw.positions())
-        gen_mat = lift * np.column_stack(matched)
-        basis = orthonormal_columns(gen_mat / np.linalg.norm(gen_mat, axis=0), pol)
-    else:
-        gen_mat = basis = np.zeros((ambient, 0))
+    resid = candidates - Qt @ (Qt.T @ candidates)
+    hit = (np.linalg.norm(resid, axis=0) / np.linalg.norm(candidates, axis=0)
+           < pol.subspace_tol)
+    # the translations always lie in the kernel and match: neither is empty
+    matched = candidates[:, hit]
+    Qm = orthonormal_columns(matched, pol)
+    # absolute cutoff: Qt columns are unit, so tiny singular values here
+    # mean the matched generators already cover the direction
+    U, sv, _ = np.linalg.svd(Qt - Qm @ (Qm.T @ Qt), full_matrices=False)
+    extra = U[:, sv > pol.subspace_tol]
+    labels = [names[k] for k in np.flatnonzero(hit)] + ["unlabeled"] * extra.shape[1]
+    gen_mat = _to_caller_scale(fw, np.hstack([matched, extra]))
+    basis = orthonormal_columns(gen_mat / np.linalg.norm(gen_mat, axis=0), pol)
     trivial = SubspaceBasis(ambient_dim=ambient, basis=basis,
                             labels=tuple(labels), generators=gen_mat)
     virtual = SubspaceBasis(ambient_dim=ambient, basis=Qv,

@@ -99,11 +99,14 @@ def graph_from_json(obj: Any) -> SensingGraph:
     return SensingGraph(n, tuple(edges), kind)
 
 
-def framework_to_json(fw: Framework) -> dict:
+def _space_doc(fw: Framework) -> dict | list[dict]:
+    """The space document of fw: one space, or one per agent."""
     if isinstance(fw.space, tuple):
-        space = [space_to_json(s) for s in fw.space]
-    else:
-        space = space_to_json(fw.space)
+        return [space_to_json(s) for s in fw.space]
+    return space_to_json(fw.space)
+
+
+def framework_to_json(fw: Framework) -> dict:
     agents = []
     for idx, st in enumerate(fw.states):
         s = fw.space_of(idx + 1)
@@ -115,7 +118,7 @@ def framework_to_json(fw: Framework) -> dict:
         if st.R is not None:
             entry["R"] = [[float(v) for v in row] for row in np.asarray(st.R)]
         agents.append(entry)
-    return {"space": space, "graph": graph_to_json(fw.graph), "agents": agents}
+    return {"space": _space_doc(fw), "graph": graph_to_json(fw.graph), "agents": agents}
 
 
 def framework_from_json(obj: Any) -> Framework:
@@ -226,11 +229,6 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
     # the FD probe reuses the decision's unit-scale copy
     fd = engine.fd_jacobian_check(decision.unit, pol, trials=fd_trials, seed=seed)
 
-    if isinstance(fw.space, tuple):
-        space_doc: Any = [space_to_json(s) for s in fw.space]
-    else:
-        space_doc = space_to_json(fw.space)
-
     return {
         "schema_version": SCHEMA_VERSION,
         "framework": {
@@ -238,7 +236,7 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
             "m": fw.m,
             "graph_kind": fw.graph.kind,
             "homogeneous": fw.is_homogeneous,
-            "space": space_doc,
+            "space": _space_doc(fw),
             "degenerate": decision.verdict.degenerate,
         },
         "verdict": verdict_to_json(decision.verdict),

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import CoincidentAgentsError, ValidationError
 from .graphs import SensingGraph
-from .linalg import TolerancePolicy, rank_and_nullspace, rotation_axis_angle
+from .linalg import (AXIS_UNIT_TOL, TolerancePolicy, rank_and_nullspace,
+                     rotation_axis_angle)
 
 SPACE_KINDS = ("rd", "rdxs1", "se3")
 COINCIDENT_TOL = 1e-12
@@ -64,7 +65,7 @@ class MetricSpace:
             if self.axis is None:
                 raise ValidationError("rdxs1 with d=3 needs a unit axis")
             ax = np.asarray(self.axis, dtype=float)
-            if ax.shape != (3,) or not abs(np.linalg.norm(ax) - 1.0) <= 1e-8:
+            if ax.shape != (3,) or not abs(np.linalg.norm(ax) - 1.0) <= AXIS_UNIT_TOL:
                 raise ValidationError("rotation axis must be a unit 3-vector")
             object.__setattr__(self, "axis", tuple(float(v) for v in ax))
 

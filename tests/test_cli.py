@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -49,6 +50,29 @@ def test_analyze_report_and_matrix_files(tmp_path, capsys):
     assert M.shape == (18, 18)
     side = json.loads((tmp_path / "mat.blocks.json").read_text(encoding="utf-8"))
     assert side["representation"] == "unified"
+
+
+@pytest.mark.parametrize("name,resolved", [("square-diagonal-r2", "per-space"),
+                                           ("hetero-case-study", "unified")])
+def test_auto_matrix_csv_is_the_verdict_form(tmp_path, capsys, name, resolved):
+    written = {}
+    for rep in ("auto", resolved):
+        prefix = tmp_path / rep
+        code, _, _ = run(capsys, "analyze", name, "--matrix-csv", str(prefix),
+                         "--representation", rep)
+        assert code == 0
+        written[rep] = [pathlib.Path(str(prefix) + ext).read_bytes()
+                        for ext in (".csv", ".blocks.json")]
+    assert written["auto"] == written[resolved]
+
+
+def test_per_space_matrix_of_a_mixed_team_is_refused(tmp_path, capsys):
+    prefix, report = tmp_path / "mat", tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", "hetero-case-study", "--matrix-csv",
+                         str(prefix), "--representation", "per-space",
+                         "--report", str(report))
+    assert code == 3 and out == "" and one_error_line(err)
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_analyze_missing_input_is_parse_error(capsys):
@@ -329,11 +353,21 @@ def test_batch_with_a_negative_seed_stops_before_any_file(tmp_path, capsys):
 
 
 def test_gen_nan_axis_is_a_validation_error(tmp_path, capsys):
+    # an axis is refused where it is not a unit 3-vector and where the space
+    # has none (r2s1 takes only the out-of-plane one)
     out_path = tmp_path / "team.json"
-    code, out, err = run(capsys, "gen", "--space", "r3s1", "--axis", "nan,0,0",
-                         "-o", str(out_path))
-    assert code == 3 and out == "" and one_error_line(err)
-    assert not out_path.exists()
+    for space, axis in (("r3s1", "nan,0,0"), ("r3s1", "1,0"), ("se3", "1,0"),
+                        ("r2", "1,0,0"), ("r3", "0,0,1"), ("r2s1", "1,0,0")):
+        code, out, err = run(capsys, "gen", "--space", space, "--axis", axis,
+                             "-o", str(out_path))
+        assert code == 3 and out == "" and one_error_line(err), (space, axis)
+        assert not out_path.exists()
+
+
+def test_gen_planar_heading_takes_the_out_of_plane_axis(capsys):
+    code, out, _ = run(capsys, "gen", "--space", "r2s1", "--axis", "0,0,1")
+    assert code == 0
+    assert json.loads(out)["space"] == {"type": "rdxs1", "d": 2}
 
 
 def test_nan_axis_in_a_file_is_a_validation_error(tmp_path, capsys):

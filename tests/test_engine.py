@@ -16,6 +16,7 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               rank_and_nullspace, rigidity_matrix, skew,
                               subspace_contains, trivial_variation_basis,
                               unified_rigidity_matrix)
+from bearing_rigidity import engine
 from oracles import (incidence_matrices, kernel_inclusion_check, orient,
                      orthogonal_projector, reduced_rank_oracle)
 
@@ -172,6 +173,16 @@ def test_fd_probe_hetero():
     res = fd_jacobian_check(hetero_case_study(seed=2), POL, trials=10)
     assert res.max_rel_error < 1e-5
     assert res.representation == "unified"
+
+
+def test_auto_layout_is_the_verdict_form():
+    # "auto" is resolved in _layout alone: per-space for a homogeneous team,
+    # unified for a mixed one
+    assert engine._layout(fixture("square-diagonal-r2"), "auto") == ("per_space", 2, ())
+    assert engine._layout(sample("se3", n=4), "auto") == ("per_space", 3, (0, 1, 2))
+    assert engine._layout(hetero_case_study(0), "auto") == ("unified", 3, (0, 1, 2))
+    with pytest.raises(ValidationError, match="unknown representation"):
+        engine._layout(fixture("square-diagonal-r2"), "per-space")
 
 
 @pytest.mark.parametrize("trials", [0, -3])

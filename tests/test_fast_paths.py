@@ -178,7 +178,7 @@ def test_complete_graph_kernel_keeps_the_decided_dimension_at_any_scale():
             K = complete_graph_kernel(moved, POL)
             assert K.shape[1] == dim
             np.testing.assert_allclose(K.T @ K, np.eye(dim), rtol=0, atol=1e-12)
-            B = engine._matrix_for_verdict(moved.with_graph(complete_graph(moved.graph))).matrix
+            B = engine._measured(moved.with_graph(complete_graph(moved.graph)), "auto").matrix
             assert np.linalg.norm(B @ K) / np.linalg.norm(B) < 1e-6
 
 
@@ -730,8 +730,8 @@ def scaled(fw, factor):
 
 
 def factor_rows(fw, representation):
-    return engine._assemble(fw, fw.graph.edges, *engine._layout(fw, representation),
-                            factor=True)
+    _, d, rot_cols = engine._layout(fw, representation)
+    return engine._assemble(fw, fw.graph.edges, d, rot_cols, factor=True)
 
 
 def measured_rows(fw, representation):
@@ -809,7 +809,7 @@ def reference_augmentation(fw):
     Nk = complete_graph_kernel(unit, POL)
     current, added = unit, []
     while True:
-        rank_g, Ng = rank_and_nullspace(engine._matrix_for_verdict(current).matrix, POL)
+        rank_g, Ng = rank_and_nullspace(engine._measured(current, "auto").matrix, POL)
         if subspace_relation(Nk, Ng, POL) == "equal":
             return tuple(added)
         best_edge, best_rank = None, rank_g
@@ -818,7 +818,7 @@ def reference_augmentation(fw):
                 continue
             trial = current.with_graph(
                 SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
-            r, _ = rank_and_nullspace(engine._matrix_for_verdict(trial).matrix, POL)
+            r, _ = rank_and_nullspace(engine._measured(trial, "auto").matrix, POL)
             if r > best_rank:
                 best_edge, best_rank = e, r
         assert best_edge is not None
