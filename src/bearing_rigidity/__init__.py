@@ -12,7 +12,7 @@ from .graphs import (SensingGraph, complete_edges, complete_graph,
                      connected_components, is_connected)
 from .linalg import (TOLERANCE_PROFILES, TolerancePolicy, orthonormal_columns,
                      random_rotation, rank_and_nullspace, rotation_axis_angle,
-                     rotation_exp, skew, subspace_contains)
+                     rotation_exp, skew)
 from .spaces import (AgentState, BearingStack, DegeneracyReport, Framework,
                      MetricSpace, bearing_rigidity_function, is_non_degenerate)
 from .engine import (ColumnBlock, FDCheckResult, HeteroKernelReport,

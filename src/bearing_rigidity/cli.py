@@ -157,13 +157,19 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_analyze(args) -> int:
     pol, seed = resolve_settings(args)
     fw = _load_input(args.input)
+    representation = args.representation.replace("-", "_")
+    if args.matrix_csv:
+        try:  # the layout is refused before any analysis runs
+            engine._layout(fw, representation)
+        except ValidationError:
+            raise ValidationError("--representation per-space needs a homogeneous "
+                                  "framework; use --representation unified") from None
     started = time.perf_counter()
     report = analysis_report(fw, pol, seed=seed, fd_trials=args.fd_trials)
     if args.timing:
         report["timing_seconds"] = time.perf_counter() - started
     if args.matrix_csv:
-        rm = engine._measured(fw, args.representation.replace("-", "_"))
-        write_matrix_csv(rm, args.matrix_csv)
+        write_matrix_csv(engine._measured(fw, representation), args.matrix_csv)
     _emit(dumps(report), args.report)
     return 0
 

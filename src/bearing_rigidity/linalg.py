@@ -156,26 +156,36 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
 
 def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
           shape: tuple[int, int] | None = None, kernel: bool = False,
-          ) -> tuple[int, np.ndarray | None]:
+          ) -> tuple[int | np.ndarray, np.ndarray | None]:
     """(rank, N) as rank_and_nullspace decides them: the same checks, QR
     reduction and threshold. Without kernel, N is None and the SVD computes
     singular values only, which may differ from the full SVD's in the last
     bits; a rank that must agree with a kernel is confirmed by
-    rank_and_nullspace."""
+    rank_and_nullspace.
+
+    Without kernel, M may also be a (k, rows, cols) stack: each matrix is
+    reduced and decomposed as it would be alone (numpy's stacked QR and SVD
+    run LAPACK once per matrix), shape is that of one matrix, and rank is
+    the array of the k ranks, each thresholded at its own sigma_max."""
     pol = pol or TolerancePolicy()
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
+    if M.ndim != 2 and (kernel or M.ndim != 3):
         raise ValidationError(f"expected a matrix, got ndim {M.ndim}")
     if not np.all(np.isfinite(M)):
         raise NumericalError("matrix contains NaN or Inf")
+    rows, cols = M.shape[-2:]
     if M.size == 0:
-        return 0, np.eye(M.shape[1]) if kernel else None
-    A = np.linalg.qr(M, mode="r") if M.shape[0] > M.shape[1] else M
+        if M.ndim == 3:
+            return np.zeros(M.shape[0], dtype=int), None
+        return 0, np.eye(cols) if kernel else None
+    A = np.linalg.qr(M, mode="r") if rows > cols else M
     if kernel:
-        _, s, Vh = np.linalg.svd(A, full_matrices=M.shape[0] < M.shape[1])
+        _, s, Vh = np.linalg.svd(A, full_matrices=rows < cols)
     else:
         s = np.linalg.svd(A, compute_uv=False)
-    rtol = pol.effective_rank_rtol(M.shape if shape is None else shape)
+    rtol = pol.effective_rank_rtol(M.shape[-2:] if shape is None else shape)
+    if M.ndim == 3:
+        return np.sum(s > rtol * s[:, :1], axis=1), None
     rank = int(np.sum(s > rtol * (s[0] if s.size else 0.0)))
     return rank, Vh[rank:].T.copy() if kernel else None
 
@@ -194,17 +204,6 @@ def orthonormal_columns(A: np.ndarray, pol: TolerancePolicy | None = None) -> np
     thresh = pol.effective_rank_rtol(A.shape) * (s[0] if s.size else 0.0)
     r = int(np.sum(s > thresh))
     return U[:, :r].copy()
-
-
-def subspace_contains(B: np.ndarray, A: np.ndarray,
-                      pol: TolerancePolicy | None = None) -> bool:
-    """Is span(A) contained in span(B)? Inputs need not be orthonormal."""
-    pol = pol or TolerancePolicy()
-    QA = orthonormal_columns(A, pol)
-    QB = orthonormal_columns(B, pol)
-    if QA.shape[0] != QB.shape[0]:
-        raise ValidationError("subspaces live in different ambient dimensions")
-    return _residual(QB, QA) < pol.subspace_tol
 
 
 def _residual(QB: np.ndarray, QA: np.ndarray) -> float:

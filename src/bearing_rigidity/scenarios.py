@@ -21,6 +21,10 @@ from . import engine
 PLACEMENTS = ("generic_random", "collinear")
 MIN_SEPARATION = 0.15
 _RESAMPLE_CAP = 500
+# Bytes of candidate factors one stacked rank call holds. The stacks grow as
+# n^4 with the formation (candidates times selected rows times columns), so a
+# round is split to keep augmentation's memory peak flat.
+_STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,26 @@ def random_framework(spec: GeneratorSpec) -> Framework:
     return Framework(graph=g, space=space, states=tuple(states))
 
 
+def _candidate_ranks(blocks: np.ndarray, chosen: np.ndarray, per_edge: int,
+                     pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """(candidates, ranks): the unchosen edges, in canonical order, and the
+    rank of the factor of the chosen edges plus each one. blocks holds each
+    complete edge's factor rows; per_edge is the measured rows per edge, for
+    the threshold shape. Each selection is one row of an index array over
+    blocks, sorted so that it keeps the canonical order, and the selections
+    are ranked in stacks of at most _STACK_BYTES each."""
+    base, candidates = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+    selections = np.sort(np.column_stack(
+        [np.broadcast_to(base, (candidates.size, base.size)), candidates]), axis=1)
+    _, block_rows, cols = blocks.shape
+    size = selections.shape[1]
+    step = max(1, _STACK_BYTES // (size * blocks[0].nbytes))
+    ranks = [_rank(blocks[part].reshape(len(part), size * block_rows, cols), pol,
+                   shape=(per_edge * size, cols))[0]
+             for part in np.split(selections, range(step, len(selections), step))]
+    return candidates, np.concatenate(ranks)
+
+
 def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
                    ) -> tuple[Framework, tuple[tuple[int, int], ...]]:
     """Greedily add sensing edges until the framework is rigid.
@@ -182,11 +206,13 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     An edge's factor rows depend on that edge alone, so the complete graph's
     factor is assembled once per call from the complete edge list, and every
     rank is taken on a row selection of it: the current edges plus the
-    candidate, one boolean mask over the complete edges, which keeps their
-    canonical order and so is exactly the factor of that graph. No graph or
-    framework is built per candidate. Candidates are ranked from singular
-    values alone (linalg._rank, same threshold); one rank_and_nullspace of
-    the final selection gives the kernel, and its rank must be the loop's.
+    candidate in canonical order, which is exactly the factor of that graph.
+    No graph or framework is built per candidate. A round ranks all its
+    candidates from singular values alone (linalg._rank, same threshold) in
+    stacks of at most _STACK_BYTES (see _candidate_ranks); a round in which
+    no candidate raises the rank raises NumericalError. One
+    rank_and_nullspace of the final selection gives the kernel, and its
+    rank must be the loop's.
     """
     pol = pol or TolerancePolicy()
     decision = engine._decide(fw, pol)
@@ -198,27 +224,21 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     blocks = C.reshape(len(edges), -1, cols)
     per_edge = rows // len(edges)  # measured rows per edge set the threshold
 
-    def rank(selected: np.ndarray, decompose=_rank) -> tuple[int, np.ndarray | None]:
-        return decompose(blocks[selected].reshape(-1, cols), pol,
-                         shape=(per_edge * int(selected.sum()), cols))
-
     present = frozenset(fw.graph.edges)
     chosen = np.array([e in present for e in edges])
-    ids = np.arange(len(edges))
     rank_g = decision.verdict.rank
     added: list[tuple[int, int]] = []
     while rank_g < cols - decision.Nk.shape[1]:
-        best = None
-        for k in np.flatnonzero(~chosen):
-            r, _ = rank(chosen | (ids == k))
-            if r > rank_g:
-                best, rank_g = k, r
-        if best is None:
+        candidates, ranks = _candidate_ranks(blocks, chosen, per_edge, pol)
+        if not np.any(ranks > rank_g):
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
                                  "exceeds the complete graph's")
-        chosen[best] = True
-        added.append(edges[best])
-    rank_final, Ng = rank(chosen, rank_and_nullspace)
+        best = int(np.argmax(ranks))  # the first of the largest gains
+        rank_g = int(ranks[best])
+        chosen[candidates[best]] = True
+        added.append(edges[candidates[best]])
+    rank_final, Ng = rank_and_nullspace(blocks[chosen].reshape(-1, cols), pol,
+                                        shape=(per_edge * int(chosen.sum()), cols))
     if rank_final != rank_g:
         raise NumericalError(f"the augmented graph's rank {rank_final} is not the "
                              f"{rank_g} its edges were chosen by")

@@ -23,6 +23,8 @@ The small helpers below have no caller in the library:
   the incidence matrices and the position-only oracle read.
 * case_study_partition: the mixed case study's edges split by who
   measures, for the criterion that both halves are flexible.
+* subspace_contains: is span(A) in span(B), for inputs that need not be
+  orthonormal, by the residual of A's basis after projecting out B's.
 * subspace_relation: the two-way relation between two spans, from two
   containment tests. The library decides kernel equality by one containment
   test plus equal dimension; the tests keep this relation as its reference.
@@ -33,7 +35,7 @@ import numpy as np
 
 from bearing_rigidity import (Framework, SensingGraph, TolerancePolicy,
                               ValidationError, complete_graph_kernel, engine,
-                              rank_and_nullspace, subspace_contains)
+                              orthonormal_columns, rank_and_nullspace)
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,17 @@ def case_study_partition(fw: Framework) -> tuple[Framework, Framework]:
     g1 = SensingGraph(fw.n, e1, fw.graph.kind)
     g2 = SensingGraph(fw.n, e2, fw.graph.kind)
     return fw.with_graph(g1), fw.with_graph(g2)
+
+
+def subspace_contains(B: np.ndarray, A: np.ndarray,
+                      pol: TolerancePolicy | None = None) -> bool:
+    """Is span(A) contained in span(B)? Inputs need not be orthonormal."""
+    pol = pol or TolerancePolicy()
+    QA = orthonormal_columns(A, pol)
+    QB = orthonormal_columns(B, pol)
+    if QA.shape[0] != QB.shape[0]:
+        raise ValidationError("subspaces live in different ambient dimensions")
+    return float(np.linalg.norm(QA - QB @ (QB.T @ QA))) < pol.subspace_tol
 
 
 def subspace_relation(A: np.ndarray, B: np.ndarray,

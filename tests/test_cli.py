@@ -4,7 +4,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from bearing_rigidity import GeneratorSpec, MetricSpace, random_framework
+from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
+                              augment_to_ibr, engine, fixture, ibr_verdict,
+                              random_framework)
+from bearing_rigidity import cli
 from bearing_rigidity.cli import main
 from bearing_rigidity.formats import framework_to_json
 
@@ -66,13 +69,19 @@ def test_auto_matrix_csv_is_the_verdict_form(tmp_path, capsys, name, resolved):
     assert written["auto"] == written[resolved]
 
 
-def test_per_space_matrix_of_a_mixed_team_is_refused(tmp_path, capsys):
+def test_per_space_matrix_of_a_mixed_team_is_refused(tmp_path, capsys, monkeypatch):
+    # refused before the analysis runs, in the CLI's own terms
+    reports = []
+    monkeypatch.setattr(cli, "analysis_report",
+                        lambda *args, **kwargs: reports.append(args))
     prefix, report = tmp_path / "mat", tmp_path / "report.json"
     code, out, err = run(capsys, "analyze", "hetero-case-study", "--matrix-csv",
                          str(prefix), "--representation", "per-space",
                          "--report", str(report))
     assert code == 3 and out == "" and one_error_line(err)
+    assert "--representation unified" in err
     assert sorted(tmp_path.iterdir()) == []
+    assert reports == []
 
 
 def test_analyze_missing_input_is_parse_error(capsys):
@@ -271,6 +280,27 @@ def test_a_complete_kernel_outside_the_framework_kernel_is_a_numerical_error(
         assert code == 4 and out == ""
         assert one_error_line(err)
         assert err.startswith("error: complete-graph kernel not contained")
+
+
+def test_augmenting_a_complete_graph_decided_flexible_is_a_numerical_error(
+        tmp_path, capsys, monkeypatch):
+    # a complete kernel one column short decides a complete graph IBF, and
+    # then no candidate is left to raise the rank
+    def one_column_short(unit, pol, _original=engine._complete_kernel):
+        Nk, trivial, degenerate = _original(unit, pol)
+        return Nk[:, 1:], trivial, degenerate
+
+    monkeypatch.setattr(engine, "_complete_kernel", one_column_short)
+    for name in ("triangle-r2-complete", "cube-se3-complete"):
+        fw = fixture(name)
+        assert ibr_verdict(fw).classification == "IBF"
+        with pytest.raises(NumericalError, match="no candidate edge"):
+            augment_to_ibr(fw)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(framework_to_json(fw)), encoding="utf-8")
+        code, out, err = run(capsys, "export-dot", str(path), "--augment")
+        assert code == 4 and out == ""
+        assert one_error_line(err) and "no candidate edge" in err
 
 
 def test_analyze_a_directory_is_an_error_line(tmp_path, capsys):

@@ -14,11 +14,12 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               hetero_case_study, hetero_kernel_analysis,
                               ibr_verdict, random_framework,
                               rank_and_nullspace, rigidity_matrix, skew,
-                              subspace_contains, trivial_variation_basis,
+                              trivial_variation_basis,
                               unified_rigidity_matrix)
 from bearing_rigidity import engine
 from oracles import (incidence_matrices, kernel_inclusion_check, orient,
-                     orthogonal_projector, reduced_rank_oracle)
+                     orthogonal_projector, reduced_rank_oracle,
+                     subspace_contains)
 
 POL = TolerancePolicy()
 

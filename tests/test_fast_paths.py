@@ -30,6 +30,10 @@
 * Augmentation ranks candidates from singular values alone (linalg._rank)
   and decomposes only the final graph; the reference is rank_and_nullspace
   on every candidate and every round's new graph.
+* Augmentation ranks each round's candidates in stacked _rank calls of at
+  most scenarios._STACK_BYTES each, so a few LAPACK calls score a round and
+  the memory peak stays below a constant; the reference is one _rank call
+  per matrix.
 * The verdict and augmentation test degeneracy once and then build the
   trivial basis unchecked; the public trivial_variation_basis still checks.
 * A mixed team's kernel split is built only for its readers (the report and
@@ -45,8 +49,8 @@ import pytest
 from bearing_rigidity import (AgentState, CoincidentAgentsError, ColumnBlock,
                               Framework, GeneratorSpec, MetricSpace,
                               NumericalError, RigidityMatrix, SensingGraph,
-                              TolerancePolicy, analysis_report,
-                              augment_to_ibr,
+                              TolerancePolicy, ValidationError,
+                              analysis_report, augment_to_ibr,
                               complete_edges, complete_graph,
                               complete_graph_kernel, hetero_case_study,
                               ibr_verdict, random_framework,
@@ -895,7 +899,8 @@ def test_augmentation_by_row_selection_matches_the_rebuild_loop():
 
 def decomposed_inputs(monkeypatch, call):
     """Every (matrix, threshold shape) that call hands to rank_and_nullspace,
-    and every one it ranks on augmentation's rank-only path."""
+    and every one it ranks on augmentation's rank-only path, which takes
+    stacks only: each matrix of a stack is recorded with the stack's shape."""
     seen, ranked = [], []
 
     def recorded(M, pol=None, *, shape=None):
@@ -903,7 +908,8 @@ def decomposed_inputs(monkeypatch, call):
         return rank_and_nullspace(M, pol, shape=shape)
 
     def recorded_rank(M, pol=None, *, shape=None, kernel=False):
-        ranked.append((np.array(M), shape))
+        assert M.ndim == 3 and not kernel
+        ranked.extend((np.array(A), shape) for A in M)
         return linalg._rank(M, pol, shape=shape, kernel=kernel)
 
     with monkeypatch.context() as m:
@@ -949,13 +955,16 @@ def assert_same_inputs(got, want):
 
 
 def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
-    # same complete kernel, same start, then per round every candidate: the
-    # rows the rank-only path ranks are the rebuilt _verdict_factor(trial)
-    # entry for entry, with the same threshold shape; augmentation then
-    # decomposes only the final graph, where the reference decomposes every
-    # round's new graph
+    # same complete kernel, same start, then per round every candidate: each
+    # matrix of the stacks the rank-only path ranks is the rebuilt
+    # _verdict_factor(trial) entry for entry, in candidate order and with
+    # the same threshold shape, whether a round fits one stack or takes one
+    # stack per candidate; augmentation then decomposes only the final
+    # graph, where the reference decomposes every round's new graph
+    budgets = ((1.0, scenarios._STACK_BYTES), (1e9, 1))
     for fw in augmentation_inputs():
-        for factor in (1.0, 1e9):
+        for factor, budget in budgets:
+            monkeypatch.setattr(scenarios, "_STACK_BYTES", budget)
             moved = scaled(fw, factor)
             got, ranked = decomposed_inputs(monkeypatch, lambda: augment_to_ibr(moved, POL))
             added = []
@@ -968,6 +977,27 @@ def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
 
 
 RANK_SCALES = (1e-9, 1.0, 1e9)
+
+
+def test_stacked_ranks_match_one_call_per_matrix():
+    # each matrix of a stack, tall or wide, is thresholded at its own
+    # sigma_max: a copy scaled by 2**-40 keeps its rank although its
+    # singular values all lie below the others' threshold
+    tested = 0
+    for name, M in rank_deficient_matrices():
+        for factor in RANK_SCALES:
+            for A in (factor * M, factor * M.T):
+                stack = np.stack([A, 2.0 ** -40 * A, A])
+                for shape in (None, (3 * A.shape[0], A.shape[1])):
+                    rank = linalg._rank(A, POL, shape=shape)[0]
+                    ranks, N = linalg._rank(stack, POL, shape=shape)
+                    assert N is None
+                    assert ranks.tolist() == [rank] * 3, (name, factor, shape)
+                    tested += 1
+    assert tested >= 70 * len(RANK_SCALES) * 4
+    assert linalg._rank(np.zeros((0, 4, 3)), POL)[0].shape == (0,)
+    with pytest.raises(ValidationError, match="ndim 3"):
+        linalg._rank(np.zeros((2, 4, 3)), POL, kernel=True)
 
 
 def test_rank_only_path_matches_rank_and_nullspace():
@@ -984,19 +1014,69 @@ def test_rank_only_path_matches_rank_and_nullspace():
     assert tested >= 70 * len(RANK_SCALES) * 2
 
 
+def stacked_calls(fw, added):
+    """The stacked _rank calls augmentation makes to add the edges added to
+    fw: per round, its candidates split into stacks whose matrices hold at
+    most scenarios._STACK_BYTES (at least one matrix per stack)."""
+    edges = complete_edges(fw.n, fw.graph.kind)
+    block_bytes = engine._verdict_factor(fw, edges)[0].nbytes // len(edges)
+    calls = 0
+    for have in range(len(fw.graph.edges), len(fw.graph.edges) + len(added)):
+        per_stack = max(1, scenarios._STACK_BYTES // ((have + 1) * block_bytes))
+        calls += -(-(len(edges) - have) // per_stack)
+    return calls
+
+
 def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
-    # the candidates are ranked without rank_and_nullspace; the final graph
-    # is its one call beyond the verdict's own
+    # the candidates are ranked without rank_and_nullspace, in one stacked
+    # call per round when the round fits the budget and in one per stack
+    # otherwise; the final graph is rank_and_nullspace's one call beyond
+    # the verdict's own
     inputs = augmentation_inputs()
     full = CallCounter(monkeypatch, "rank_and_nullspace", linalg, engine, scenarios, spaces)
     ranked = CallCounter(monkeypatch, "_rank", scenarios)
-    for fw in inputs:
-        engine._decide(fw, POL)
-        decided = full.take()
-        assert ranked.take() == 0
-        assert augment_to_ibr(fw, POL)[1]
-        assert full.take() == decided + 1
-        assert ranked.take() > fw.n
+    default = scenarios._STACK_BYTES
+    for budget in (default, 4096):
+        monkeypatch.setattr(scenarios, "_STACK_BYTES", budget)
+        split = 0
+        for fw in inputs:
+            engine._decide(fw, POL)
+            decided = full.take()
+            assert ranked.take() == 0
+            added = augment_to_ibr(fw, POL)[1]
+            assert added
+            assert full.take() == decided + 1
+            calls = ranked.take()
+            assert calls == stacked_calls(fw, added) >= len(added)
+            split += calls > len(added)
+        assert split == (0 if budget == default else len(inputs))
+
+
+AUGMENTATION_PEAK_BYTES = 1_250_000
+
+
+def augmentation_peak(fw):
+    tracemalloc.start()
+    try:
+        augment_to_ibr(fw, POL)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_augmentation_peaks_below_a_constant(monkeypatch):
+    # the stacks of one round hold at most _STACK_BYTES of candidates, so
+    # the peak stays flat as the formation grows; one stack of all the
+    # candidates grows as n^4 and breaks the bound on the larger tree
+    rng = np.random.default_rng(59)
+    trees = []
+    for key, n in (("se3", 10), ("r3s1z", 16)):
+        fw = placed_framework(SPACES[key], n, rng)
+        trees.append(fw.with_graph(spanning_tree(n, fw.graph.kind, rng)))
+    for tree in trees:
+        assert augmentation_peak(tree) < AUGMENTATION_PEAK_BYTES
+    monkeypatch.setattr(scenarios, "_STACK_BYTES", 1 << 60)
+    assert augmentation_peak(trees[-1]) > 4 * AUGMENTATION_PEAK_BYTES
 
 
 def test_final_rank_must_be_the_chosen_one(monkeypatch):

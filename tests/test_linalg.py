@@ -8,8 +8,9 @@ from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
                               ibr_verdict, orthonormal_columns, random_framework,
                               random_rotation, rank_and_nullspace,
                               rotation_axis_angle,
-                              rotation_exp, skew, subspace_contains)
-from oracles import orthogonal_projector, planar_rotation, subspace_relation
+                              rotation_exp, skew)
+from oracles import (orthogonal_projector, planar_rotation, subspace_contains,
+                     subspace_relation)
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 vectors3 = st.lists(finite, min_size=3, max_size=3).map(np.array)
