@@ -168,15 +168,16 @@ def random_framework(spec: GeneratorSpec) -> Framework:
     return Framework(graph=g, space=space, states=tuple(states))
 
 
-def _candidate_ranks(blocks: np.ndarray, chosen: np.ndarray, per_edge: int,
-                     pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """(candidates, ranks): the unchosen edges, in canonical order, and the
-    rank of the factor of the chosen edges plus each one. blocks holds each
-    complete edge's factor rows; per_edge is the measured rows per edge, for
-    the threshold shape. Each selection is one row of an index array over
-    blocks, sorted so that it keeps the canonical order, and the selections
-    are ranked in stacks of at most _STACK_BYTES each."""
-    base, candidates = np.flatnonzero(chosen), np.flatnonzero(~chosen)
+def _candidate_ranks(blocks: np.ndarray, chosen: np.ndarray, dead: np.ndarray,
+                     per_edge: int, pol: TolerancePolicy,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(candidates, ranks): the edges neither chosen nor dead, in canonical
+    order, and the rank of the factor of the chosen edges plus each one.
+    blocks holds each complete edge's factor rows; per_edge is the measured
+    rows per edge, for the threshold shape. Each selection is one row of an
+    index array over blocks, sorted so that it keeps the canonical order,
+    and the selections are ranked in stacks of at most _STACK_BYTES each."""
+    base, candidates = np.flatnonzero(chosen), np.flatnonzero(~(chosen | dead))
     selections = np.sort(np.column_stack(
         [np.broadcast_to(base, (candidates.size, base.size)), candidates]), axis=1)
     _, block_rows, cols = blocks.shape
@@ -210,7 +211,10 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     No graph or framework is built per candidate. A round ranks all its
     candidates from singular values alone (linalg._rank, same threshold) in
     stacks of at most _STACK_BYTES (see _candidate_ranks); a round in which
-    no candidate raises the rank raises NumericalError. One
+    no candidate raises the rank raises NumericalError. A candidate whose
+    rank gain is 0 in one round is never ranked again: rank over a set of
+    rows is submodular, so adding edges never raises another edge's gain,
+    and a dead edge could not win a later round. One
     rank_and_nullspace of the final selection gives the kernel, and its
     rank must be the loop's.
     """
@@ -226,13 +230,15 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
 
     present = frozenset(fw.graph.edges)
     chosen = np.array([e in present for e in edges])
+    dead = np.zeros_like(chosen)
     rank_g = decision.verdict.rank
     added: list[tuple[int, int]] = []
     while rank_g < cols - decision.Nk.shape[1]:
-        candidates, ranks = _candidate_ranks(blocks, chosen, per_edge, pol)
+        candidates, ranks = _candidate_ranks(blocks, chosen, dead, per_edge, pol)
         if not np.any(ranks > rank_g):
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
                                  "exceeds the complete graph's")
+        dead[candidates[ranks == rank_g]] = True  # gain 0 now, so 0 in every later round
         best = int(np.argmax(ranks))  # the first of the largest gains
         rank_g = int(ranks[best])
         chosen[candidates[best]] = True

@@ -211,8 +211,10 @@ class Framework:
             raise ValidationError("frameworks with orientations need a directed graph")
 
         P = self.positions()
+        radius, e = _scaled_radius(P)
+        P = np.ldexp(P, -e)
         dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
-        close = np.argwhere(np.triu(dist <= COINCIDENT_TOL * _rms_radius(P), k=1))
+        close = np.argwhere(np.triu(dist <= COINCIDENT_TOL * radius, k=1))
         if close.size:
             i, j = close[0]
             raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
@@ -257,10 +259,27 @@ class Framework:
         return dataclasses.replace(self, graph=g)
 
 
+def _scaled_radius(P: np.ndarray) -> tuple[float, int]:
+    """(r, e): the RMS distance r of the points P / 2**e (one per row) from
+    their centroid, where 2**e is the least power of two above their
+    largest centered coordinate (e = 0 when all points are one).
+
+    Squares of coordinates beyond about 1e154 overflow and those below
+    about 1e-162 underflow, so lengths are taken on P / 2**e. Dividing by
+    a power of two is exact, and so are the sums, squares, square roots
+    and ratios of the quotients: r * 2**e, and distances taken on P / 2**e
+    and scaled back, are bit-identical to those taken on P wherever those
+    are finite and nonzero, and comparisons between them come out the
+    same."""
+    C = P - P.sum(axis=0) / len(P)
+    e = math.frexp(float(np.abs(C).max()))[1]
+    C = np.ldexp(C, -e)
+    return math.sqrt((C * C).sum(axis=1).sum() / len(P)), e
+
+
 def _rms_radius(P: np.ndarray) -> float:
     """RMS distance of the points P (one per row) from their centroid."""
-    C = P - P.sum(axis=0) / len(P)
-    return math.sqrt((C * C).sum(axis=1).sum() / len(P))
+    return math.ldexp(*_scaled_radius(P))
 
 
 @dataclass(frozen=True)
@@ -294,7 +313,8 @@ def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
     Framework) raises, naming the first such edge in the given order.
     """
     P = np.asarray(positions, dtype=float)
-    return _bearings(edges, P, rotations, COINCIDENT_TOL * _rms_radius(P))
+    radius, e = _scaled_radius(P)
+    return _bearings(edges, np.ldexp(P, -e), rotations, COINCIDENT_TOL * radius)
 
 
 def _bearings(edges, positions: np.ndarray, rotations, coincident: float) -> np.ndarray:

@@ -34,6 +34,9 @@
   most scenarios._STACK_BYTES each, so a few LAPACK calls score a round and
   the memory peak stays below a constant; the reference is one _rank call
   per matrix.
+* Augmentation never ranks again a candidate whose rank gain was 0 in an
+  earlier round (rank is submodular, so its gain stays 0); the reference
+  ranks every candidate in every round.
 * The verdict and augmentation test degeneracy once and then build the
   trivial basis unchecked; the public trivial_variation_basis still checks.
 * A mixed team's kernel split is built only for its readers (the report and
@@ -861,30 +864,37 @@ def test_augmentation_on_the_factor_matches_the_measured_loop():
     assert added_any == len(inputs)
 
 
-def reference_rebuild_augmentation(fw):
+def reference_rebuild_augmentation(fw, lazy=False, gains=None):
     """Edges augment_to_ibr adds when every candidate is a new framework
     whose verdict factor is assembled from scratch (the loop before row
     selection). Ranks go through engine's rank_and_nullspace binding, which
-    decomposed_inputs records."""
+    decomposed_inputs records. Every candidate is ranked in every round;
+    lazy drops the candidates seen at rank gain 0, as augment_to_ibr does.
+    gains, when given, receives each round's {candidate: rank gain}."""
     unit = engine._unit_scale(fw)
     Nk = complete_graph_kernel(unit, POL)
-    current, added = unit, []
+    current, added, dead = unit, [], set()
     while True:
         C, shape = engine._verdict_factor(current, current.graph.edges)
         rank_g, Ng = engine.rank_and_nullspace(C, POL, shape=shape)
         if subspace_relation(Nk, Ng, POL) == "equal":
             return tuple(added)
-        best_edge, best_rank = None, rank_g
+        best_edge, best_rank, gain = None, rank_g, {}
         for e in complete_edges(fw.n, fw.graph.kind):
-            if e in current.graph.edges:
+            if e in current.graph.edges or e in dead:
                 continue
             trial = current.with_graph(
                 SensingGraph(fw.n, current.graph.edges + (e,), fw.graph.kind))
             C, shape = engine._verdict_factor(trial, trial.graph.edges)
             r, _ = engine.rank_and_nullspace(C, POL, shape=shape)
+            gain[e] = r - rank_g
             if r > best_rank:
                 best_edge, best_rank = e, r
         assert best_edge is not None
+        if lazy:
+            dead.update(e for e, g in gain.items() if g == 0)
+        if gains is not None:
+            gains.append(gain)
         current = current.with_graph(
             SensingGraph(fw.n, current.graph.edges + (best_edge,), fw.graph.kind))
         added.append(best_edge)
@@ -895,6 +905,46 @@ def test_augmentation_by_row_selection_matches_the_rebuild_loop():
         for factor in AUGMENTATION_SCALES:
             moved = scaled(fw, factor)
             assert augment_to_ibr(moved, POL)[1] == reference_rebuild_augmentation(moved)
+
+
+def test_a_candidate_without_gain_never_gains_later():
+    # rank over a set of rows is submodular: adding edges never raises
+    # another edge's gain, so an edge that raised nothing in one round
+    # raises nothing in any later one, and augmentation may drop it
+    inputs, pruned = augmentation_inputs(), 0
+    for fw in inputs:
+        for factor in AUGMENTATION_SCALES:
+            gains, dead = [], set()
+            reference_rebuild_augmentation(scaled(fw, factor), gains=gains)
+            for gain in gains:
+                assert all(gain[e] == 0 for e in dead)
+                dead.update(e for e, g in gain.items() if g == 0)
+            pruned += bool(dead)
+    assert pruned == len(AUGMENTATION_SCALES) * len(inputs)
+
+
+def test_pruning_ranks_fewer_candidates_in_every_space(monkeypatch):
+    # without pruning a round ranks every edge not yet chosen; with it no
+    # input ranks more, and some input of every space ranks fewer
+    ranked = []
+
+    def counted(M, pol=None, **kwargs):
+        ranked.append(len(M))
+        return linalg._rank(M, pol, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_rank", counted)
+    spaces_seen, fewer = set(), set()
+    for fw in augmentation_inputs():
+        ranked.clear()
+        added = augment_to_ibr(fw, POL)[1]
+        total, have = len(complete_edges(fw.n, fw.graph.kind)), len(fw.graph.edges)
+        eager = sum(total - chosen for chosen in range(have, have + len(added)))
+        key = fw.space if fw.is_homogeneous else "mixed"
+        spaces_seen.add(key)
+        assert sum(ranked) <= eager
+        if sum(ranked) < eager:
+            fewer.add(key)
+    assert fewer == spaces_seen and len(spaces_seen) == len(REFERENCE_SPACES) + 1
 
 
 def decomposed_inputs(monkeypatch, call):
@@ -920,19 +970,14 @@ def decomposed_inputs(monkeypatch, call):
     return seen, ranked
 
 
-def split_reference(seq, fw, added):
+def split_reference(seq, gains, added):
     """The reference's decompositions seq as (head, candidates, new graphs):
     the head is the complete graph (when it was decomposed) and the input;
-    then per round come every candidate and the new graph, which is
-    checked to repeat that round's winning candidate entry for entry, with
-    the same threshold shape."""
-    pool = complete_edges(fw.n, fw.graph.kind)
-    have = set(fw.graph.edges)
-    rounds = []  # (candidate count, position of the winner among them)
-    for e in added:
-        candidates = [f for f in pool if f not in have]
-        rounds.append((len(candidates), candidates.index(e)))
-        have.add(e)
+    then per round come that round's candidates (the keys of its gains)
+    and the new graph, which is checked to repeat that round's winning
+    candidate entry for entry, with the same threshold shape."""
+    # (candidate count, position of the winner among them)
+    rounds = [(len(gain), list(gain).index(e)) for gain, e in zip(gains, added)]
     start = len(seq) - sum(count + 1 for count, _ in rounds)
     assert start in (1, 2)
     head, candidates, new_graphs = seq[:start], [], []
@@ -955,22 +1000,23 @@ def assert_same_inputs(got, want):
 
 
 def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
-    # same complete kernel, same start, then per round every candidate: each
-    # matrix of the stacks the rank-only path ranks is the rebuilt
-    # _verdict_factor(trial) entry for entry, in candidate order and with
-    # the same threshold shape, whether a round fits one stack or takes one
-    # stack per candidate; augmentation then decomposes only the final
-    # graph, where the reference decomposes every round's new graph
+    # same complete kernel, same start, then per round every candidate not
+    # yet seen at gain 0: each matrix of the stacks the rank-only path ranks
+    # is the rebuilt _verdict_factor(trial) entry for entry, in candidate
+    # order and with the same threshold shape, whether a round fits one
+    # stack or takes one stack per candidate; augmentation then decomposes
+    # only the final graph, where the reference decomposes every round's
+    # new graph
     budgets = ((1.0, scenarios._STACK_BYTES), (1e9, 1))
     for fw in augmentation_inputs():
         for factor, budget in budgets:
             monkeypatch.setattr(scenarios, "_STACK_BYTES", budget)
             moved = scaled(fw, factor)
             got, ranked = decomposed_inputs(monkeypatch, lambda: augment_to_ibr(moved, POL))
-            added = []
-            want, none = decomposed_inputs(
-                monkeypatch, lambda: added.extend(reference_rebuild_augmentation(moved)))
-            head, candidates, new_graphs = split_reference(want, moved, added)
+            added, gains = [], []
+            want, none = decomposed_inputs(monkeypatch, lambda: added.extend(
+                reference_rebuild_augmentation(moved, lazy=True, gains=gains)))
+            head, candidates, new_graphs = split_reference(want, gains, added)
             assert none == [] and len(candidates) > moved.n
             assert_same_inputs(ranked, candidates)
             assert_same_inputs(got, head + new_graphs[-1:])
@@ -1014,16 +1060,17 @@ def test_rank_only_path_matches_rank_and_nullspace():
     assert tested >= 70 * len(RANK_SCALES) * 2
 
 
-def stacked_calls(fw, added):
-    """The stacked _rank calls augmentation makes to add the edges added to
-    fw: per round, its candidates split into stacks whose matrices hold at
-    most scenarios._STACK_BYTES (at least one matrix per stack)."""
+def stacked_calls(fw, gains):
+    """The stacked _rank calls augmentation makes on fw, given the lazy
+    reference's gains: per round, its candidates split into stacks whose
+    matrices hold at most scenarios._STACK_BYTES (at least one matrix per
+    stack)."""
     edges = complete_edges(fw.n, fw.graph.kind)
     block_bytes = engine._verdict_factor(fw, edges)[0].nbytes // len(edges)
     calls = 0
-    for have in range(len(fw.graph.edges), len(fw.graph.edges) + len(added)):
+    for have, gain in enumerate(gains, start=len(fw.graph.edges)):
         per_stack = max(1, scenarios._STACK_BYTES // ((have + 1) * block_bytes))
-        calls += -(-(len(edges) - have) // per_stack)
+        calls += -(-len(gain) // per_stack)
     return calls
 
 
@@ -1033,21 +1080,25 @@ def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
     # otherwise; the final graph is rank_and_nullspace's one call beyond
     # the verdict's own
     inputs = augmentation_inputs()
+    rounds = []
+    for fw in inputs:
+        rounds.append([])
+        reference_rebuild_augmentation(fw, lazy=True, gains=rounds[-1])
     full = CallCounter(monkeypatch, "rank_and_nullspace", linalg, engine, scenarios, spaces)
     ranked = CallCounter(monkeypatch, "_rank", scenarios)
     default = scenarios._STACK_BYTES
     for budget in (default, 4096):
         monkeypatch.setattr(scenarios, "_STACK_BYTES", budget)
         split = 0
-        for fw in inputs:
+        for fw, gains in zip(inputs, rounds):
             engine._decide(fw, POL)
             decided = full.take()
             assert ranked.take() == 0
             added = augment_to_ibr(fw, POL)[1]
-            assert added
+            assert added and len(added) == len(gains)
             assert full.take() == decided + 1
             calls = ranked.take()
-            assert calls == stacked_calls(fw, added) >= len(added)
+            assert calls == stacked_calls(fw, gains) >= len(added)
             split += calls > len(added)
         assert split == (0 if budget == default else len(inputs))
 

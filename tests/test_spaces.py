@@ -1,13 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bearing_rigidity import (AgentState, CoincidentAgentsError, Framework,
-                              MetricSpace, SensingGraph, ValidationError,
+from bearing_rigidity import (FIXTURES, AgentState, CoincidentAgentsError,
+                              Framework, GeneratorSpec, MetricSpace,
+                              SensingGraph, ValidationError, bearing_equivalent,
                               bearing_rigidity_function, complete_edges, fixture,
-                              ibr_verdict, is_non_degenerate, random_rotation,
+                              hetero_case_study, ibr_verdict, is_non_degenerate,
+                              random_framework, random_rotation,
                               rotation_axis_angle)
-from bearing_rigidity.spaces import bearing_stack_raw
+from bearing_rigidity.spaces import (COINCIDENT_TOL, _bearings, _rms_radius,
+                                     bearing_stack_raw)
 
 finite = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
@@ -156,6 +162,58 @@ def test_coincident_agents_raise_at_every_scale(scale):
     # all agents at one point have zero radius and still coincide
     with pytest.raises(CoincidentAgentsError, match="^agents 1 and 2 coincide$"):
         shared_frame_triangle([[scale, scale]] * 3)
+
+
+def scale_inputs():
+    """Every fixture, four mixed case studies and one generated framework
+    per space, IBR and IBF alike."""
+    frameworks = [fixture(name) for name in sorted(FIXTURES)]
+    frameworks += [hetero_case_study(seed) for seed in range(4)]
+    for seed, space in enumerate((MetricSpace.rd(2), MetricSpace.rd(3),
+                                  MetricSpace.rd_s1(2),
+                                  MetricSpace.rd_s1(3, axis=(0.6, 0.0, 0.8)),
+                                  MetricSpace.se3())):
+        frameworks.append(random_framework(
+            GeneratorSpec(space, n=6, graph_density=0.5, seed=seed)))
+    return frameworks
+
+
+def test_verdicts_hold_far_beyond_the_square_range():
+    # squares of coordinates overflow beyond about 1e154 and underflow below
+    # about 1e-162; lengths are taken on a copy divided by a power of two,
+    # so no agents read as coincident and no warning is raised
+    classes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fw in scale_inputs():
+            ref = ibr_verdict(fw)
+            classes.add(ref.classification)
+            for factor in (1e-200, 1e200):
+                moved = scaled_copy(fw, factor)
+                v = ibr_verdict(moved)
+                assert (v.classification, v.rank, v.nullity, v.degenerate) == \
+                    (ref.classification, ref.rank, ref.nullity, ref.degenerate)
+                assert bearing_equivalent(moved, moved)
+    assert classes == {"IBR", "IBF"}
+
+
+def old_rms_radius(P):
+    C = P - P.sum(axis=0) / len(P)
+    return math.sqrt((C * C).sum(axis=1).sum() / len(P))
+
+
+def test_prescaled_lengths_are_bit_identical_at_ordinary_scales():
+    rng = np.random.default_rng(11)
+    edges = [(i, j) for i in range(7) for j in range(7) if i != j]
+    rotations = [random_rotation(rng) for _ in range(7)]
+    for scale in (1e-150, 1e-9, 0.37, 1.0, 3.0, 1e9, 1e150):
+        for _ in range(20):
+            P = scale * (rng.standard_normal((7, 3)) + rng.uniform(-50.0, 50.0, 3))
+            radius = old_rms_radius(P)
+            assert _rms_radius(P) == radius
+            np.testing.assert_array_equal(
+                bearing_stack_raw(edges, P, rotations),
+                _bearings(edges, P, rotations, COINCIDENT_TOL * radius))
 
 
 def test_bearing_hand_values():
