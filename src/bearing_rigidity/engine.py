@@ -20,9 +20,11 @@ larger unified matrix is never built on the way. That one selection
 (_layout, the only place a layout is chosen, with _unified_columns mapping
 each layout column to its unified column) also serves the finite-difference
 probe, which lifts every variation into unified coordinates and moves the
-state one way for all spaces (all agents of a trial turned by one stacked
-rotation_exp, at unit formation scale), and the trivial basis, whose
-per-space generators are the unified ones restricted to the layout.
+state one way for all spaces (_moved_bearings: a chunk of trials at once,
+every agent of every trial turned by one stacked rotation_exp and all their
+bearings taken in one evaluation, at unit formation scale), and the trivial
+basis, whose per-space generators are the unified ones restricted to the
+layout.
 
 Rank decisions do not decompose those measured rows. A bearing's variation
 is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
@@ -93,6 +95,11 @@ LABEL_VOCABULARY = frozenset({
 
 IBR = "IBR"
 IBF = "IBF"
+
+# Bytes of one (trials, edges, 3) bearing stack the FD probe holds. Its other
+# trial arrays are a few times this (the rotations gathered per edge, three),
+# so the probe's memory peak does not grow with its trial count.
+_TRIAL_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -366,11 +373,14 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     where the step h is neither lost in rounding nor large against the
     edges, so its error does not change when the formation is scaled.
 
-    Every representation moves the state the same way: delta is lifted into
-    unified coordinates, positions move by h*dp and each rotation by
-    exp(h * skew(V_a dw_a)) from the left, V_a being the agent's
-    rotation-input matrix (agents without one keep their rotation), all
-    agents of a trial in one stacked rotation_exp. The compared bearing rows
+    Every representation moves the state the same way (_moved_bearings):
+    delta is lifted into unified coordinates, positions move by h*dp and
+    each rotation by exp(h * skew(V_a dw_a)) from the left, V_a being the
+    agent's rotation-input matrix (agents without one keep their rotation).
+    All directions are drawn at once, and the trials are moved in chunks of
+    at most _TRIAL_BYTES of bearings, each chunk with one stacked
+    rotation_exp and one bearing evaluation; the matrix action and both
+    norms are still taken one trial at a time. The compared bearing rows
     are the first d components of each edge's bearing. The step h is
     pol.fd_step, and trials must be >= 1.
     """
@@ -380,36 +390,51 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     h = pol.fd_step
     representation, d, rot_cols = _layout(fw, representation)
     fw = _unit_scale(fw)
-    B = (rigidity_matrix(fw) if representation == "per_space"
-         else unified_rigidity_matrix(fw)).matrix
+    B = _assemble(fw, fw.graph.edges, d, rot_cols)
     n = fw.n
-    lift = _unified_columns(n, d, rot_cols)
-    V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
-    turning = V.any()
-    edges0 = [(i - 1, j - 1) for i, j in fw.graph.edges]
+    edges0 = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1
     P, R = fw.positions(), np.array(fw.rotations())
+    V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
     # the base state's coincidence threshold serves every trial: a step of
     # fd_step < 1 at unit scale barely moves the radius
     coincident = COINCIDENT_TOL * _rms_radius(P)
     b0 = _bearings(edges0, P, R, coincident)[:, :d].reshape(-1)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        delta = rng.standard_normal(B.shape[1])
-        if representation == "unified" and _uses_planar_projector(fw):
-            delta[2:3 * n:3] = 0.0
+    D = np.random.default_rng(seed).standard_normal((trials, B.shape[1]))
+    if representation == "unified" and _uses_planar_projector(fw):
+        D[:, 2:3 * n:3] = 0.0
+    for delta in D:
         delta /= np.linalg.norm(delta)
-        full = np.zeros(6 * n)
-        full[lift] = delta
-        dp, dw = full.reshape(2, n, 3)
-        R2 = rotation_exp(h * np.einsum("aij,aj->ai", V, dw)) @ R if turning else R
-        b1 = _bearings(edges0, P + h * dp, R2, coincident)[:, :d].reshape(-1)
-        fd = (b1 - b0) / h
-        Bd = B @ delta
-        err = np.linalg.norm(Bd - fd) / max(1.0, np.linalg.norm(Bd))
-        worst = max(worst, float(err))
+    lift = _unified_columns(n, d, rot_cols)
+    step = max(1, _TRIAL_BYTES // (24 * max(1, fw.m)))  # a (step, m, 3) float stack
+    worst = 0.0
+    for chunk in np.split(D, range(step, trials, step)):
+        moved = _moved_bearings(P, R, V, edges0, lift, chunk, h, coincident)
+        for delta, b1 in zip(chunk, moved[:, :, :d].reshape(len(chunk), -1)):
+            fd = (b1 - b0) / h
+            Bd = B @ delta
+            err = np.linalg.norm(Bd - fd) / max(1.0, np.linalg.norm(Bd))
+            worst = max(worst, float(err))
     return FDCheckResult(max_rel_error=worst, step=h, trials=trials,
                          representation=representation)
+
+
+def _moved_bearings(P: np.ndarray, R: np.ndarray, V: np.ndarray, edges0: np.ndarray,
+                    lift: np.ndarray, D: np.ndarray, h: float,
+                    coincident: float) -> np.ndarray:
+    """(k, m, 3) bearings on edges0 (0-based) of the state with positions P,
+    rotations R and rotation inputs V, moved by h along each of the k rows
+    of D (columns of one layout, lifted to unified ones by lift): positions
+    to P + h*dp, and agent a's rotation to exp(h * skew(V_a dw_a)) R_a, all
+    k*n rotations in one stacked rotation_exp and all bearings in one
+    _bearings call with the absolute coincidence threshold given."""
+    k, n = len(D), len(P)
+    full = np.zeros((k, 6 * n))
+    full[:, lift] = D
+    full = full.reshape(k, 2, n, 3)
+    dp, dw = full[:, 0], full[:, 1]
+    if V.any():
+        R = rotation_exp(h * np.einsum("aij,kaj->kai", V, dw)) @ R
+    return _bearings(edges0, P + h * dp, R, coincident)
 
 
 def _axis_label(axis: np.ndarray) -> str:

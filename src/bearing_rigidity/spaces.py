@@ -265,16 +265,20 @@ def _scaled_radius(P: np.ndarray) -> tuple[float, int]:
     largest centered coordinate (e = 0 when all points are one).
 
     Squares of coordinates beyond about 1e154 overflow and those below
-    about 1e-162 underflow, so lengths are taken on P / 2**e. Dividing by
-    a power of two is exact, and so are the sums, squares, square roots
-    and ratios of the quotients: r * 2**e, and distances taken on P / 2**e
-    and scaled back, are bit-identical to those taken on P wherever those
-    are finite and nonzero, and comparisons between them come out the
-    same."""
+    about 1e-162 underflow, so lengths are taken on P / 2**e. Sums of
+    coordinates near the top of the float range overflow too, so P is
+    first divided by the least power of two above its largest coordinate
+    and centered after. Dividing by a power of two is exact, and so are
+    the sums, squares, square roots and ratios of the quotients: r * 2**e,
+    and distances taken on P / 2**e and scaled back, are bit-identical to
+    those taken on P wherever those are finite and nonzero, and
+    comparisons between them come out the same."""
+    f = math.frexp(float(np.abs(P).max()))[1]
+    P = np.ldexp(P, -f)
     C = P - P.sum(axis=0) / len(P)
     e = math.frexp(float(np.abs(C).max()))[1]
     C = np.ldexp(C, -e)
-    return math.sqrt((C * C).sum(axis=1).sum() / len(P)), e
+    return math.sqrt((C * C).sum(axis=1).sum() / len(P)), e + f
 
 
 def _rms_radius(P: np.ndarray) -> float:
@@ -319,18 +323,24 @@ def bearing_stack_raw(edges, positions: np.ndarray, rotations) -> np.ndarray:
 
 def _bearings(edges, positions: np.ndarray, rotations, coincident: float) -> np.ndarray:
     """bearing_stack_raw with the absolute coincidence threshold given:
-    agents at distance <= coincident raise."""
+    agents at distance <= coincident raise.
+
+    positions may be a (k, n, 3) stack of k states, and rotations a
+    (k, n, 3, 3) stack or one (n, 3, 3) set shared by all of them; the
+    (k, m, 3) result equals one call per state, and a coincidence names
+    the first coincident edge of the first state that has one."""
     E = np.asarray(edges, dtype=int).reshape(-1, 2)
     heads, tails = E[:, 0], E[:, 1]
     P = np.asarray(positions, dtype=float)
-    diff = P[tails] - P[heads]
-    dist = np.linalg.norm(diff, axis=1)
+    diff = P[..., tails, :] - P[..., heads, :]
+    dist = np.linalg.norm(diff, axis=-1)
     close = np.flatnonzero(dist <= coincident)
     if close.size:
-        i, j = E[close[0]]
+        i, j = E[close[0] % len(E)]
         raise CoincidentAgentsError(f"agents {i + 1} and {j + 1} coincide")
+    diff /= dist[..., None]
     R = np.asarray(rotations, dtype=float)
-    return np.einsum("kab,ka->kb", R[heads], diff / dist[:, None])
+    return np.einsum("...kab,...ka->...kb", R[..., heads, :, :], diff)
 
 
 def bearing_rigidity_function(fw: Framework) -> BearingStack:

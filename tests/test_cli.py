@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ def write_triangle(tmp_path, space=None, graph=None, agents=None):
     path = tmp_path / "fw.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("s", [1e308, 1.5e308])
+def test_coordinates_near_the_float_maximum_are_decided(tmp_path, capsys, s):
+    # the coordinates' sums overflow, so lengths are taken on positions
+    # divided by a power of two before they are centered
+    path = write_triangle(tmp_path, agents=[{"p": [0.0, 0.0]}, {"p": [s, 0.0]},
+                                            {"p": [s, s]}])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["classification"] == "IBR"
 
 
 @pytest.mark.parametrize("space,graph", [

@@ -18,10 +18,13 @@
 * Every rank decision (verdicts, complete-graph kernels, mixed-team
   decompositions, augmentation) decomposes the factor rows of the verdict
   matrix; the reference decomposes the measured matrix itself.
-* The FD probe turns all agents of a trial with one stacked rotation_exp;
-  the reference calls it once per vector. Its trials share the base
-  state's coincidence threshold; the reference calls bearing_stack_raw,
-  which takes the radius of every state it is given.
+* The FD probe moves a chunk of trials at once (engine._moved_bearings):
+  one stacked rotation_exp for every agent of every trial in the chunk and
+  one bearing evaluation, chunks holding at most engine._TRIAL_BYTES of
+  bearings; the reference moves one trial at a time and calls rotation_exp
+  once per vector. Its trials share the base state's coincidence
+  threshold; the reference calls bearing_stack_raw, which takes the radius
+  of every state it is given.
 * The assembler hands its fresh array to RigidityMatrix without a copy;
   outside arrays are still copied.
 * Augmentation assembles the complete graph's factor once and ranks each
@@ -192,7 +195,8 @@ def test_complete_graph_kernel_keeps_the_decided_dimension_at_any_scale():
 def test_mixed_report_computes_one_verdict(monkeypatch):
     # counts work, not calls of one function: the report decomposes the
     # factor rows of its own unit-scale matrix and of the complete graph's,
-    # and assembles those two factors plus the FD probe's unified matrix
+    # and assembles those two factors plus the FD probe's unified matrix,
+    # which the probe takes from the assembler without the public builder
     counts = {"rank_and_nullspace": 0, "_assemble": 0, "unified_rigidity_matrix": 0}
     decomposed = []
     for name in counts:
@@ -204,7 +208,7 @@ def test_mixed_report_computes_one_verdict(monkeypatch):
         monkeypatch.setattr(engine, name, counted)
     report = analysis_report(hetero_case_study(seed=0), POL)
     assert counts == {"rank_and_nullspace": 2, "_assemble": 3,
-                      "unified_rigidity_matrix": 1}
+                      "unified_rigidity_matrix": 0}
     # 12 edges: 2 factor rows each, 3 measured rows each
     assert decomposed == [((24, 24), (36, 24))] * 2
     assert report["verdict"]["rank"] == 13
@@ -282,6 +286,40 @@ def test_vectorized_bearings_name_the_first_coincident_pair():
         looped_bearings(edges, P, R)
     with pytest.raises(CoincidentAgentsError) as fast:
         bearing_stack_raw(edges, P, R)
+    assert str(fast.value) == str(slow.value) == "agents 6 and 5 coincide"
+
+
+def test_stacked_bearings_match_one_call_per_state():
+    rng = np.random.default_rng(13)
+    n, k = 7, 5
+    edges = [(i, j) for i in range(n) for j in range(n)
+             if i != j and rng.random() < 0.6]
+    P = rng.standard_normal((k, n, 3))
+    shared = np.array([random_rotation(rng) for _ in range(n)])
+    own = np.array([[random_rotation(rng) for _ in range(n)] for _ in range(k)])
+    for R in (shared, own):
+        stacked = spaces._bearings(edges, P, R, 1e-12)
+        assert stacked.shape == (k, len(edges), 3)
+        for t in range(k):
+            np.testing.assert_array_equal(
+                stacked[t], spaces._bearings(edges, P[t], R if R is shared else R[t],
+                                             1e-12))
+
+
+def test_stacked_bearings_name_the_first_coincidence_of_the_first_state():
+    # state 2 meets a coincidence at its second edge, state 3 at its first:
+    # the loop over states stops at state 2
+    rng = np.random.default_rng(14)
+    P = np.repeat(rng.standard_normal((1, 6, 3)), 4, axis=0)
+    P[2, 5] = P[2, 4]
+    P[3, 2] = P[3, 0]
+    R = np.array([np.eye(3)] * 6)
+    edges = [(0, 2), (5, 4), (2, 0), (1, 3), (4, 5)]
+    with pytest.raises(CoincidentAgentsError) as slow:
+        for state in P:
+            spaces._bearings(edges, state, R, 1e-12)
+    with pytest.raises(CoincidentAgentsError) as fast:
+        spaces._bearings(edges, P, R, 1e-12)
     assert str(fast.value) == str(slow.value) == "agents 6 and 5 coincide"
 
 
@@ -724,6 +762,58 @@ def test_fd_probe_takes_the_coincidence_radius_once(monkeypatch):
         engine.fd_jacobian_check(fw, POL, trials=trials)
         counts.append(radii.take())
     assert counts[0] == counts[1]
+
+
+def test_fd_probe_evaluates_bearings_once_per_chunk(monkeypatch):
+    # one call for the base state and one per chunk of trials, however
+    # many trials a chunk holds
+    fw = hetero_case_study(seed=0)
+    bearings = CallCounter(monkeypatch, "_bearings", spaces, engine)
+    three_trials = 3 * fw.m * 3 * 8
+    for budget, trials, chunks in ((engine._TRIAL_BYTES, 1, 1),
+                                   (engine._TRIAL_BYTES, 20, 1),
+                                   (three_trials, 20, 7), (1, 20, 20)):
+        monkeypatch.setattr(engine, "_TRIAL_BYTES", budget)
+        engine.fd_jacobian_check(fw, POL, trials=trials)
+        assert bearings.take() == 1 + chunks
+
+
+@pytest.mark.parametrize("key,planar_3d", REFERENCE_CASES)
+def test_fd_probe_in_chunks_of_one_trial_is_bit_identical(monkeypatch, key, planar_3d):
+    def errors():
+        return [engine.fd_jacobian_check(fw, POL, representation=rep).max_rel_error
+                for fw in reference_frameworks(key, planar_3d)
+                for rep in ("per_space", "unified")]
+
+    whole = errors()
+    monkeypatch.setattr(engine, "_TRIAL_BYTES", 1)
+    assert errors() == whole
+
+
+def probe_peak(fw, trials):
+    tracemalloc.start()
+    try:
+        engine.fd_jacobian_check(fw, POL, trials=trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fd_probe_trial_stacks_stay_within_the_budget(monkeypatch):
+    # a chunk holds a few arrays the size of its (trials, m, 3) bearing
+    # stack (the rotations gathered per edge are three of them), so beyond
+    # the directions, drawn at once, 100 trials peak within a few budgets
+    # of one trial; one stack of all the trials breaks that bound
+    fw = random_framework(GeneratorSpec(MetricSpace.se3(), n=40,
+                                        graph_density=0.3, seed=0))
+    limit = 100 * 6 * fw.n * 8 + 8 * engine._TRIAL_BYTES
+
+    def growth():
+        return probe_peak(fw, 100) - probe_peak(fw, 1)
+
+    assert growth() < limit
+    monkeypatch.setattr(engine, "_TRIAL_BYTES", 1 << 60)
+    assert growth() > 4 * limit
 
 
 # Rank decisions take the factor rows C of the verdict matrix B: per edge

@@ -216,6 +216,20 @@ def test_prescaled_lengths_are_bit_identical_at_ordinary_scales():
                 _bearings(edges, P, rotations, COINCIDENT_TOL * radius))
 
 
+def test_prescaled_radius_is_bit_identical_up_to_the_float_maximum():
+    # positions are divided by a power of two before they are centered, so
+    # their sums cannot overflow; the triangle's radius is 2s/3
+    P = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    unit = _rms_radius(P)
+    for e in (600, 1023):
+        assert _rms_radius(np.ldexp(P, e)) == math.ldexp(unit, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e308, 1.5e308, np.finfo(float).max):
+            assert _rms_radius(s * P) == pytest.approx(s / 3.0 * 2.0, rel=1e-15)
+            assert ibr_verdict(shared_frame_triangle(s * P[:, :2])).classification == "IBR"
+
+
 def test_bearing_hand_values():
     fw = shared_frame_triangle([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_allclose(bearing(fw, 1, 2), [1, 0, 0],
