@@ -15,6 +15,7 @@ file, individual flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -49,7 +50,10 @@ def _tolerance_parent() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The brl argument parser, built once per process: parsing leaves it
+    unchanged, so every main call shares it."""
     tol = _tolerance_parent()
     parser = argparse.ArgumentParser(prog="brl",
                                      description="bearing rigidity analysis")

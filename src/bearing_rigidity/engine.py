@@ -24,7 +24,9 @@ state one way for all spaces (_moved_bearings: a chunk of trials at once,
 every agent of every trial turned by one stacked rotation_exp and all their
 bearings taken in one evaluation, at unit formation scale), and the trivial
 basis, whose per-space generators are the unified ones restricted to the
-layout.
+layout. Every reader takes the agents' positions, rotations and rotation
+inputs from the framework's own read-only stacks (spaces.Framework), built
+once per framework; the unit-scale copy shares them.
 
 Rank decisions do not decompose those measured rows. A bearing's variation
 is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
@@ -74,7 +76,6 @@ axis, which is exactly what the coordinated-rotation generator encodes.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +84,9 @@ from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_edges, complete_graph
 from .linalg import (TolerancePolicy, _residual, orthonormal_columns,
-                     rank_and_nullspace, rotation_exp)
+                     rank_and_nullspace, rotation_exp, skew)
 from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings, _rms_radius,
-                     bearing_rigidity_function, is_non_degenerate)
+                     _unchecked, bearing_rigidity_function, is_non_degenerate)
 
 LABEL_VOCABULARY = frozenset({
     "translation_x", "translation_y", "translation_z", "scaling",
@@ -130,10 +131,8 @@ class RigidityMatrix:
                col_blocks: tuple[ColumnBlock, ...]) -> "RigidityMatrix":
         """Take over a fresh float array nobody else holds: checked and made
         read-only like a constructor argument, but not copied."""
-        rm = object.__new__(cls)
-        object.__setattr__(rm, "representation", representation)
-        object.__setattr__(rm, "row_blocks", row_blocks)
-        object.__setattr__(rm, "col_blocks", col_blocks)
+        rm = _unchecked(cls, representation=representation, row_blocks=row_blocks,
+                        col_blocks=col_blocks)
         rm._seal(matrix)
         return rm
 
@@ -240,7 +239,8 @@ def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
 
     Edge k = (i, j) with unit bearing u and length dist has the unified
     position block R_i^T P(u) / dist (at agent j's columns, negated at agent
-    i's) and the rotation block R_i^T skew(u) V_i (at agent i's). The layout
+    i's) and the rotation block R_i^T skew(u) V_i (at agent i's), all read
+    from fw's position, rotation and rotation-input stacks. The layout
     keeps rows 3k..3k+d of each edge, position columns c < d of each agent
     (d per agent), then rotation columns rot_cols of each agent's block.
 
@@ -258,14 +258,14 @@ def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
     E = np.array(edges, dtype=int).reshape(-1, 2) - 1
     heads, tails = E[:, 0], E[:, 1]
     m = len(E)
-    P = fw.positions()
+    P = fw._positions
     diff = P[tails] - P[heads]
     dist = np.linalg.norm(diff, axis=1)
     u = diff / dist[:, None]
     left = _complement_rows(u, _uses_planar_projector(fw))
     r = left.shape[1]
     if not factor:
-        Rt = np.array(fw.rotations()).transpose(0, 2, 1)[heads]
+        Rt = fw._rotations.transpose(0, 2, 1)[heads]
         left, r = Rt @ left.transpose(0, 2, 1) @ left, d
     pos = (left / dist[:, None, None])[:, :r, :d]
     w = len(rot_cols)
@@ -276,10 +276,7 @@ def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
     B[k, rr, d * heads[:, None, None] + c] = -pos
     B[k, rr, d * tails[:, None, None] + c] = pos
     if w:
-        V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
-        # skew(u) @ V, one column of V at a time
-        SV = np.cross(u[:, :, None], V[heads], axisa=1, axisb=1, axisc=1)
-        rot = (left @ SV)[:, :r, rot_cols]
+        rot = (left @ (skew(u) @ fw._rotation_inputs[heads]))[:, :r, rot_cols]
         B[k, rr, d * n + w * heads[:, None, None] + np.arange(w)] = rot
     return B.reshape(r * m, (d + w) * n)
 
@@ -379,10 +376,13 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     agent's rotation-input matrix (agents without one keep their rotation).
     All directions are drawn at once, and the trials are moved in chunks of
     at most _TRIAL_BYTES of bearings, each chunk with one stacked
-    rotation_exp and one bearing evaluation; the matrix action and both
-    norms are still taken one trial at a time. The compared bearing rows
-    are the first d components of each edge's bearing. The step h is
-    pol.fd_step, and trials must be >= 1.
+    rotation_exp and one bearing evaluation, and compared as whole arrays
+    (the differences and both norms along each trial's row); only each
+    direction's length and the matrix action are taken one trial at a
+    time. The state's positions, rotations and rotation inputs are the
+    framework's own stacks. The compared bearing rows are the first d
+    components of each edge's bearing. The step h is pol.fd_step, and
+    trials must be >= 1.
     """
     pol = pol or TolerancePolicy()
     if trials < 1:
@@ -393,8 +393,7 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     B = _assemble(fw, fw.graph.edges, d, rot_cols)
     n = fw.n
     edges0 = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1
-    P, R = fw.positions(), np.array(fw.rotations())
-    V = np.array([fw.space_of(a + 1).rotation_input() for a in range(n)])
+    P, R, V = fw._positions, fw._rotations, fw._rotation_inputs
     # the base state's coincidence threshold serves every trial: a step of
     # fd_step < 1 at unit scale barely moves the radius
     coincident = COINCIDENT_TOL * _rms_radius(P)
@@ -402,18 +401,19 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
     D = np.random.default_rng(seed).standard_normal((trials, B.shape[1]))
     if representation == "unified" and _uses_planar_projector(fw):
         D[:, 2:3 * n:3] = 0.0
-    for delta in D:
-        delta /= np.linalg.norm(delta)
+    # each trial's own dot product, as np.linalg.norm takes it, so every
+    # direction is the one a trial-by-trial normalisation gives to the bit
+    D /= np.sqrt([delta.dot(delta) for delta in D])[:, None]
     lift = _unified_columns(n, d, rot_cols)
     step = max(1, _TRIAL_BYTES // (24 * max(1, fw.m)))  # a (step, m, 3) float stack
-    worst = 0.0
+    errors = []
     for chunk in np.split(D, range(step, trials, step)):
         moved = _moved_bearings(P, R, V, edges0, lift, chunk, h, coincident)
-        for delta, b1 in zip(chunk, moved[:, :, :d].reshape(len(chunk), -1)):
-            fd = (b1 - b0) / h
-            Bd = B @ delta
-            err = np.linalg.norm(Bd - fd) / max(1.0, np.linalg.norm(Bd))
-            worst = max(worst, float(err))
+        fd = (moved[:, :, :d].reshape(len(chunk), -1) - b0) / h
+        Bd = np.array([B @ delta for delta in chunk])
+        errors.append(np.linalg.norm(Bd - fd, axis=1)
+                      / np.maximum(1.0, np.linalg.norm(Bd, axis=1)))
+    worst = float(np.concatenate(errors).max())
     return FDCheckResult(max_rel_error=worst, step=h, trials=trials,
                          representation=representation)
 
@@ -462,7 +462,7 @@ def _trivial_generators(P: np.ndarray, rotations) -> tuple[np.ndarray, list[str]
     G[:3 * n, 3] = P.reshape(-1)
     labels = ["translation_x", "translation_y", "translation_z", "scaling"]
     for k, (w, turn) in enumerate(rotations):
-        G[:3 * n, 4 + k] = np.cross(w, P).reshape(-1)
+        G[:3 * n, 4 + k] = (P @ skew(w).T).reshape(-1)
         G[3 * n:, 4 + k] = np.broadcast_to(turn, (n, 3)).reshape(-1)
         labels.append(_axis_label(w))
     return G, labels
@@ -549,7 +549,7 @@ def _to_caller_scale(fw: Framework, X: np.ndarray) -> np.ndarray:
     as they are."""
     _, d, _ = _layout(fw, "auto")
     lift = np.ones((X.shape[0], 1))
-    lift[:d * fw.n] = _rms_radius(fw.positions())
+    lift[:d * fw.n] = _rms_radius(fw._positions)
     return lift * X
 
 
@@ -558,12 +558,13 @@ def _unit_scale(fw: Framework) -> Framework:
     the centroid. Kernels are scale invariant, but translational columns
     scale as 1/length while rotational ones do not, so one relative rank
     threshold only separates both kinds of singular value near unit scale.
-    A framework within 1e-12 of unit scale is returned as it is."""
-    scale = _rms_radius(fw.positions())
+    A framework within 1e-12 of unit scale is returned as it is. The copy
+    is not validated again and shares fw's rotation stacks
+    (Framework._divided): dividing by the radius can break no check."""
+    scale = _rms_radius(fw._positions)
     if abs(scale - 1.0) <= 1e-12:
         return fw
-    return dataclasses.replace(
-        fw, states=tuple(dataclasses.replace(st, p=st.p / scale) for st in fw.states))
+    return fw._divided(scale)
 
 
 @dataclass(frozen=True)
@@ -704,7 +705,7 @@ def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelRepo
 
     P = unit.positions()
     P -= P.mean(axis=0)
-    V = np.array([unit.space_of(a + 1).rotation_input() for a in range(fw.n)])
+    V = unit._rotation_inputs
     # agent a turns by V_a^T e (row c of V_a), which is angular velocity e
     # whenever e lies in the range of its rotation-input matrix V_a
     candidates, names = _trivial_generators(

@@ -87,14 +87,17 @@ def rotation_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation by `angle` about a unit `axis` (Rodrigues form).
 
     A zero axis is legal and returns the identity; any other non-unit axis,
-    NaN included, is rejected rather than silently normalized.
+    NaN included, is rejected rather than silently normalized. A (..., 3)
+    stack of axes with a matching (...) stack of angles gives the (..., 3, 3)
+    stack of rotations, each equal to the rotation of its pair alone.
     """
     axis = np.asarray(axis, dtype=float)
-    nrm = np.linalg.norm(axis)
-    if nrm == 0.0:
-        return np.eye(3)
-    if not abs(nrm - 1.0) <= AXIS_UNIT_TOL:  # NaN fails too
-        raise ValidationError(f"rotation axis must be unit or zero, norm {nrm:.3e}")
+    nrm = np.linalg.norm(axis, axis=-1)
+    bad = (nrm != 0.0) & ~(np.abs(nrm - 1.0) <= AXIS_UNIT_TOL)  # NaN is bad too
+    if np.any(bad):
+        raise ValidationError(f"rotation axis must be unit or zero, "
+                              f"norm {np.extract(bad, nrm)[0]:.3e}")
+    angle = np.where(nrm == 0.0, 0.0, angle)[..., None, None]
     K = skew(axis)
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 

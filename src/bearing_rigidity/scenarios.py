@@ -119,14 +119,17 @@ def _generic_positions(spaces: list[MetricSpace], rng: np.random.Generator,
 
 def _collinear_positions(spec: GeneratorSpec, spaces: list[MetricSpace],
                          rng: np.random.Generator) -> np.ndarray:
-    planar = all(s.is_planar for s in spaces)
+    """A seeded line of agents, in the plane z = 0 when any agent is planar:
+    planar agents are pinned to that plane, so a line leaving it would not
+    stay a line."""
+    planar = any(s.is_planar for s in spaces)
     if spec.collinear_axis is not None:
         v = np.asarray(spec.collinear_axis, dtype=float)
         if np.linalg.norm(v) == 0:
             raise ValidationError("collinear axis must be nonzero")
         v = v / np.linalg.norm(v)
         if planar and abs(v[2]) > 1e-12:
-            raise ValidationError("planar frameworks need an in-plane axis")
+            raise ValidationError("teams with a planar agent need an in-plane axis")
     else:
         v = rng.standard_normal(3)
         if planar:

@@ -12,6 +12,11 @@ A framework is homogeneous when every agent shares the same space and
 heterogeneous otherwise. Positions are always stored as 3-vectors; planar
 spaces pin the third coordinate to zero.
 
+A framework is validated once, when built, and keeps read-only stacks for
+every reader: its (n, 3) positions and, from first use, its (n, 3, 3)
+rotations and rotation inputs. Its unit-scale copy (Framework._divided)
+shares the rotation stacks and is not validated again.
+
 The bearing measured along edge (i, j) is the unit vector from agent i to
 agent j expressed in agent i's frame: R_i^T (p_j - p_i) / ||p_j - p_i||.
 Reversing an edge negates the bearing only when both agents share a frame,
@@ -22,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,7 +149,10 @@ class AgentState:
                 raise ValidationError("rotation must be 3x3")
             if not np.all(np.isfinite(R)):
                 raise ValidationError("rotation contains NaN or Inf")
-            if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8 or np.linalg.det(R) < 0:
+            # an orthonormal matrix has every entry in [-1, 1]; larger ones
+            # are refused before the product, which they could overflow
+            if (np.abs(R).max() > 1.0 + 1e-8 or np.linalg.norm(R.T @ R - np.eye(3)) > 1e-8
+                    or np.linalg.det(R) < 0):
                 raise ValidationError("rotation is not orthonormal with det +1")
             R.setflags(write=False)
             object.__setattr__(self, "R", R)
@@ -210,7 +219,9 @@ class Framework:
         elif self.graph.kind != "directed":
             raise ValidationError("frameworks with orientations need a directed graph")
 
-        P = self.positions()
+        P = np.array([st.p for st in self.states])
+        P.setflags(write=False)
+        object.__setattr__(self, "_positions", P)
         radius, e = _scaled_radius(P)
         P = np.ldexp(P, -e)
         dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
@@ -238,25 +249,65 @@ class Framework:
         return self.space
 
     def positions(self) -> np.ndarray:
-        """All agent positions as an (n, 3) array."""
-        return np.array([st.p for st in self.states])
+        """All agent positions as a fresh (n, 3) array."""
+        return self._positions.copy()
+
+    @cached_property
+    def _rotations(self) -> np.ndarray:
+        """Read-only (n, 3, 3) world-from-body rotations: identity for rd
+        agents, the heading agents' in one stacked rotation_axis_angle."""
+        R = np.tile(np.eye(3), (self.n, 1, 1))
+        heading, axes, angles = [], [], []
+        for a, st in enumerate(self.states):
+            if st.R is not None:
+                R[a] = st.R
+            elif st.alpha is not None:
+                heading.append(a)
+                axes.append(self.space_of(a + 1).axis)
+                angles.append(st.alpha)
+        if heading:
+            R[heading] = rotation_axis_angle(np.array(axes), np.array(angles))
+        R.setflags(write=False)
+        return R
+
+    @cached_property
+    def _rotation_inputs(self) -> np.ndarray:
+        """Read-only (n, 3, 3) stack of the agents' MetricSpace.rotation_input."""
+        spaces = self.space if isinstance(self.space, tuple) else (self.space,)
+        return np.broadcast_to(np.array([s.rotation_input() for s in spaces]), (self.n, 3, 3))
 
     def rotation_of(self, i: int) -> np.ndarray:
         """World-from-body rotation of agent i (1-based); identity for rd."""
-        s = self.space_of(i)
-        st = self.states[i - 1]
-        if s.kind == "rd":
-            return np.eye(3)
-        if s.kind == "rdxs1":
-            return rotation_axis_angle(np.array(s.axis), st.alpha)
-        return np.asarray(st.R)
+        return self._rotations[i - 1]
 
     def rotations(self) -> list[np.ndarray]:
-        return [self.rotation_of(i) for i in range(1, self.n + 1)]
+        return list(self._rotations)
 
     def with_graph(self, g: SensingGraph) -> "Framework":
         """Same agents, different sensing graph (revalidated)."""
         return dataclasses.replace(self, graph=g)
+
+    def _divided(self, scale: float) -> "Framework":
+        """Same agents with every position divided by scale > 0, not
+        validated again: the quotients stay finite, planar agents stay at
+        z = 0 and distances keep their ratio to the radius, so no check
+        could fail. The rotation stacks are shared."""
+        P = self._positions / scale
+        P.setflags(write=False)
+        states = tuple(_unchecked(AgentState, p=p, alpha=st.alpha, R=st.R)
+                       for p, st in zip(P, self.states))
+        return _unchecked(Framework, graph=self.graph, space=self.space, states=states,
+                          _positions=P, _rotations=self._rotations,
+                          _rotation_inputs=self._rotation_inputs)
+
+
+def _unchecked(cls, **attributes):
+    """An instance of the frozen dataclass cls with the given attributes,
+    skipping __init__ and with it every check."""
+    obj = object.__new__(cls)
+    for name, value in attributes.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _scaled_radius(P: np.ndarray) -> tuple[float, int]:
@@ -346,9 +397,7 @@ def _bearings(edges, positions: np.ndarray, rotations, coincident: float) -> np.
 def bearing_rigidity_function(fw: Framework) -> BearingStack:
     """All edge bearings of the framework, in canonical edge order."""
     edges = fw.graph.edges
-    P = fw.positions()
-    R = fw.rotations()
-    b = bearing_stack_raw([(i - 1, j - 1) for i, j in edges], P, R)
+    b = bearing_stack_raw([(i - 1, j - 1) for i, j in edges], fw._positions, fw._rotations)
     return BearingStack(bearings=b, edges=edges)
 
 
@@ -376,7 +425,7 @@ def is_non_degenerate(fw_or_positions, pol: TolerancePolicy | None = None,
     """
     pol = pol or TolerancePolicy()
     if isinstance(fw_or_positions, Framework):
-        P = fw_or_positions.positions()
+        P = fw_or_positions._positions
     else:
         P = np.asarray(fw_or_positions, dtype=float)
         if P.ndim != 2 or P.shape[1] not in (2, 3):

@@ -200,6 +200,24 @@ def test_malformed_rotation_shapes_are_parse_errors(tmp_path, capsys, R):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("big", [1.0 + 1e-7, 1e308, -1e308])
+def test_rotation_entries_beyond_one_are_refused_before_any_product(tmp_path, capsys,
+                                                                   big):
+    # an orthonormal matrix has every entry in [-1, 1]; 1e308 would overflow
+    # R^T R, and the warning would escape as a traceback under -W error
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    agents = [{"p": [0.0, 0.0, 0.0], "R": [[big, 0, 0], [0, 1, 0], [0, 0, 1]]},
+              {"p": [1.0, 0.0, 0.0], "R": eye}, {"p": [0.0, 1.0, 0.0], "R": eye}]
+    path = write_triangle(tmp_path, {"type": "se3"},
+                          {"n": 3, "kind": "directed", "edges": [[1, 2], [2, 3], [3, 1]]},
+                          agents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", path)
+    assert code == 3
+    assert out == "" and err == "error: rotation is not orthonormal with det +1\n"
+
+
 @pytest.mark.parametrize("config", [{"fd_step": "x"}, {"rank_rtol": "1e-9"},
                                     {"subspace_tol": True}, {"seed": 2.5},
                                     {"seed": "3"}])

@@ -45,6 +45,13 @@
 * A mixed team's kernel split is built only for its readers (the report and
   hetero_kernel_analysis), and the decision record keeps no matrix, so a
   report's memory peak stays below the FD probe's matrix plus the factor.
+* A Framework keeps read-only stacks of its positions, rotations (the
+  heading agents' from one stacked rotation_axis_angle) and rotation
+  inputs; the references build each agent's rotation and rotation input
+  alone.
+* The unit-scale copy (engine._unit_scale) divides the positions without
+  validating again and shares the rotation stacks; the reference rebuilds
+  every state and the framework through dataclasses.replace.
 """
 import dataclasses
 import tracemalloc
@@ -1360,3 +1367,111 @@ def test_stacked_rotation_exp_matches_one_call_per_vector():
     np.testing.assert_array_equal(rotation_exp(W.reshape(2, -1, 3)),
                                   R.reshape(2, -1, 3, 3))
     np.testing.assert_array_equal(skew(W), [skew(w) for w in W])
+
+
+def one_axis_rotation(axis, angle):
+    """The Rodrigues form for one unit axis, before rotation_axis_angle took
+    stacks."""
+    K = skew(np.asarray(axis, dtype=float))
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def reference_rotation(fw, i):
+    """World-from-body rotation of agent i, one agent at a time (what
+    Framework.rotation_of computed before the framework kept a stack)."""
+    s, st = fw.space_of(i), fw.states[i - 1]
+    if s.kind == "rd":
+        return np.eye(3)
+    if s.kind == "rdxs1":
+        return one_axis_rotation(s.axis, st.alpha)
+    return np.asarray(st.R)
+
+
+def stack_frameworks():
+    rng = np.random.default_rng(61)
+    for key, space in REFERENCE_SPACES.items():
+        for n in (3, 7):
+            yield placed_framework(space, n, rng)
+    for n in (4, 9):
+        yield mixed_framework(n, rng, SensingGraph(n, complete_edges(n, "directed"),
+                                                   "directed"))
+    yield hetero_case_study(2)
+
+
+def test_stacked_rotation_axis_angle_matches_one_call_per_axis():
+    rng = np.random.default_rng(67)
+    axes = rng.standard_normal((20, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    axes[:4] = np.eye(3)[[0, 1, 2, 2]]
+    axes[4] = 0.0
+    angles = rng.uniform(-10.0, 10.0, 20)
+    R = linalg.rotation_axis_angle(axes, angles)
+    assert R.shape == (20, 3, 3)
+    for a, t, Ra in zip(axes, angles, R):
+        np.testing.assert_array_equal(Ra, linalg.rotation_axis_angle(a, float(t)))
+        np.testing.assert_array_equal(Ra, np.eye(3) if not a.any()
+                                      else one_axis_rotation(a, float(t)))
+    with pytest.raises(ValidationError, match="norm 2.000e\\+00"):
+        linalg.rotation_axis_angle(np.vstack([axes[:3], 2.0 * axes[5]]), angles[:4])
+
+
+def test_framework_stacks_match_the_per_agent_rotations_and_inputs():
+    for fw in stack_frameworks():
+        R, V = fw._rotations, fw._rotation_inputs
+        assert R.shape == V.shape == (fw.n, 3, 3)
+        for i in range(1, fw.n + 1):
+            np.testing.assert_array_equal(R[i - 1], reference_rotation(fw, i))
+            np.testing.assert_array_equal(fw.rotation_of(i), reference_rotation(fw, i))
+            np.testing.assert_array_equal(V[i - 1], fw.space_of(i).rotation_input())
+        np.testing.assert_array_equal(fw.rotations(), R)
+        np.testing.assert_array_equal(fw._positions, [st.p for st in fw.states])
+
+
+def test_framework_stacks_are_read_only_and_positions_a_fresh_copy():
+    for fw in stack_frameworks():
+        for fw in (fw, engine._unit_scale(fw)):
+            for stack in (fw._positions, fw._rotations, fw._rotation_inputs):
+                assert not stack.flags.writeable
+                with pytest.raises(ValueError):
+                    stack[0, 0] = 1.0
+            assert not fw.rotation_of(1).flags.writeable
+            P = fw.positions()
+            assert P.flags.writeable and not np.shares_memory(P, fw._positions)
+            P -= P.mean(axis=0)  # the trivial basis centers its copy in place
+            assert not np.array_equal(P, fw._positions)
+
+
+def reference_unit_scale(fw):
+    """The unit-scale copy built through the public constructors, which
+    validate every state and the framework again."""
+    scale = engine._rms_radius(fw.positions())
+    return dataclasses.replace(fw, states=tuple(
+        dataclasses.replace(st, p=st.p / scale) for st in fw.states))
+
+
+def test_the_unchecked_unit_copy_equals_the_validated_copy(monkeypatch):
+    checks = [CallCounter(monkeypatch, "__post_init__", AgentState),
+              CallCounter(monkeypatch, "__post_init__", Framework)]
+    rng = np.random.default_rng(71)
+    frameworks = [*stack_frameworks(), placed_framework(SPACES["r2"], 5, rng, True)]
+    for fw in frameworks:
+        for factor in (1e-9, 3.0, 1e9):
+            moved = scaled(fw, factor)
+            [c.take() for c in checks]
+            want = reference_unit_scale(moved)
+            assert [c.take() for c in checks] == [fw.n, 1]
+            got = engine._unit_scale(moved)
+            assert [c.take() for c in checks] == [0, 0]
+            assert (got.graph, got.space) == (want.graph, want.space)
+            for a, b in zip(got.states, want.states, strict=True):
+                np.testing.assert_array_equal(a.p, b.p)
+                assert not a.p.flags.writeable
+                assert a.alpha == b.alpha
+                assert (a.R is None) == (b.R is None)
+                if a.R is not None:
+                    np.testing.assert_array_equal(a.R, b.R)
+            np.testing.assert_array_equal(got._positions, want.positions())
+            np.testing.assert_array_equal(got._rotations, want._rotations)
+            np.testing.assert_array_equal(got._rotation_inputs, want._rotation_inputs)
+            # the copy's rotations are the original's, not a second build
+            assert got._rotations is moved._rotations

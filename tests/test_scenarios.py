@@ -107,6 +107,28 @@ def test_collinear_axis_rules():
                                        collinear_axis=(0.0, 0.0, 0.0)))
 
 
+MIXED_LINE = (MetricSpace.rd_s1(2), SE3, MetricSpace.rd(3)) * 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_collinear_team_with_a_planar_agent_stays_on_a_line(seed):
+    # planar agents are pinned to z = 0, so the line is drawn in that plane
+    fw = random_framework(GeneratorSpec(space=MIXED_LINE, n=6, seed=seed,
+                                        placement="collinear"))
+    np.testing.assert_array_equal(fw.positions()[:, 2], 0.0)
+    assert not is_non_degenerate(fw)
+    assert ibr_verdict(fw, POL).degenerate
+
+
+def test_a_team_with_a_planar_agent_refuses_an_axis_out_of_the_plane():
+    with pytest.raises(ValidationError, match="in-plane axis"):
+        random_framework(GeneratorSpec(space=MIXED_LINE, n=6, placement="collinear",
+                                       collinear_axis=(1.0, 0.0, 0.5)))
+    fw = random_framework(GeneratorSpec(space=MIXED_LINE, n=6, placement="collinear",
+                                        collinear_axis=(1.0, 1.0, 0.0)))
+    assert not is_non_degenerate(fw)
+
+
 def test_augment_square_cycle_adds_one_diagonal():
     fw, added = augment_to_ibr(fixture("square-cycle-r2"), POL)
     assert added == ((1, 3),)
