@@ -4,8 +4,9 @@ Subcommands: analyze (full report for one framework), gen (emit framework
 JSON from a recipe or named fixture), export-dot (graph drawing), batch
 (analyze a directory).
 
-Exit codes: 0 success, 2 parse/schema problems and unusable paths,
-3 validation problems, 4 numerical problems. batch exits 1 when any file
+Exit codes: 0 success, 2 bad arguments, parse/schema problems and
+unusable paths, 3 validation problems, 4 numerical problems; each error
+is one stderr line that starts with "error:". batch exits 1 when any file
 fails.
 
 Tolerance precedence, lowest to highest: built-in defaults, the profile
@@ -35,8 +36,17 @@ SPACE_SHORTHAND = {"r2": ("rd", 2), "r3": ("rd", 3), "r2s1": ("rdxs1", 2),
                    "r3s1": ("rdxs1", 3), "se3": ("se3", 3)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError, so that main
+    reports them as it reports every other parse error: one "error:" line
+    and exit 2. Sub-command parsers are of the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _tolerance_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+    p = _Parser(add_help=False)
     p.add_argument("--rank-rtol", type=float, default=None,
                    help="relative singular-value threshold (default: adaptive)")
     p.add_argument("--subspace-tol", type=float, default=None,
@@ -55,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The brl argument parser, built once per process: parsing leaves it
     unchanged, so every main call shares it."""
     tol = _tolerance_parent()
-    parser = argparse.ArgumentParser(prog="brl",
-                                     description="bearing rigidity analysis")
+    parser = _Parser(prog="brl", description="bearing rigidity analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", parents=[tol],
@@ -238,8 +247,6 @@ def cmd_batch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "gen": cmd_gen,
@@ -247,6 +254,7 @@ def main(argv=None) -> int:
         "batch": cmd_batch,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,18 +50,30 @@ kernel of the complete-graph matrix on the same agents, i.e. no flex beyond
 what no sensing topology could ever detect; otherwise it is infinitesimally
 bearing flexible (IBF). That one condition decides in every space: the
 complete kernel always lies in the framework's, so equality is inclusion
-plus equal dimension (_kernel_equal). For non-degenerate homogeneous
+plus equal dimension (_contained_rank). For non-degenerate homogeneous
 frameworks that is the rank c*n - c - 1, c the controllable degrees of
 freedom per agent, which the verdict reports but does not test again.
 
+Inclusion needs no kernel basis of the framework's factor C. With s_r the
+smallest singular value counted in its rank and N its kernel,
+||C Nk||_F^2 = sum_i s_i^2 ||v_i^T Nk||^2 >= s_r^2 ||(I - N N^T) Nk||_F^2,
+so ||C Nk||_F / s_r, widened by the rounding of the product and of the SVD
+(_residual_bound), bounds the residual ||(I - N N^T) Nk||_F from one
+product and the singular values alone. _contained_rank tries that
+certificate first and decomposes C with its kernel only where the bound
+reaches subspace_tol or the caller reads N, and then the residual decides
+as before; the verdict of a non-degenerate homogeneous framework is thus
+an SVD without vectors.
+
 Each framework is decided once (_decide), at unit formation scale: one
-degeneracy test, one complete-graph kernel, one factor decomposition, in
-one record of results (_Decision) read by name. That kernel is known in
-closed form for non-degenerate homogeneous frameworks (the trivial
-variations above); only degenerate (collinear) and mixed ones decompose
-the factor of the complete edge list, a choice only _complete_kernel makes
-(complete_graph_kernel reads it; it and the mixed-team split move their
-bases back to the caller's scale by one lift, _to_caller_scale).
+degeneracy test, one complete-graph kernel, one containment test on the
+factor, in one record of results (_Decision) read by name. That kernel is
+known in closed form for non-degenerate homogeneous frameworks (the
+trivial variations above); only degenerate (collinear) and mixed ones
+decompose the factor of the complete edge list, a choice only
+_complete_kernel makes (complete_graph_kernel reads it; it and the
+mixed-team split move their bases back to the caller's scale by one lift,
+_to_caller_scale, by the radius _unit_scale divided by).
 ibr_verdict, the analysis report and augmentation (scenarios.augment_to_ibr)
 read that record; only hetero_kernel_analysis and a mixed team's report
 build its kernel split (_hetero_split).
@@ -83,7 +95,7 @@ import numpy as np
 from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_edges, complete_graph
-from .linalg import (TolerancePolicy, _residual, orthonormal_columns,
+from .linalg import (TolerancePolicy, _rank, _residual, orthonormal_columns,
                      rank_and_nullspace, rotation_exp, skew)
 from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings, _rms_radius,
                      _unchecked, bearing_rigidity_function, is_non_degenerate)
@@ -389,23 +401,25 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
         raise ValidationError(f"fd trials must be at least 1, got {trials}")
     h = pol.fd_step
     representation, d, rot_cols = _layout(fw, representation)
-    fw = _unit_scale(fw)
-    B = _assemble(fw, fw.graph.edges, d, rot_cols)
-    n = fw.n
-    edges0 = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1
-    P, R, V = fw._positions, fw._rotations, fw._rotation_inputs
-    # the base state's coincidence threshold serves every trial: a step of
-    # fd_step < 1 at unit scale barely moves the radius
-    coincident = COINCIDENT_TOL * _rms_radius(P)
+    unit, radius = _unit_scale(fw)
+    B = _assemble(unit, unit.graph.edges, d, rot_cols)
+    n = unit.n
+    edges0 = np.array(unit.graph.edges, dtype=int).reshape(-1, 2) - 1
+    P, R, V = unit._positions, unit._rotations, unit._rotation_inputs
+    # the unit copy's own radius sets one coincidence threshold for every
+    # trial (a step of fd_step < 1 at unit scale barely moves it); a
+    # framework already at unit scale, as a report's decision.unit, was
+    # measured by _unit_scale
+    coincident = COINCIDENT_TOL * (radius if unit is fw else _rms_radius(P))
     b0 = _bearings(edges0, P, R, coincident)[:, :d].reshape(-1)
     D = np.random.default_rng(seed).standard_normal((trials, B.shape[1]))
-    if representation == "unified" and _uses_planar_projector(fw):
+    if representation == "unified" and _uses_planar_projector(unit):
         D[:, 2:3 * n:3] = 0.0
     # each trial's own dot product, as np.linalg.norm takes it, so every
     # direction is the one a trial-by-trial normalisation gives to the bit
     D /= np.sqrt([delta.dot(delta) for delta in D])[:, None]
     lift = _unified_columns(n, d, rot_cols)
-    step = max(1, _TRIAL_BYTES // (24 * max(1, fw.m)))  # a (step, m, 3) float stack
+    step = max(1, _TRIAL_BYTES // (24 * max(1, unit.m)))  # a (step, m, 3) float stack
     errors = []
     for chunk in np.split(D, range(step, trials, step)):
         moved = _moved_bearings(P, R, V, edges0, lift, chunk, h, coincident)
@@ -524,8 +538,9 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     no second rank threshold.
     """
     pol = pol or TolerancePolicy()
-    Nk = _complete_kernel(_unit_scale(fw), pol)[0]
-    return np.linalg.qr(_to_caller_scale(fw, Nk))[0]
+    unit, radius = _unit_scale(fw)
+    Nk = _complete_kernel(unit, pol)[0]
+    return np.linalg.qr(_to_caller_scale(fw, Nk, radius))[0]
 
 
 def _complete_kernel(unit: Framework, pol: TolerancePolicy,
@@ -543,53 +558,63 @@ def _complete_kernel(unit: Framework, pol: TolerancePolicy,
     return rank_and_nullspace(C, pol, shape=shape)[1], None, degenerate
 
 
-def _to_caller_scale(fw: Framework, X: np.ndarray) -> np.ndarray:
+def _to_caller_scale(fw: Framework, X: np.ndarray, radius: float) -> np.ndarray:
     """Columns X of fw's verdict layout (_layout "auto") at unit scale, moved
-    to fw's coordinates: position rows times fw's RMS radius, rotation rows
-    as they are."""
+    to fw's coordinates: position rows times fw's RMS radius (as
+    _unit_scale measured it), rotation rows as they are."""
     _, d, _ = _layout(fw, "auto")
     lift = np.ones((X.shape[0], 1))
-    lift[:d * fw.n] = _rms_radius(fw._positions)
+    lift[:d * fw.n] = radius
     return lift * X
 
 
-def _unit_scale(fw: Framework) -> Framework:
-    """The same framework with positions divided by their RMS distance from
-    the centroid. Kernels are scale invariant, but translational columns
-    scale as 1/length while rotational ones do not, so one relative rank
-    threshold only separates both kinds of singular value near unit scale.
-    A framework within 1e-12 of unit scale is returned as it is. The copy
-    is not validated again and shares fw's rotation stacks
-    (Framework._divided): dividing by the radius can break no check."""
-    scale = _rms_radius(fw._positions)
-    if abs(scale - 1.0) <= 1e-12:
-        return fw
-    return fw._divided(scale)
+def _unit_scale(fw: Framework) -> tuple[Framework, float]:
+    """(unit, radius): the same framework with positions divided by radius,
+    their RMS distance from the centroid. Kernels are scale invariant, but
+    translational columns scale as 1/length while rotational ones do not,
+    so one relative rank threshold only separates both kinds of singular
+    value near unit scale. A framework within 1e-12 of unit scale is
+    returned as it is. The copy is not validated again and shares fw's
+    rotation stacks (Framework._divided): dividing by the radius can break
+    no check."""
+    radius = _rms_radius(fw._positions)
+    if abs(radius - 1.0) <= 1e-12:
+        return fw, radius
+    return fw._divided(radius), radius
 
 
 @dataclass(frozen=True)
 class _Decision:
-    """One framework decided at unit formation scale (see _decide)."""
+    """One framework decided at unit formation scale (see _decide). radius
+    is fw's RMS radius, which unit was divided by. N, the kernel of fw's
+    factor, is None where the singular values certified the containment;
+    zero_columns, the factor's zero columns, is None for homogeneous
+    frameworks."""
 
     fw: Framework
     unit: Framework
+    radius: float
     verdict: RigidityVerdict
     Nk: np.ndarray
     trivial: SubspaceBasis | None
-    N: np.ndarray
-    zero_columns: np.ndarray
+    N: np.ndarray | None
+    zero_columns: np.ndarray | None
 
 
 def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
     """fw decided once at unit formation scale (unit): the complete-graph
     kernel Nk with its degeneracy test and closed-form trivial basis
-    (_complete_kernel), one decomposition of fw's factor (kernel N; its zero
-    columns are for _hetero_split) and the verdict. Results only, no matrix."""
-    unit = _unit_scale(fw)
+    (_complete_kernel), one containment test on fw's factor (_contained_rank)
+    and the verdict. Non-degenerate homogeneous frameworks take it from the
+    factor's singular values; degenerate ones and mixed teams, whose split
+    (_hetero_split) reads the kernel N and the zero columns, decompose the
+    factor with its kernel. Results only, no matrix."""
+    unit, radius = _unit_scale(fw)
     Nk, trivial, degenerate = _complete_kernel(unit, pol)
     C, shape = _verdict_factor(unit, unit.graph.edges)
-    rank, N = rank_and_nullspace(C, pol, shape=shape)
-    kernel_eq = _kernel_equal(Nk, N, pol)
+    rank, N = _contained_rank(C, shape, Nk, pol, kernel=trivial is None)
+    nullity = C.shape[1] - rank
+    kernel_eq = nullity == Nk.shape[1]
     notes: list[str] = []
     expected = None
     if fw.is_homogeneous:
@@ -604,11 +629,12 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
     if kernel_eq:
         notes.append("infinitesimal rigidity implies global bearing rigidity, "
                      "which implies bearing rigidity")
-    verdict = RigidityVerdict(rank=rank, nullity=N.shape[1], expected_rank=expected,
+    verdict = RigidityVerdict(rank=rank, nullity=nullity, expected_rank=expected,
                               kernel_equal_to_complete=kernel_eq,
                               classification=IBR if kernel_eq else IBF,
                               degenerate=degenerate, notes=tuple(notes))
-    return _Decision(fw, unit, verdict, Nk, trivial, N, np.flatnonzero(~C.any(axis=0)))
+    zero_columns = None if fw.is_homogeneous else np.flatnonzero(~C.any(axis=0))
+    return _Decision(fw, unit, radius, verdict, Nk, trivial, N, zero_columns)
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -627,16 +653,63 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
     return _decide(fw, pol or TolerancePolicy()).verdict
 
 
-def _kernel_equal(Nk: np.ndarray, Ng: np.ndarray, pol: TolerancePolicy) -> bool:
-    """Is the kernel Ng the complete-graph kernel Nk (orthonormal bases, so
-    taken as they are)? Nk lies in Ng, else NumericalError; then, as
-    subspace_tol < 1 keeps the reverse residual ||(I - Nk Nk^T) Ng||_F^2 >=
-    dim Ng - dim Nk, equal dimension is equality."""
-    if not _residual(Ng, Nk) < pol.subspace_tol:
+def _contained_rank(C: np.ndarray, shape: tuple[int, int], Nk: np.ndarray,
+                    pol: TolerancePolicy, kernel: bool = False,
+                    ) -> tuple[int, np.ndarray | None]:
+    """(rank, N): the rank of the factor C at the threshold of shape, once
+    the complete-graph kernel Nk (orthonormal) is known to lie in C's
+    kernel N, else NumericalError. Equal dimension, cols - rank == dim Nk,
+    then is kernel equality: as subspace_tol < 1 keeps the reverse residual
+    ||(I - Nk Nk^T) N||_F^2 >= dim N - dim Nk, inclusion plus equal
+    dimension is equality.
+
+    The certificate comes first: from C's singular values alone
+    (linalg._rank) and one product C Nk, _residual_bound bounds the residual
+    ||(I - N N^T) Nk||_F that the decomposition would find; below
+    subspace_tol it passes the test without N, which is then None. Where
+    the bound is not met, or the caller reads N (kernel=True), C is
+    decomposed with its kernel (rank_and_nullspace) and the residual
+    decides; that rank and N are returned."""
+    if not kernel:
+        rank, _, s, threshold = _rank(C, pol, shape=shape)
+        if _residual_bound(C, Nk, rank, s, threshold) < pol.subspace_tol:
+            return rank, None
+    rank, N = rank_and_nullspace(C, pol, shape=shape)
+    if not _residual(N, Nk) < pol.subspace_tol:
         raise NumericalError(
             "complete-graph kernel not contained in framework kernel; "
             "tolerances are inconsistent with this matrix")
-    return Ng.shape[1] == Nk.shape[1]
+    return rank, N
+
+
+def _residual_bound(C: np.ndarray, Nk: np.ndarray, rank: int, s: np.ndarray,
+                    threshold: float) -> float:
+    """An upper bound on the residual _residual(N, Nk) that
+    rank_and_nullspace(C) would give, from C's rank, singular values s and
+    rank threshold; inf where none is known.
+
+    With s_r the smallest singular value counted in the rank and v_i the
+    right singular vectors, ||C Nk||_F^2 = sum_i s_i^2 ||v_i^T Nk||^2 >=
+    s_r^2 ||(I - N N^T) Nk||_F^2, so the residual is at most
+    ||C Nk||_F / s_r. The SVD is backward stable: its kernel is the exact
+    one of some C + E, with ||E|| no more than about max(C.shape) * eps *
+    ||C||. So err = max(C.shape) * eps * ||C||_F * ||Nk||_F bounds both
+    ||E Nk||_F and the rounding of the product C Nk, and the computed
+    residual is at most (||C Nk||_F + 2 err) / (s_r - err). A singular
+    value within err of the threshold may count toward one SVD's rank and
+    not the other's, so there is no bound (inf); a zero C has the whole
+    space as its kernel, residual 0."""
+    if not rank:
+        return 0.0
+    sigma_r, sigma_next = s[rank - 1], (s[rank] if rank < s.size else 0.0)
+    err = max(C.shape) * np.finfo(float).eps * np.sqrt(s @ s * Nk.shape[1])
+    if not sigma_r - err > threshold > sigma_next + err:
+        return np.inf
+    # C Nk column by column: a tall matrix product packs C into every BLAS
+    # thread's buffer (1.5 MB more peak RSS on the analyze-large benchmark
+    # at 2 threads), a matrix-vector product reads it in place
+    CNk = np.linalg.norm([C @ v for v in Nk.T])
+    return float((CNk + 2.0 * err) / (sigma_r - err))
 
 
 def _require_comparable(f1: Framework, f2: Framework) -> None:
@@ -721,7 +794,7 @@ def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelRepo
     U, sv, _ = np.linalg.svd(Qt - Qm @ (Qm.T @ Qt), full_matrices=False)
     extra = U[:, sv > pol.subspace_tol]
     labels = [names[k] for k in np.flatnonzero(hit)] + ["unlabeled"] * extra.shape[1]
-    gen_mat = _to_caller_scale(fw, np.hstack([matched, extra]))
+    gen_mat = _to_caller_scale(fw, np.hstack([matched, extra]), decision.radius)
     basis = orthonormal_columns(gen_mat / np.linalg.norm(gen_mat, axis=0), pol)
     trivial = SubspaceBasis(ambient_dim=ambient, basis=basis,
                             labels=tuple(labels), generators=gen_mat)

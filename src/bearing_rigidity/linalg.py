@@ -2,15 +2,21 @@
 subspace computations.
 
 Every rank decision in the package funnels through rank_and_nullspace, or
-its rank-only form _rank, so that a single threshold convention applies
-everywhere: a singular value counts toward the rank when it exceeds
-rtol * sigma_max. The default rtol adapts to the matrix shape
-(1e-10 * max(rows, cols)); an explicit policy value overrides it for all
-shapes.
+its values-only form _rank (which also returns the singular values and the
+threshold), so that a single threshold convention applies everywhere: a
+singular value counts toward the rank when it exceeds rtol * sigma_max. The
+default rtol adapts to the matrix shape (1e-10 * max(rows, cols)); an
+explicit policy value overrides it for all shapes.
 
 Subspaces are always handled through orthonormal column bases. Containment of
 span(A) in span(B) is decided by the Frobenius residual of A's basis after
 projecting out B: || (I - Q_B Q_B^T) Q_A ||_F < subspace_tol (below 1).
+When B is the kernel of a matrix C with singular values s_i and right
+singular vectors v_i, the singular values alone can certify that test: with
+s_r the smallest one counted in the rank,
+||C Q_A||_F^2 = sum_i s_i^2 ||v_i^T Q_A||^2 >= s_r^2 ||(I - Q_B Q_B^T) Q_A||_F^2,
+so in exact arithmetic ||C Q_A||_F < subspace_tol * s_r implies the
+residual test without Q_B (engine._residual_bound adds the rounding).
 """
 from __future__ import annotations
 
@@ -154,22 +160,27 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     the same Gram matrix (M^T M = B^T B, hence the same singular values and
     kernel); the threshold then uses B's shape, so M decides exactly as B.
     """
-    return _rank(M, pol, shape=shape, kernel=True)
+    rank, N, _, _ = _rank(M, pol, shape=shape, kernel=True)
+    return rank, N
 
 
 def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
           shape: tuple[int, int] | None = None, kernel: bool = False,
-          ) -> tuple[int | np.ndarray, np.ndarray | None]:
-    """(rank, N) as rank_and_nullspace decides them: the same checks, QR
-    reduction and threshold. Without kernel, N is None and the SVD computes
-    singular values only, which may differ from the full SVD's in the last
-    bits; a rank that must agree with a kernel is confirmed by
-    rank_and_nullspace.
+          ) -> tuple[int | np.ndarray, np.ndarray | None, np.ndarray, float | np.ndarray]:
+    """(rank, N, s, threshold) as rank_and_nullspace decides them: the same
+    checks, QR reduction and threshold; s holds the singular values in
+    descending order, and those above threshold (rtol * sigma_max) make up
+    the rank. Without kernel, N is None and the SVD computes singular values
+    only, which may differ from the full SVD's in the last bits: a value
+    that close to the threshold may count toward one rank and not the
+    other, so a rank that must agree with a kernel is confirmed by
+    rank_and_nullspace, or kept clear of the threshold.
 
     Without kernel, M may also be a (k, rows, cols) stack: each matrix is
     reduced and decomposed as it would be alone (numpy's stacked QR and SVD
-    run LAPACK once per matrix), shape is that of one matrix, and rank is
-    the array of the k ranks, each thresholded at its own sigma_max."""
+    run LAPACK once per matrix), shape is that of one matrix, and rank, s
+    and threshold are the k ranks, singular value rows and thresholds, each
+    matrix thresholded at its own sigma_max."""
     pol = pol or TolerancePolicy()
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 and (kernel or M.ndim != 3):
@@ -179,8 +190,9 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     rows, cols = M.shape[-2:]
     if M.size == 0:
         if M.ndim == 3:
-            return np.zeros(M.shape[0], dtype=int), None
-        return 0, np.eye(cols) if kernel else None
+            k = M.shape[0]
+            return np.zeros(k, dtype=int), None, np.zeros((k, 0)), np.zeros(k)
+        return 0, np.eye(cols) if kernel else None, np.zeros(0), 0.0
     A = np.linalg.qr(M, mode="r") if rows > cols else M
     if kernel:
         _, s, Vh = np.linalg.svd(A, full_matrices=rows < cols)
@@ -188,9 +200,11 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
         s = np.linalg.svd(A, compute_uv=False)
     rtol = pol.effective_rank_rtol(M.shape[-2:] if shape is None else shape)
     if M.ndim == 3:
-        return np.sum(s > rtol * s[:, :1], axis=1), None
-    rank = int(np.sum(s > rtol * (s[0] if s.size else 0.0)))
-    return rank, Vh[rank:].T.copy() if kernel else None
+        threshold = rtol * s[:, 0]
+        return np.sum(s > threshold[:, None], axis=1), None, s, threshold
+    threshold = rtol * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > threshold))
+    return rank, Vh[rank:].T.copy() if kernel else None, s, threshold
 
 
 def orthonormal_columns(A: np.ndarray, pol: TolerancePolicy | None = None) -> np.ndarray:

@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import SensingGraph, complete_edges, is_connected
-from .linalg import TolerancePolicy, _rank, random_rotation, rank_and_nullspace, \
-    rotation_axis_angle
+from .linalg import TolerancePolicy, _rank, random_rotation, rotation_axis_angle
 from .spaces import AgentState, Framework, MetricSpace, is_non_degenerate
 from . import engine
 
@@ -201,8 +200,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     is as small as the complete graph's. It starts from ibr_verdict's own
     decision (engine._decide, at unit formation scale): an IBR verdict
     returns fw unchanged, an inconsistent one raises NumericalError as
-    ibr_verdict does, and the final kernel takes the verdict's one test
-    (engine._kernel_equal) against its complete-graph kernel. Ranks and
+    ibr_verdict does, and the final graph takes the verdict's one
+    containment test (engine._contained_rank) against its complete-graph
+    kernel. Ranks and
     kernels are taken on the verdict matrix's factor rows at unit scale, so
     the added edges do not change when the formation is scaled; the
     returned framework keeps fw's own positions.
@@ -217,9 +217,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     no candidate raises the rank raises NumericalError. A candidate whose
     rank gain is 0 in one round is never ranked again: rank over a set of
     rows is submodular, so adding edges never raises another edge's gain,
-    and a dead edge could not win a later round. One
-    rank_and_nullspace of the final selection gives the kernel, and its
-    rank must be the loop's.
+    and a dead edge could not win a later round. The containment test of
+    the final selection ranks it once more, from its singular values unless
+    its bound is missed, and that rank must be the loop's.
     """
     pol = pol or TolerancePolicy()
     decision = engine._decide(fw, pol)
@@ -246,12 +246,12 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
         rank_g = int(ranks[best])
         chosen[candidates[best]] = True
         added.append(edges[candidates[best]])
-    rank_final, Ng = rank_and_nullspace(blocks[chosen].reshape(-1, cols), pol,
-                                        shape=(per_edge * int(chosen.sum()), cols))
+    rank_final, _ = engine._contained_rank(blocks[chosen].reshape(-1, cols),
+                                           (per_edge * int(chosen.sum()), cols),
+                                           decision.Nk, pol)
     if rank_final != rank_g:
         raise NumericalError(f"the augmented graph's rank {rank_final} is not the "
                              f"{rank_g} its edges were chosen by")
-    engine._kernel_equal(decision.Nk, Ng, pol)
     graph = SensingGraph(fw.n, tuple(e for e, c in zip(edges, chosen) if c), fw.graph.kind)
     return fw.with_graph(graph), tuple(added)
 

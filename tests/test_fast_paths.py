@@ -52,6 +52,11 @@
 * The unit-scale copy (engine._unit_scale) divides the positions without
   validating again and shares the rotation stacks; the reference rebuilds
   every state and the framework through dataclasses.replace.
+* Non-degenerate homogeneous verdicts and augmentation's final graph prove
+  the complete kernel lies in the factor's kernel from singular values and
+  one product (engine._residual_bound), without a kernel basis; the
+  reference decomposes the factor with its kernel (rank_and_nullspace) and
+  takes the residual.
 """
 import dataclasses
 import tracemalloc
@@ -561,7 +566,7 @@ def reference_bearing_rows(fw, representation, stack):
 def reference_fd_error(fw, representation, trials=20, seed=0):
     """max_rel_error of the FD probe with the per-kind state update, one
     rotation_exp call per agent. The probe runs at unit formation scale, so
-    compare it against this reference on engine._unit_scale(fw)."""
+    compare it against this reference on engine._unit_scale(fw)[0]."""
     h = POL.fd_step
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
@@ -659,7 +664,7 @@ def reference_unified_candidates(fw):
 def reference_hetero_trivial(fw):
     """(labels, generators) of the trivial part of a mixed team, matched
     against reference_unified_candidates at unit scale."""
-    unit = engine._unit_scale(fw)
+    unit = engine._unit_scale(fw)[0]
     B = unified_rigidity_matrix(unit).matrix
     _, N = rank_and_nullspace(B, POL)
     trimmed = N.copy()
@@ -720,7 +725,7 @@ def test_fd_probe_matches_the_per_kind_update(key, planar_3d):
     for fw in reference_frameworks(key, planar_3d):
         for rep in ("per_space", "unified"):
             got = engine.fd_jacobian_check(fw, POL, representation=rep).max_rel_error
-            ref = reference_fd_error(engine._unit_scale(fw), rep)
+            ref = reference_fd_error(engine._unit_scale(fw)[0], rep)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
@@ -731,7 +736,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
                   spanning_tree(n, "directed", rng, 0.3)):
             fw = mixed_framework(n, rng, g)
             got = engine.fd_jacobian_check(fw, POL).max_rel_error
-            ref = reference_fd_error(engine._unit_scale(fw), "unified")
+            ref = reference_fd_error(engine._unit_scale(fw)[0], "unified")
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
     # full-pose agents with x-axis heading agents share a coordinated
     # rotation about x; the heading agents turn in their rotation column 2,
@@ -745,7 +750,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
     assert reference_hetero_trivial(x_team)[0][-1] == "coord_rotation_x"
     for fw in [hetero_case_study(seed=seed) for seed in range(3)] + [x_team]:
         got = engine.fd_jacobian_check(fw, POL).max_rel_error
-        ref = reference_fd_error(engine._unit_scale(fw), "unified")
+        ref = reference_fd_error(engine._unit_scale(fw)[0], "unified")
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
         hk = engine.hetero_kernel_analysis(fw, POL)
         labels, gens = reference_hetero_trivial(fw)
@@ -858,7 +863,7 @@ def assert_factor_matches(fw, representation):
     assert np.abs(sC - sB).max() <= 1e-12 * sB[0]
     np.testing.assert_array_equal(C.any(axis=0), B.any(axis=0))
     # decisions are made at unit scale, as the verdict makes them
-    unit = engine._unit_scale(fw)
+    unit = engine._unit_scale(fw)[0]
     B, C = measured_rows(unit, representation), factor_rows(unit, representation)
     rank_b, N_b = rank_and_nullspace(B, POL)
     rank_c, N_c = rank_and_nullspace(C, POL, shape=B.shape)
@@ -882,7 +887,7 @@ def test_factor_rows_match_the_measured_rows(key, planar_3d):
             frameworks += [line, line.with_graph(complete_graph(line.graph))]
     for fw in frameworks:
         for factor in FACTOR_SCALES:
-            moved = scaled(engine._unit_scale(fw), factor)
+            moved = scaled(engine._unit_scale(fw)[0], factor)
             for rep in ("per_space", "unified"):
                 assert_factor_matches(moved, rep)
             C, shape = engine._verdict_factor(moved, moved.graph.edges)
@@ -909,7 +914,7 @@ def test_mixed_factor_rows_match_the_measured_rows():
 def reference_augmentation(fw):
     """Edges augment_to_ibr adds when every rank is taken on the measured
     verdict matrix (the loop before factor rows)."""
-    unit = engine._unit_scale(fw)
+    unit = engine._unit_scale(fw)[0]
     Nk = complete_graph_kernel(unit, POL)
     current, added = unit, []
     while True:
@@ -968,7 +973,7 @@ def reference_rebuild_augmentation(fw, lazy=False, gains=None):
     decomposed_inputs records. Every candidate is ranked in every round;
     lazy drops the candidates seen at rank gain 0, as augment_to_ibr does.
     gains, when given, receives each round's {candidate: rank gain}."""
-    unit = engine._unit_scale(fw)
+    unit = engine._unit_scale(fw)[0]
     Nk = complete_graph_kernel(unit, POL)
     current, added, dead = unit, [], set()
     while True:
@@ -1045,14 +1050,21 @@ def test_pruning_ranks_fewer_candidates_in_every_space(monkeypatch):
 
 
 def decomposed_inputs(monkeypatch, call):
-    """Every (matrix, threshold shape) that call hands to rank_and_nullspace,
-    and every one it ranks on augmentation's rank-only path, which takes
-    stacks only: each matrix of a stack is recorded with the stack's shape."""
+    """Every (matrix, threshold shape) that call decomposes one at a time, in
+    order, through engine's rank_and_nullspace or its values-only _rank (the
+    containment certificate), and every one it ranks on augmentation's
+    candidate path, which takes stacks only: each matrix of a stack is
+    recorded with the stack's shape."""
     seen, ranked = [], []
 
     def recorded(M, pol=None, *, shape=None):
         seen.append((np.array(M), shape))
         return rank_and_nullspace(M, pol, shape=shape)
+
+    def recorded_values(M, pol=None, *, shape=None, kernel=False):
+        assert M.ndim == 2 and not kernel
+        seen.append((np.array(M), shape))
+        return linalg._rank(M, pol, shape=shape)
 
     def recorded_rank(M, pol=None, *, shape=None, kernel=False):
         assert M.ndim == 3 and not kernel
@@ -1061,7 +1073,7 @@ def decomposed_inputs(monkeypatch, call):
 
     with monkeypatch.context() as m:
         m.setattr(engine, "rank_and_nullspace", recorded)
-        m.setattr(scenarios, "rank_and_nullspace", recorded)
+        m.setattr(engine, "_rank", recorded_values)
         m.setattr(scenarios, "_rank", recorded_rank)
         call()
     return seen, ranked
@@ -1101,9 +1113,9 @@ def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
     # yet seen at gain 0: each matrix of the stacks the rank-only path ranks
     # is the rebuilt _verdict_factor(trial) entry for entry, in candidate
     # order and with the same threshold shape, whether a round fits one
-    # stack or takes one stack per candidate; augmentation then decomposes
-    # only the final graph, where the reference decomposes every round's
-    # new graph
+    # stack or takes one stack per candidate; augmentation then ranks only
+    # the final graph (from its singular values, for its containment
+    # test), where the reference decomposes every round's new graph
     budgets = ((1.0, scenarios._STACK_BYTES), (1e9, 1))
     for fw in augmentation_inputs():
         for factor, budget in budgets:
@@ -1132,29 +1144,49 @@ def test_stacked_ranks_match_one_call_per_matrix():
             for A in (factor * M, factor * M.T):
                 stack = np.stack([A, 2.0 ** -40 * A, A])
                 for shape in (None, (3 * A.shape[0], A.shape[1])):
-                    rank = linalg._rank(A, POL, shape=shape)[0]
-                    ranks, N = linalg._rank(stack, POL, shape=shape)
+                    rank, _, s, threshold = linalg._rank(A, POL, shape=shape)
+                    ranks, N, S, thresholds = linalg._rank(stack, POL, shape=shape)
                     assert N is None
                     assert ranks.tolist() == [rank] * 3, (name, factor, shape)
+                    # each matrix's own singular values and threshold
+                    for k in (0, 2):
+                        np.testing.assert_array_equal(S[k], s)
+                        assert thresholds[k] == threshold
                     tested += 1
     assert tested >= 70 * len(RANK_SCALES) * 4
-    assert linalg._rank(np.zeros((0, 4, 3)), POL)[0].shape == (0,)
+    ranks, N, S, thresholds = linalg._rank(np.zeros((0, 4, 3)), POL)
+    assert ranks.shape == thresholds.shape == (0,) and S.shape == (0, 0)
     with pytest.raises(ValidationError, match="ndim 3"):
         linalg._rank(np.zeros((2, 4, 3)), POL, kernel=True)
 
 
 def test_rank_only_path_matches_rank_and_nullspace():
+    # same rank; the singular values are the full SVD's to rounding, and
+    # the threshold is rtol * sigma_max at the given shape, which the
+    # values counted in the rank exceed and the others do not
     tested = 0
     for name, M in rank_deficient_matrices():
         for factor in RANK_SCALES:
             A = factor * M
             stand_in = (3 * A.shape[0], A.shape[1])
             for shape in (None, stand_in):
-                rank, N = linalg._rank(A, POL, shape=shape)
+                rank, N, s, threshold = linalg._rank(A, POL, shape=shape)
                 assert N is None
-                assert rank == rank_and_nullspace(A, POL, shape=shape)[0], (name, factor)
+                ref_rank, ref_N, ref_s, ref_threshold = linalg._rank(
+                    A, POL, shape=shape, kernel=True)
+                assert rank == ref_rank == rank_and_nullspace(A, POL, shape=shape)[0], \
+                    (name, factor)
+                assert ref_N.shape[1] == A.shape[1] - rank
+                assert np.abs(s - ref_s).max() <= 1e-13 * ref_s[0]
+                assert threshold == pytest.approx(ref_threshold, rel=1e-13)
+                rtol = POL.effective_rank_rtol(A.shape if shape is None else shape)
+                assert threshold == rtol * s[0]
+                assert np.all(s[:rank] > threshold) and np.all(s[rank:] <= threshold)
                 tested += 1
     assert tested >= 70 * len(RANK_SCALES) * 2
+    rank, N, s, threshold = linalg._rank(np.zeros((0, 3)), POL, kernel=True)
+    assert (rank, s.size, threshold) == (0, 0, 0.0)
+    np.testing.assert_array_equal(N, np.eye(3))
 
 
 def stacked_calls(fw, gains):
@@ -1174,14 +1206,15 @@ def stacked_calls(fw, gains):
 def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
     # the candidates are ranked without rank_and_nullspace, in one stacked
     # call per round when the round fits the budget and in one per stack
-    # otherwise; the final graph is rank_and_nullspace's one call beyond
-    # the verdict's own
+    # otherwise; beyond the verdict's own work, the final graph's
+    # containment test is one values-only SVD and no kernel
     inputs = augmentation_inputs()
     rounds = []
     for fw in inputs:
         rounds.append([])
         reference_rebuild_augmentation(fw, lazy=True, gains=rounds[-1])
-    full = CallCounter(monkeypatch, "rank_and_nullspace", linalg, engine, scenarios, spaces)
+    full = CallCounter(monkeypatch, "rank_and_nullspace", linalg, engine, spaces)
+    values = CallCounter(monkeypatch, "_rank", engine)
     ranked = CallCounter(monkeypatch, "_rank", scenarios)
     default = scenarios._STACK_BYTES
     for budget in (default, 4096):
@@ -1189,11 +1222,14 @@ def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
         split = 0
         for fw, gains in zip(inputs, rounds):
             engine._decide(fw, POL)
-            decided = full.take()
+            decided, certified = full.take(), values.take()
             assert ranked.take() == 0
+            # mixed teams decompose their factor for the kernel split
+            assert certified == fw.is_homogeneous
             added = augment_to_ibr(fw, POL)[1]
             assert added and len(added) == len(gains)
-            assert full.take() == decided + 1
+            assert full.take() == decided
+            assert values.take() == certified + 1
             calls = ranked.take()
             assert calls == stacked_calls(fw, gains) >= len(added)
             split += calls > len(added)
@@ -1228,15 +1264,17 @@ def test_augmentation_peaks_below_a_constant(monkeypatch):
 
 
 def test_final_rank_must_be_the_chosen_one(monkeypatch):
-    # a final decomposition that disagrees with the ranked candidates is a
-    # numerical error, not a silently different kernel
+    # a final containment test whose rank disagrees with the ranked
+    # candidates is a numerical error, not a silently different kernel
     flexible = scenarios.fixture("star-r2")
 
-    def one_short(M, pol=None, *, shape=None):
-        rank, N = rank_and_nullspace(M, pol, shape=shape)
-        return rank - 1, N
+    def one_short_on_more_edges(C, shape, Nk, pol, kernel=False,
+                                _original=engine._contained_rank):
+        rank, N = _original(C, shape, Nk, pol, kernel)
+        # the verdict's own test keeps its rank; the augmented graph's loses one
+        return (rank - 1 if shape[0] > 2 * flexible.m else rank), N
 
-    monkeypatch.setattr(scenarios, "rank_and_nullspace", one_short)
+    monkeypatch.setattr(engine, "_contained_rank", one_short_on_more_edges)
     with pytest.raises(NumericalError, match="rank"):
         augment_to_ibr(flexible, POL)
 
@@ -1296,36 +1334,47 @@ def test_one_degeneracy_test_per_report_and_augmentation(monkeypatch):
 
 
 def test_homogeneous_report_makes_three_svds(monkeypatch):
-    # the degeneracy test, the trivial basis and the verdict factor; the
-    # containment test takes the decided bases as they are
-    svds = CallCounter(monkeypatch, "svd", np.linalg)
+    # the degeneracy test, the trivial basis and the verdict factor, whose
+    # SVD computes singular values only: the containment test takes them
+    # and one product, with no kernel basis, for rigid and flexible alike
+    calls = []
+
+    def recorded(*args, _original=np.linalg.svd, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     rng = np.random.default_rng(53)
     for key in ("r2", "r3s1z", "se3"):
         fw = placed_framework(SPACES[key], 6, rng)
         for sub in (fw, fw.with_graph(spanning_tree(6, fw.graph.kind, rng, 0.3))):
-            analysis_report(sub, POL)
-            assert svds.take() == 3
+            report = analysis_report(sub, POL)
+            assert calls == [True, True, False], report["verdict"]
+            calls.clear()
 
 
 def test_kernel_equality_is_one_containment_test(monkeypatch):
-    # containment plus equal dimension: one residual per decision, and
-    # augmentation adds one on its final kernel
-    tests = CallCounter(monkeypatch, "_residual", linalg, engine)
+    # containment plus equal dimension: one containment test per decision,
+    # and augmentation adds one on its final graph; the certificate passes
+    # every test but a mixed team's decision, whose split reads the kernel,
+    # so only that one takes the residual
+    tests = CallCounter(monkeypatch, "_contained_rank", engine)
+    residuals = CallCounter(monkeypatch, "_residual", linalg, engine)
     rng = np.random.default_rng(47)
     fw = placed_framework(SPACES["r3s1z"], 6, rng)
     mixed = mixed_framework(5, rng, complete_graph(
         SensingGraph(5, ((1, 2),), "directed")))
     for rigid in (fw, mixed):
         analysis_report(rigid, POL)
-        assert tests.take() == 1
+        assert (tests.take(), residuals.take()) == (1, not rigid.is_homogeneous)
         assert augment_to_ibr(rigid, POL)[1] == ()
-        assert tests.take() == 1
+        assert (tests.take(), residuals.take()) == (1, not rigid.is_homogeneous)
     for flexible in (fw.with_graph(spanning_tree(6, "directed", rng)),
                      mixed.with_graph(spanning_tree(5, "directed", rng))):
         analysis_report(flexible, POL)
-        assert tests.take() == 1
+        assert (tests.take(), residuals.take()) == (1, not flexible.is_homogeneous)
         assert augment_to_ibr(flexible, POL)[1]
-        assert tests.take() == 2
+        assert (tests.take(), residuals.take()) == (2, not flexible.is_homogeneous)
 
 
 def test_containment_tolerance_just_below_one_decides_as_the_default():
@@ -1333,6 +1382,170 @@ def test_containment_tolerance_just_below_one_decides_as_the_default():
     star = scenarios.fixture("star-r2")
     assert ibr_verdict(star, near_one).classification == "IBF"
     assert augment_to_ibr(star, near_one)[1] == augment_to_ibr(star, POL)[1]
+
+
+# A non-degenerate homogeneous verdict certifies that the complete kernel Nk
+# lies in its factor's kernel from the factor's singular values and one
+# product C Nk (engine._residual_bound); the slow reference decomposes the
+# factor with its kernel and takes the residual.
+
+JITTERS = (1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5)
+
+
+def exact_decision(fw):
+    """(classification, rank, nullity) of fw from the decomposition of its
+    unit-scale factor and the residual test, or NumericalError where that
+    residual is not below subspace_tol."""
+    unit = engine._unit_scale(fw)[0]
+    Nk = engine._complete_kernel(unit, POL)[0]
+    C, shape = engine._verdict_factor(unit, unit.graph.edges)
+    rank, N = rank_and_nullspace(C, POL, shape=shape)
+    if not linalg._residual(N, Nk) < POL.subspace_tol:
+        return NumericalError
+    return ("IBR" if N.shape[1] == Nk.shape[1] else "IBF"), rank, N.shape[1]
+
+
+def fast_decision(fw):
+    try:
+        v = ibr_verdict(fw, POL)
+    except NumericalError:
+        return NumericalError
+    return v.classification, v.rank, v.nullity
+
+
+def jittered_line(space, jitter):
+    """The complete graph on six agents of a generated line, each agent's y
+    moved by jitter * default_rng(0).standard_normal() in agent order."""
+    line = random_framework(GeneratorSpec(space=space, n=6, seed=3,
+                                          placement="collinear"))
+    rng = np.random.default_rng(0)
+    states = []
+    for st in line.states:
+        p = st.p.copy()
+        p[1] += jitter * rng.standard_normal()
+        states.append(dataclasses.replace(st, p=p))
+    return dataclasses.replace(line, graph=complete_graph(line.graph), states=tuple(states))
+
+
+def certificate_inputs(key):
+    """Generic frameworks of one space on their complete graph, a spanning
+    tree and a tree with 30% of the other edges (and no edges at all, a
+    zero factor), then jittered lines."""
+    space = REFERENCE_SPACES[key]
+    rng = np.random.default_rng(sum(map(ord, key)) + 61)
+    for n in (4, 7, 10):
+        fw = placed_framework(space, n, rng)
+        for g in (fw.graph, spanning_tree(n, fw.graph.kind, rng),
+                  spanning_tree(n, fw.graph.kind, rng, 0.3)):
+            yield fw.with_graph(g)
+    yield fw.with_graph(SensingGraph(n, (), fw.graph.kind))
+    for jitter in JITTERS:
+        yield jittered_line(space, jitter)
+
+
+@pytest.mark.parametrize("key", list(REFERENCE_SPACES))
+def test_certified_containment_decides_as_the_residual(key):
+    # rank, nullity, class and the raised error all match the decomposed
+    # reference; both outcomes of each kind occur
+    outcomes = set()
+    for fw in certificate_inputs(key):
+        for factor in RANK_SCALES:
+            moved = scaled(fw, factor)
+            want = exact_decision(moved)
+            assert fast_decision(moved) == want
+            outcomes.add(want if want is NumericalError else want[0])
+    assert {"IBR", "IBF"} <= outcomes
+
+
+def test_the_jittered_line_that_fails_the_residual_still_raises():
+    # at a jitter of 1e-8 the decomposed residual misses subspace_tol
+    # by rounding of the kernel (its singular values straddle the
+    # threshold), and ||C Nk|| / s_r alone would pass; the rounding terms
+    # make the bound miss, so the residual decides and raises
+    fw = jittered_line(SPACES["r2"], 1e-8)
+    assert exact_decision(fw) is NumericalError
+    unit = engine._unit_scale(fw)[0]
+    Nk = engine._complete_kernel(unit, POL)[0]
+    C, shape = engine._verdict_factor(unit, unit.graph.edges)
+    rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
+    assert np.linalg.norm(C @ Nk) < POL.subspace_tol * s[rank - 1]
+    assert not engine._residual_bound(C, Nk, rank, s, threshold) < POL.subspace_tol
+    with pytest.raises(NumericalError, match="not contained"):
+        ibr_verdict(fw, POL)
+
+
+def tilted(Nk, v, eps):
+    """Nk with its first column turned by eps toward v, orthonormalized."""
+    T = Nk.copy()
+    T[:, 0] += eps * v
+    return np.linalg.qr(T)[0]
+
+
+def test_the_residual_bound_holds_wherever_it_is_finite():
+    # on every input, and on complete kernels tilted toward the right
+    # singular vector of s_r (where ||C Nk|| / s_r is the residual itself),
+    # the computed residual never exceeds the bound
+    finite = tight = 0
+    for key in REFERENCE_SPACES:
+        for fw in certificate_inputs(key):
+            unit = engine._unit_scale(fw)[0]
+            Nk = engine._complete_kernel(unit, POL)[0]
+            C, shape = engine._verdict_factor(unit, unit.graph.edges)
+            rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
+            _, N = rank_and_nullspace(C, POL, shape=shape)
+            if not rank:  # no edges: the kernel is everything
+                assert engine._residual_bound(C, Nk, rank, s, threshold) == 0.0
+                assert linalg._residual(N, Nk) == 0.0
+                continue
+            v = np.linalg.svd(C)[2][rank - 1]
+            # a singular value within rounding of the threshold gives none
+            near = [s[rank - 1] * (1 - 1e-15)]
+            if rank < s.size:
+                near.append(s[rank] * (1 + 1e-15))
+            for t in near:
+                assert engine._residual_bound(C, Nk, rank, s, t) == np.inf
+            for eps in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+                K = tilted(Nk, v, eps)
+                bound = engine._residual_bound(C, K, rank, s, threshold)
+                if bound == np.inf:
+                    continue
+                residual = linalg._residual(N, K)
+                assert residual <= bound, (key, eps)
+                finite += 1
+                tight += eps > 0 and residual > 0.5 * bound
+    assert finite > 500 and tight > 100
+
+
+def test_a_missed_bound_falls_back_to_the_residual(monkeypatch):
+    # a kernel tilted 4 * subspace_tol toward the singular vector of s_r
+    # misses the bound and the residual raises; a bound taken at sigma_max
+    # would pass it, since s_r lies below sigma_max / 10 here
+    rng = np.random.default_rng(67)
+    fw = placed_framework(SPACES["se3"], 8, rng)
+    fw = fw.with_graph(spanning_tree(8, "directed", rng, 0.5))
+    unit = engine._unit_scale(fw)[0]
+    C, shape = engine._verdict_factor(unit, unit.graph.edges)
+    rank, _, s, _ = linalg._rank(C, POL, shape=shape)
+    assert s[0] > 10 * s[rank - 1]
+    v = np.linalg.svd(C)[2][rank - 1]
+
+    def tilted_kernel(unit, pol, _original=engine._complete_kernel):
+        Nk, trivial, degenerate = _original(unit, pol)
+        return tilted(Nk, v, 4 * pol.subspace_tol), trivial, degenerate
+
+    residuals = CallCounter(monkeypatch, "_residual", linalg, engine)
+    want = fast_decision(fw)
+    assert residuals.take() == 0
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_complete_kernel", tilted_kernel)
+        with pytest.raises(NumericalError, match="not contained"):
+            ibr_verdict(fw, POL)
+        assert residuals.take() == 1
+    # with no bound at all every containment test takes the residual, and
+    # decides as before
+    monkeypatch.setattr(engine, "_residual_bound", lambda *args: np.inf)
+    assert fast_decision(fw) == want
+    assert residuals.take() == 1
 
 
 def one_vector_rotation_exp(w):
@@ -1429,7 +1642,7 @@ def test_framework_stacks_match_the_per_agent_rotations_and_inputs():
 
 def test_framework_stacks_are_read_only_and_positions_a_fresh_copy():
     for fw in stack_frameworks():
-        for fw in (fw, engine._unit_scale(fw)):
+        for fw in (fw, engine._unit_scale(fw)[0]):
             for stack in (fw._positions, fw._rotations, fw._rotation_inputs):
                 assert not stack.flags.writeable
                 with pytest.raises(ValueError):
@@ -1460,8 +1673,9 @@ def test_the_unchecked_unit_copy_equals_the_validated_copy(monkeypatch):
             [c.take() for c in checks]
             want = reference_unit_scale(moved)
             assert [c.take() for c in checks] == [fw.n, 1]
-            got = engine._unit_scale(moved)
+            got, radius = engine._unit_scale(moved)
             assert [c.take() for c in checks] == [0, 0]
+            assert radius == engine._rms_radius(moved.positions())
             assert (got.graph, got.space) == (want.graph, want.space)
             for a, b in zip(got.states, want.states, strict=True):
                 np.testing.assert_array_equal(a.p, b.p)
