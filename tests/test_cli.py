@@ -91,6 +91,19 @@ def test_analyze_missing_input_is_parse_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [(), ("analyse", "star-r2"), ("gen", "--space", "mixed"),
+                                  ("gen",), ("analyze",), ("batch", ".", "--fd-trials", "x"),
+                                  ("export-dot", "star-r2", "--bogus")],
+                         ids=["no-command", "unknown-command", "bad-choice",
+                              "missing-group", "missing-input", "bad-int", "unknown-flag"])
+def test_bad_arguments_are_one_error_line(capsys, argv):
+    # usage errors return exit 2 from main like every other parse error,
+    # with no usage block and no SystemExit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert one_error_line(err) and err.startswith("error: brl")
+
+
 def test_analyze_coincident_agents_is_validation_error(tmp_path, capsys):
     doc = {
         "space": {"type": "rd", "d": 2},
