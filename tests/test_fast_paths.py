@@ -776,6 +776,19 @@ def test_fd_probe_takes_the_coincidence_radius_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_a_report_measures_the_radius_twice(monkeypatch):
+    # once when the decision scales to unit, once when the probe checks the
+    # unit copy it is handed (and sets its coincidence threshold from that);
+    # the mixed-team split lifts its bases by the decision's radius
+    rng = np.random.default_rng(73)
+    frameworks = (scaled(placed_framework(SPACES["se3"], 6, rng), 1e3),
+                  scaled(hetero_case_study(seed=0), 1e-3))
+    radii = CallCounter(monkeypatch, "_scaled_radius", spaces)
+    for fw in frameworks:
+        analysis_report(fw, POL)
+        assert radii.take() == 2
+
+
 def test_fd_probe_evaluates_bearings_once_per_chunk(monkeypatch):
     # one call for the base state and one per chunk of trials, however
     # many trials a chunk holds
