@@ -46,11 +46,12 @@ def _documents():
 DOCUMENTS = _documents()
 CONFIG = {"rank_rtol": None, "subspace_tol": 1e-8, "fd_step": 1e-6, "seed": 0}
 
-json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-10, 10),
+numbers = st.one_of(
+    st.integers(-10, 10),
     st.sampled_from([0.0, -0.0, 1e-300, 1e-15, 0.5, 1.0 + 1e-7, 1e15, 1e200, 1e308,
                      -1e308, math.inf, -math.inf, math.nan]),
-    st.floats(-1e3, 1e3), st.text(max_size=6))
+    st.floats(-1e3, 1e3))
+json_scalars = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=6))
 json_values = st.recursive(
     json_scalars, lambda inner: st.one_of(st.lists(inner, max_size=4),
                                           st.dictionaries(st.text(max_size=4), inner,
@@ -71,7 +72,8 @@ def _paths(node, path=()):
 
 @st.composite
 def mutated(draw, doc):
-    """doc after one to three edits: a value replaced, a key or item
+    """doc after one to three edits: a number moved a little or set to
+    another (extremes and NaN included), a value replaced, a key or item
     dropped, a number scaled to an extreme, or a key added."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
@@ -83,11 +85,16 @@ def mutated(draw, doc):
         for key in path[:-1]:
             parent = parent[key]
         key, value = path[-1], parent[path[-1]]
-        edit = draw(st.sampled_from(["replace", "drop", "scale", "add"]))
-        if edit == "drop":
+        edit = draw(st.sampled_from(["nudge", "number", "replace", "drop", "scale",
+                                     "add"]))
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if edit == "nudge" and is_number:
+            parent[key] = value + draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0]))
+        elif edit == "number" and is_number:
+            parent[key] = draw(numbers)
+        elif edit == "drop":
             del parent[key]
-        elif edit == "scale" and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
+        elif edit == "scale" and is_number:
             parent[key] = value * draw(st.sampled_from([0, -1, 1e-200, 1e200, 1e308]))
         elif edit == "add" and isinstance(parent, dict):
             parent[draw(st.text(max_size=5))] = draw(json_values)
@@ -129,10 +136,13 @@ def no_profile():
         yield
 
 
+# a document cut off at a random character, one time in eight
+cuts = st.integers(0, 7).flatmap(lambda k: st.integers(0, 40) if k == 0 else st.none())
+
+
 @FUZZ
 @given(st.data(), st.sampled_from(range(len(DOCUMENTS))),
-       st.sampled_from(["analyze", "export-dot", "batch"]),
-       st.one_of(st.none(), st.integers(0, 40)))
+       st.sampled_from(["analyze", "export-dot", "batch"]), cuts)
 def test_mutated_framework_documents(data, which, command, cut):
     doc = data.draw(mutated(DOCUMENTS[which]))
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,7 +156,7 @@ def test_mutated_framework_documents(data, which, command, cut):
 
 
 @FUZZ
-@given(st.data(), st.one_of(st.none(), st.integers(0, 30)))
+@given(st.data(), cuts)
 def test_mutated_config_documents(data, cut):
     config = data.draw(mutated(CONFIG))
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,7 +167,17 @@ def test_mutated_config_documents(data, cut):
         assert_documented(argv, *run_main(argv))
 
 
-COMMANDS = ["analyze", "batch", "gen", "export-dot"]
+# valid command lines of every command, which the argv test then edits
+COMMANDS = [
+    ["analyze", "{dir}/fw.json", "--fd-trials", "3"],
+    ["analyze", "star-r2", "--matrix-csv", "{dir}/m", "--representation", "unified",
+     "--config", "{dir}/cfg/config.json"],
+    ["batch", "{dir}", "--fd-trials", "3", "--seed", "1"],
+    ["gen", "--space", "r3s1", "--axis", "0,0,1", "--n", "5", "--density", "0.5",
+     "-o", "{dir}/gen.json"],
+    ["gen", "--fixture", "hetero-case-study"],
+    ["export-dot", "{dir}/fw.json", "--augment", "-o", "{dir}/fw.dot"],
+]
 FLAGS = ["--rank-rtol", "--subspace-tol", "--fd-step", "--seed", "--config",
          "--report", "--matrix-csv", "--representation", "--fd-trials", "--timing",
          "--fixture", "--space", "--n", "--density", "--placement", "--axis",
@@ -167,20 +187,38 @@ TOKENS = ["0", "-1", "1", "3", "6", "0.5", "1e-9", "1e-15", "1e300", "nan", "inf
           "-inf", "abc", "", "r2", "r3", "r2s1", "r3s1", "se3", "mixed", "auto",
           "per-space", "unified", "generic", "collinear", "1,0,0", "0,0,1", "1,2",
           "x,y,z", "star-r2", "triangle-r2s1-complete", "cube-se3-complete",
-          "hetero-case-study", "square-cycle-r2", "{dir}", "{dir}/fw.json",
-          "{dir}/config.json", "{dir}/out", "{dir}/missing/out", "{dir}/none.json"]
+          "hetero-case-study", "square-cycle-r2", "analyze", "batch", "gen",
+          "export-dot", "{dir}", "{dir}/fw.json", "{dir}/cfg/config.json", "{dir}/cfg",
+          "{dir}/out", "{dir}/missing/out", "{dir}/none.json"]
+tokens = st.one_of(st.sampled_from(FLAGS), st.sampled_from(TOKENS),
+                   st.text(alphabet="abc-,.=xz ", max_size=6))
+
+
+@st.composite
+def mutated_argv(draw):
+    """A valid command line after zero to three edits (none or one in two
+    thirds of the draws): a token replaced, dropped or inserted."""
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        k = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "drop", "insert"]))
+        if edit == "insert" or k == len(argv):
+            argv.insert(k, draw(tokens))
+        elif edit == "drop":
+            del argv[k]
+        else:
+            argv[k] = draw(tokens)
+    return argv
 
 
 @FUZZ
-@given(st.sampled_from(COMMANDS),
-       st.lists(st.one_of(st.sampled_from(FLAGS), st.sampled_from(TOKENS),
-                          st.text(alphabet="abc-,.=xz ", max_size=6)),
-                max_size=7))
-def test_mutated_argv(command, tokens):
+@given(mutated_argv())
+def test_mutated_argv(argv):
     with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(tmp, "fw.json"), "w", encoding="utf-8") as fh:
             json.dump(DOCUMENTS[1], fh)
-        with open(os.path.join(tmp, "config.json"), "w", encoding="utf-8") as fh:
+        os.mkdir(os.path.join(tmp, "cfg"))
+        with open(os.path.join(tmp, "cfg", "config.json"), "w", encoding="utf-8") as fh:
             json.dump(CONFIG, fh)
-        argv = [command] + [t.replace("{dir}", tmp) for t in tokens]
+        argv = [t.replace("{dir}", tmp) for t in argv]
         assert_documented(argv, *run_main(argv))
