@@ -26,7 +26,7 @@ bearings taken in one evaluation, at unit formation scale), and the trivial
 basis, whose per-space generators are the unified ones restricted to the
 layout. Every reader takes the agents' positions, rotations and rotation
 inputs from the framework's own read-only stacks (spaces.Framework), built
-once per framework; the unit-scale copy shares them.
+once per framework; its unit-scale twin shares them.
 
 Rank decisions do not decompose those measured rows. A bearing's variation
 is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
@@ -67,16 +67,18 @@ an SVD without vectors.
 
 Each framework is decided once (_decide), at unit formation scale: one
 degeneracy test, one complete-graph kernel, one containment test on the
-factor, in one record of results (_Decision) read by name. That kernel is
-known in closed form for non-degenerate homogeneous frameworks (the
-trivial variations above); only degenerate (collinear) and mixed ones
-decompose the factor of the complete edge list, a choice only
-_complete_kernel makes (complete_graph_kernel reads it; it and the
+factor, in one record of results (_Decision) read by name. Every function
+takes the caller's framework and reads its cached unit-scale twin
+(Framework._unit), so a report's verdict and FD probe share one. The
+complete kernel is known in closed form for non-degenerate homogeneous
+frameworks (the trivial variations above); only degenerate (collinear)
+and mixed ones decompose the factor of the complete edge list, a choice
+only _complete_kernel makes (complete_graph_kernel reads it; it and the
 mixed-team split move their bases back to the caller's scale by one lift,
-_to_caller_scale, by the radius _unit_scale divided by).
-ibr_verdict, the analysis report and augmentation (scenarios.augment_to_ibr)
-read that record; only hetero_kernel_analysis and a mixed team's report
-build its kernel split (_hetero_split).
+_to_caller_scale, by Framework._radius). ibr_verdict, the analysis report
+and augmentation (scenarios.augment_to_ibr) read that record; only
+hetero_kernel_analysis and a mixed team's report build its kernel split
+(_hetero_split).
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -97,8 +99,8 @@ from .errors import (DegenerateConfigurationError, NumericalError,
 from .graphs import complete_edges, complete_graph
 from .linalg import (TolerancePolicy, _rank, _residual, orthonormal_columns,
                      rank_and_nullspace, rotation_exp, skew)
-from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings, _rms_radius,
-                     _unchecked, bearing_rigidity_function, is_non_degenerate)
+from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings, _unchecked,
+                     bearing_rigidity_function, is_non_degenerate)
 
 LABEL_VOCABULARY = frozenset({
     "translation_x", "translation_y", "translation_z", "scaling",
@@ -360,10 +362,10 @@ def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
 
 
 def _verdict_factor(fw: Framework, edges) -> tuple[np.ndarray, tuple[int, int]]:
-    """Factor rows of fw's verdict matrix on edges (see _assemble) and that
-    matrix's own shape, which sets the rank threshold."""
+    """Factor rows of fw's verdict matrix on edges, of fw._unit (see
+    _assemble), and that matrix's own shape, which sets the rank threshold."""
     _, d, rot_cols = _layout(fw, "auto")
-    C = _assemble(fw, edges, d, rot_cols, factor=True)
+    C = _assemble(fw._unit, edges, d, rot_cols, factor=True)
     return C, (d * len(edges), C.shape[1])
 
 
@@ -401,16 +403,14 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
         raise ValidationError(f"fd trials must be at least 1, got {trials}")
     h = pol.fd_step
     representation, d, rot_cols = _layout(fw, representation)
-    unit, radius = _unit_scale(fw)
+    unit = fw._unit
     B = _assemble(unit, unit.graph.edges, d, rot_cols)
     n = unit.n
     edges0 = np.array(unit.graph.edges, dtype=int).reshape(-1, 2) - 1
     P, R, V = unit._positions, unit._rotations, unit._rotation_inputs
-    # the unit copy's own radius sets one coincidence threshold for every
-    # trial (a step of fd_step < 1 at unit scale barely moves it); a
-    # framework already at unit scale, as a report's decision.unit, was
-    # measured by _unit_scale
-    coincident = COINCIDENT_TOL * (radius if unit is fw else _rms_radius(P))
+    # one coincidence threshold for every trial: a step of fd_step < 1 at
+    # unit scale barely moves the radius
+    coincident = COINCIDENT_TOL * unit._radius
     b0 = _bearings(edges0, P, R, coincident)[:, :d].reshape(-1)
     D = np.random.default_rng(seed).standard_normal((trials, B.shape[1]))
     if representation == "unified" and _uses_planar_projector(unit):
@@ -538,62 +538,44 @@ def complete_graph_kernel(fw: Framework, pol: TolerancePolicy | None = None,
     no second rank threshold.
     """
     pol = pol or TolerancePolicy()
-    unit, radius = _unit_scale(fw)
-    Nk = _complete_kernel(unit, pol)[0]
-    return np.linalg.qr(_to_caller_scale(fw, Nk, radius))[0]
+    Nk = _complete_kernel(fw, pol)[0]
+    return np.linalg.qr(_to_caller_scale(fw, Nk))[0]
 
 
-def _complete_kernel(unit: Framework, pol: TolerancePolicy,
+def _complete_kernel(fw: Framework, pol: TolerancePolicy,
                      ) -> tuple[np.ndarray, SubspaceBasis | None, bool]:
-    """(Nk, trivial, degenerate) of a unit-scale framework: one degeneracy
-    test, then the complete-graph kernel Nk, from the closed-form trivial
-    basis when unit is homogeneous and not degenerate (trivial is that
-    basis), otherwise from the decomposed _verdict_factor of the complete
-    edge list (trivial None)."""
-    degenerate = not is_non_degenerate(unit, pol)
-    if unit.is_homogeneous and not degenerate:
-        trivial = _trivial_basis(unit, pol)
+    """(Nk, trivial, degenerate) of fw at unit formation scale (fw._unit):
+    one degeneracy test, then the complete-graph kernel Nk, from the
+    closed-form trivial basis when fw is homogeneous and not degenerate
+    (trivial is that basis), otherwise from the decomposed _verdict_factor
+    of the complete edge list (trivial None)."""
+    degenerate = not is_non_degenerate(fw._unit, pol)
+    if fw.is_homogeneous and not degenerate:
+        trivial = _trivial_basis(fw._unit, pol)
         return trivial.basis, trivial, degenerate
-    C, shape = _verdict_factor(unit, complete_edges(unit.n, unit.graph.kind))
+    C, shape = _verdict_factor(fw, complete_edges(fw.n, fw.graph.kind))
     return rank_and_nullspace(C, pol, shape=shape)[1], None, degenerate
 
 
-def _to_caller_scale(fw: Framework, X: np.ndarray, radius: float) -> np.ndarray:
+def _to_caller_scale(fw: Framework, X: np.ndarray) -> np.ndarray:
     """Columns X of fw's verdict layout (_layout "auto") at unit scale, moved
-    to fw's coordinates: position rows times fw's RMS radius (as
-    _unit_scale measured it), rotation rows as they are."""
+    to fw's coordinates: position rows times fw's RMS radius, rotation rows
+    as they are."""
     _, d, _ = _layout(fw, "auto")
     lift = np.ones((X.shape[0], 1))
-    lift[:d * fw.n] = radius
+    lift[:d * fw.n] = fw._radius
     return lift * X
-
-
-def _unit_scale(fw: Framework) -> tuple[Framework, float]:
-    """(unit, radius): the same framework with positions divided by radius,
-    their RMS distance from the centroid. Kernels are scale invariant, but
-    translational columns scale as 1/length while rotational ones do not,
-    so one relative rank threshold only separates both kinds of singular
-    value near unit scale. A framework within 1e-12 of unit scale is
-    returned as it is. The copy is not validated again and shares fw's
-    rotation stacks (Framework._divided): dividing by the radius can break
-    no check."""
-    radius = _rms_radius(fw._positions)
-    if abs(radius - 1.0) <= 1e-12:
-        return fw, radius
-    return fw._divided(radius), radius
 
 
 @dataclass(frozen=True)
 class _Decision:
-    """One framework decided at unit formation scale (see _decide). radius
-    is fw's RMS radius, which unit was divided by. N, the kernel of fw's
-    factor, is None where the singular values certified the containment;
-    zero_columns, the factor's zero columns, is None for homogeneous
-    frameworks."""
+    """One framework decided at unit formation scale (see _decide). N, the
+    kernel of fw's factor, is decomposed only for mixed teams, whose split
+    reads it; elsewhere it is None unless the singular values missed the
+    containment certificate. zero_columns, the factor's zero columns, is
+    None for homogeneous frameworks."""
 
     fw: Framework
-    unit: Framework
-    radius: float
     verdict: RigidityVerdict
     Nk: np.ndarray
     trivial: SubspaceBasis | None
@@ -602,17 +584,17 @@ class _Decision:
 
 
 def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
-    """fw decided once at unit formation scale (unit): the complete-graph
-    kernel Nk with its degeneracy test and closed-form trivial basis
-    (_complete_kernel), one containment test on fw's factor (_contained_rank)
-    and the verdict. Non-degenerate homogeneous frameworks take it from the
-    factor's singular values; degenerate ones and mixed teams, whose split
-    (_hetero_split) reads the kernel N and the zero columns, decompose the
-    factor with its kernel. Results only, no matrix."""
-    unit, radius = _unit_scale(fw)
-    Nk, trivial, degenerate = _complete_kernel(unit, pol)
-    C, shape = _verdict_factor(unit, unit.graph.edges)
-    rank, N = _contained_rank(C, shape, Nk, pol, kernel=trivial is None)
+    """fw decided once at unit formation scale (fw._unit): the
+    complete-graph kernel Nk with its degeneracy test and closed-form
+    trivial basis (_complete_kernel), one containment test on fw's factor
+    (_contained_rank) and the verdict. Homogeneous frameworks, degenerate
+    ones included, take it from the factor's singular values where they
+    certify it; mixed teams, whose split (_hetero_split) reads the kernel N
+    and the zero columns, decompose the factor with its kernel. Results
+    only, no matrix."""
+    Nk, trivial, degenerate = _complete_kernel(fw, pol)
+    C, shape = _verdict_factor(fw, fw.graph.edges)
+    rank, N = _contained_rank(C, shape, Nk, pol, kernel=not fw.is_homogeneous)
     nullity = C.shape[1] - rank
     kernel_eq = nullity == Nk.shape[1]
     notes: list[str] = []
@@ -634,7 +616,7 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
                               classification=IBR if kernel_eq else IBF,
                               degenerate=degenerate, notes=tuple(notes))
     zero_columns = None if fw.is_homogeneous else np.flatnonzero(~C.any(axis=0))
-    return _Decision(fw, unit, radius, verdict, Nk, trivial, N, zero_columns)
+    return _Decision(fw, verdict, Nk, trivial, N, zero_columns)
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -769,16 +751,16 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
 def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelReport:
     """The split of a mixed team's decided kernel, that of its verdict
     factor at unit scale (see hetero_kernel_analysis)."""
-    fw, unit, N, zero_cols = decision.fw, decision.unit, decision.N, decision.zero_columns
+    fw, N, zero_cols = decision.fw, decision.N, decision.zero_columns
     ambient = N.shape[0]
     Qv = np.eye(ambient)[:, zero_cols]
     trimmed = N.copy()
     trimmed[zero_cols, :] = 0.0
     Qt = orthonormal_columns(trimmed, pol)
 
-    P = unit.positions()
+    P = fw._unit.positions()
     P -= P.mean(axis=0)
-    V = unit._rotation_inputs
+    V = fw._rotation_inputs
     # agent a turns by V_a^T e (row c of V_a), which is angular velocity e
     # whenever e lies in the range of its rotation-input matrix V_a
     candidates, names = _trivial_generators(
@@ -794,7 +776,7 @@ def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelRepo
     U, sv, _ = np.linalg.svd(Qt - Qm @ (Qm.T @ Qt), full_matrices=False)
     extra = U[:, sv > pol.subspace_tol]
     labels = [names[k] for k in np.flatnonzero(hit)] + ["unlabeled"] * extra.shape[1]
-    gen_mat = _to_caller_scale(fw, np.hstack([matched, extra]), decision.radius)
+    gen_mat = _to_caller_scale(fw, np.hstack([matched, extra]))
     basis = orthonormal_columns(gen_mat / np.linalg.norm(gen_mat, axis=0), pol)
     trivial = SubspaceBasis(ambient_dim=ambient, basis=basis,
                             labels=tuple(labels), generators=gen_mat)

@@ -226,8 +226,7 @@ def analysis_report(fw: Framework, pol: TolerancePolicy | None = None,
                      "closed-form trivial basis unavailable"}
     else:
         subspaces = {"trivial": _subspace_summary(decision.trivial)}
-    # the FD probe reuses the decision's unit-scale copy
-    fd = engine.fd_jacobian_check(decision.unit, pol, trials=fd_trials, seed=seed)
+    fd = engine.fd_jacobian_check(fw, pol, trials=fd_trials, seed=seed)
 
     return {
         "schema_version": SCHEMA_VERSION,

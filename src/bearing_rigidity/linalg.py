@@ -154,7 +154,7 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     and no left factor is ever formed. Unlike a Gram matrix, R does not square
     the condition number. The threshold still uses M's shape. Square matrices
     take the thin SVD directly; wide ones need the full Vh, whose extra rows
-    span the kernel.
+    span the kernel. (Values-only _rank skips the QR; gesdd makes its own.)
 
     shape, when given, is the shape of a matrix B that M stands in for with
     the same Gram matrix (M^T M = B^T B, hence the same singular values and
@@ -168,17 +168,18 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
           shape: tuple[int, int] | None = None, kernel: bool = False,
           ) -> tuple[int | np.ndarray, np.ndarray | None, np.ndarray, float | np.ndarray]:
     """(rank, N, s, threshold) as rank_and_nullspace decides them: the same
-    checks, QR reduction and threshold; s holds the singular values in
-    descending order, and those above threshold (rtol * sigma_max) make up
-    the rank. Without kernel, N is None and the SVD computes singular values
-    only, which may differ from the full SVD's in the last bits: a value
+    checks and threshold; s holds the singular values in descending order,
+    and those above threshold (rtol * sigma_max) make up the rank. Without
+    kernel, N is None and a tall M is not QR-reduced first: the SVD
+    computes singular values only (LAPACK's gesdd reduces a tall matrix
+    itself), which may differ from the full SVD's in the last bits: a value
     that close to the threshold may count toward one rank and not the
     other, so a rank that must agree with a kernel is confirmed by
     rank_and_nullspace, or kept clear of the threshold.
 
     Without kernel, M may also be a (k, rows, cols) stack: each matrix is
-    reduced and decomposed as it would be alone (numpy's stacked QR and SVD
-    run LAPACK once per matrix), shape is that of one matrix, and rank, s
+    decomposed as it would be alone (numpy's stacked SVD runs LAPACK once
+    per matrix), shape is that of one matrix, and rank, s
     and threshold are the k ranks, singular value rows and thresholds, each
     matrix thresholded at its own sigma_max."""
     pol = pol or TolerancePolicy()
@@ -193,7 +194,7 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
             k = M.shape[0]
             return np.zeros(k, dtype=int), None, np.zeros((k, 0)), np.zeros(k)
         return 0, np.eye(cols) if kernel else None, np.zeros(0), 0.0
-    A = np.linalg.qr(M, mode="r") if rows > cols else M
+    A = np.linalg.qr(M, mode="r") if kernel and rows > cols else M
     if kernel:
         _, s, Vh = np.linalg.svd(A, full_matrices=rows < cols)
     else:

@@ -227,7 +227,7 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
         return fw, ()
 
     edges = complete_edges(fw.n, fw.graph.kind)
-    C, (rows, cols) = engine._verdict_factor(decision.unit, edges)
+    C, (rows, cols) = engine._verdict_factor(fw, edges)
     blocks = C.reshape(len(edges), -1, cols)
     per_edge = rows // len(edges)  # measured rows per edge set the threshold
 

@@ -14,8 +14,8 @@ spaces pin the third coordinate to zero.
 
 A framework is validated once, when built, and keeps read-only stacks for
 every reader: its (n, 3) positions and, from first use, its (n, 3, 3)
-rotations and rotation inputs. Its unit-scale copy (Framework._divided)
-shares the rotation stacks and is not validated again.
+rotations and rotation inputs. It keeps its RMS radius too; its unit-scale
+twin (Framework._unit) shares the rotation stacks, unvalidated.
 
 The bearing measured along edge (i, j) is the unit vector from agent i to
 agent j expressed in agent i's frame: R_i^T (p_j - p_i) / ||p_j - p_i||.
@@ -223,6 +223,7 @@ class Framework:
         P.setflags(write=False)
         object.__setattr__(self, "_positions", P)
         radius, e = _scaled_radius(P)
+        object.__setattr__(self, "_radius", math.ldexp(radius, e))
         P = np.ldexp(P, -e)
         dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2)
         close = np.argwhere(np.triu(dist <= COINCIDENT_TOL * radius, k=1))
@@ -287,17 +288,24 @@ class Framework:
         """Same agents, different sensing graph (revalidated)."""
         return dataclasses.replace(self, graph=g)
 
-    def _divided(self, scale: float) -> "Framework":
-        """Same agents with every position divided by scale > 0, not
-        validated again: the quotients stay finite, planar agents stay at
-        z = 0 and distances keep their ratio to the radius, so no check
-        could fail. The rotation stacks are shared."""
-        P = self._positions / scale
+    @cached_property
+    def _unit(self) -> "Framework":
+        """This framework at unit formation scale, where one relative rank
+        threshold separates translational singular values (which scale as
+        1/length) from rotational ones: itself when _radius is within 1e-12
+        of 1, else a copy with every position divided by _radius. Dividing
+        by the radius can break no check, so the copy is not validated
+        again; it shares the rotation stacks and measures its own radius,
+        1 to rounding, so it is its own _unit."""
+        if abs(self._radius - 1.0) <= 1e-12:
+            return self
+        P = self._positions / self._radius
         P.setflags(write=False)
         states = tuple(_unchecked(AgentState, p=p, alpha=st.alpha, R=st.R)
                        for p, st in zip(P, self.states))
         return _unchecked(Framework, graph=self.graph, space=self.space, states=states,
-                          _positions=P, _rotations=self._rotations,
+                          _positions=P, _radius=_rms_radius(P),
+                          _rotations=self._rotations,
                           _rotation_inputs=self._rotation_inputs)
 
 

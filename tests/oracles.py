@@ -178,7 +178,7 @@ def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:
     edges can only grow the kernel.
     """
     pol = pol or TolerancePolicy()
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     C, shape = engine._verdict_factor(unit, unit.graph.edges)
     return subspace_relation(complete_graph_kernel(unit, pol),
                              rank_and_nullspace(C, pol, shape=shape)[1], pol)

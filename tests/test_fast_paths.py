@@ -9,7 +9,8 @@
 * The rigidity matrices are assembled with batched block products and one
   scatter; the reference is the per-edge loop with one branch per space.
 * rank_and_nullspace reduces tall matrices to their QR factor R before the
-  SVD; the reference decomposes the matrix itself.
+  SVD (the values-only linalg._rank leaves that reduction to LAPACK); the
+  reference decomposes the matrix itself.
 * The FD probe and the trivial generators lift every representation into
   unified coordinates through the assembler's column selection; the
   references are the per-kind state updates and generator branches.
@@ -49,7 +50,8 @@
   heading agents' from one stacked rotation_axis_angle) and rotation
   inputs; the references build each agent's rotation and rotation input
   alone.
-* The unit-scale copy (engine._unit_scale) divides the positions without
+* A Framework keeps its RMS radius and its unit-scale twin
+  (Framework._unit, cached), which divides the positions without
   validating again and shares the rotation stacks; the reference rebuilds
   every state and the framework through dataclasses.replace.
 * Non-degenerate homogeneous verdicts and augmentation's final graph prove
@@ -566,7 +568,7 @@ def reference_bearing_rows(fw, representation, stack):
 def reference_fd_error(fw, representation, trials=20, seed=0):
     """max_rel_error of the FD probe with the per-kind state update, one
     rotation_exp call per agent. The probe runs at unit formation scale, so
-    compare it against this reference on engine._unit_scale(fw)[0]."""
+    compare it against this reference on fw._unit."""
     h = POL.fd_step
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
@@ -664,7 +666,7 @@ def reference_unified_candidates(fw):
 def reference_hetero_trivial(fw):
     """(labels, generators) of the trivial part of a mixed team, matched
     against reference_unified_candidates at unit scale."""
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     B = unified_rigidity_matrix(unit).matrix
     _, N = rank_and_nullspace(B, POL)
     trimmed = N.copy()
@@ -679,7 +681,7 @@ def reference_hetero_trivial(fw):
     sv = np.linalg.svd(Qt - Qm @ (Qm.T @ Qt), compute_uv=False)
     labels += ["unlabeled"] * int(np.sum(sv > POL.subspace_tol))
     lift = np.ones((B.shape[1], 1))
-    lift[:3 * fw.n] = engine._rms_radius(fw.positions())
+    lift[:3 * fw.n] = spaces._rms_radius(fw.positions())
     return tuple(labels), lift * np.column_stack(matched)
 
 
@@ -725,7 +727,7 @@ def test_fd_probe_matches_the_per_kind_update(key, planar_3d):
     for fw in reference_frameworks(key, planar_3d):
         for rep in ("per_space", "unified"):
             got = engine.fd_jacobian_check(fw, POL, representation=rep).max_rel_error
-            ref = reference_fd_error(engine._unit_scale(fw)[0], rep)
+            ref = reference_fd_error(fw._unit, rep)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
@@ -736,7 +738,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
                   spanning_tree(n, "directed", rng, 0.3)):
             fw = mixed_framework(n, rng, g)
             got = engine.fd_jacobian_check(fw, POL).max_rel_error
-            ref = reference_fd_error(engine._unit_scale(fw)[0], "unified")
+            ref = reference_fd_error(fw._unit, "unified")
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
     # full-pose agents with x-axis heading agents share a coordinated
     # rotation about x; the heading agents turn in their rotation column 2,
@@ -750,7 +752,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
     assert reference_hetero_trivial(x_team)[0][-1] == "coord_rotation_x"
     for fw in [hetero_case_study(seed=seed) for seed in range(3)] + [x_team]:
         got = engine.fd_jacobian_check(fw, POL).max_rel_error
-        ref = reference_fd_error(engine._unit_scale(fw)[0], "unified")
+        ref = reference_fd_error(fw._unit, "unified")
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
         hk = engine.hetero_kernel_analysis(fw, POL)
         labels, gens = reference_hetero_trivial(fw)
@@ -766,27 +768,30 @@ def test_mixed_fd_probe_and_labels_match_the_references():
 
 def test_fd_probe_takes_the_coincidence_radius_once(monkeypatch):
     # every trial reuses the base state's coincidence threshold, so the
-    # radius calls do not grow with the trial count
-    fw = hetero_case_study(seed=0)
-    radii = CallCounter(monkeypatch, "_rms_radius", spaces, engine)
+    # radius calls do not grow with the trial count; each count takes a
+    # fresh framework, as a second probe would reuse the cached twin
+    radii = CallCounter(monkeypatch, "_rms_radius", spaces)
     counts = []
     for trials in (1, 20):
+        fw = hetero_case_study(seed=0)
+        radii.take()
         engine.fd_jacobian_check(fw, POL, trials=trials)
         counts.append(radii.take())
     assert counts[0] == counts[1]
 
 
-def test_a_report_measures_the_radius_twice(monkeypatch):
-    # once when the decision scales to unit, once when the probe checks the
-    # unit copy it is handed (and sets its coincidence threshold from that);
-    # the mixed-team split lifts its bases by the decision's radius
+def test_a_report_measures_the_radius_once(monkeypatch):
+    # the framework measured its radius when it was built; the report's
+    # decision builds the unit-scale twin, which measures its own, and the
+    # probe reuses that twin and radius; the mixed-team split lifts its
+    # bases by the framework's radius
     rng = np.random.default_rng(73)
     frameworks = (scaled(placed_framework(SPACES["se3"], 6, rng), 1e3),
                   scaled(hetero_case_study(seed=0), 1e-3))
     radii = CallCounter(monkeypatch, "_scaled_radius", spaces)
     for fw in frameworks:
         analysis_report(fw, POL)
-        assert radii.take() == 2
+        assert radii.take() == 1
 
 
 def test_fd_probe_evaluates_bearings_once_per_chunk(monkeypatch):
@@ -876,7 +881,7 @@ def assert_factor_matches(fw, representation):
     assert np.abs(sC - sB).max() <= 1e-12 * sB[0]
     np.testing.assert_array_equal(C.any(axis=0), B.any(axis=0))
     # decisions are made at unit scale, as the verdict makes them
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     B, C = measured_rows(unit, representation), factor_rows(unit, representation)
     rank_b, N_b = rank_and_nullspace(B, POL)
     rank_c, N_c = rank_and_nullspace(C, POL, shape=B.shape)
@@ -900,11 +905,11 @@ def test_factor_rows_match_the_measured_rows(key, planar_3d):
             frameworks += [line, line.with_graph(complete_graph(line.graph))]
     for fw in frameworks:
         for factor in FACTOR_SCALES:
-            moved = scaled(engine._unit_scale(fw)[0], factor)
+            moved = scaled(fw._unit, factor)
             for rep in ("per_space", "unified"):
                 assert_factor_matches(moved, rep)
             C, shape = engine._verdict_factor(moved, moved.graph.edges)
-            np.testing.assert_array_equal(C, factor_rows(moved, "per_space"))
+            np.testing.assert_array_equal(C, factor_rows(moved._unit, "per_space"))
             assert shape == measured_rows(moved, "per_space").shape
 
 
@@ -920,14 +925,14 @@ def test_mixed_factor_rows_match_the_measured_rows():
             moved = scaled(fw, factor)
             assert_factor_matches(moved, "unified")
             C, shape = engine._verdict_factor(moved, moved.graph.edges)
-            np.testing.assert_array_equal(C, factor_rows(moved, "unified"))
+            np.testing.assert_array_equal(C, factor_rows(moved._unit, "unified"))
             assert shape == measured_rows(moved, "unified").shape
 
 
 def reference_augmentation(fw):
     """Edges augment_to_ibr adds when every rank is taken on the measured
     verdict matrix (the loop before factor rows)."""
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     Nk = complete_graph_kernel(unit, POL)
     current, added = unit, []
     while True:
@@ -986,7 +991,7 @@ def reference_rebuild_augmentation(fw, lazy=False, gains=None):
     decomposed_inputs records. Every candidate is ranked in every round;
     lazy drops the candidates seen at rank gain 0, as augment_to_ibr does.
     gains, when given, receives each round's {candidate: rank gain}."""
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     Nk = complete_graph_kernel(unit, POL)
     current, added, dead = unit, [], set()
     while True:
@@ -1409,7 +1414,7 @@ def exact_decision(fw):
     """(classification, rank, nullity) of fw from the decomposition of its
     unit-scale factor and the residual test, or NumericalError where that
     residual is not below subspace_tol."""
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     Nk = engine._complete_kernel(unit, POL)[0]
     C, shape = engine._verdict_factor(unit, unit.graph.edges)
     rank, N = rank_and_nullspace(C, POL, shape=shape)
@@ -1443,7 +1448,7 @@ def jittered_line(space, jitter):
 def certificate_inputs(key):
     """Generic frameworks of one space on their complete graph, a spanning
     tree and a tree with 30% of the other edges (and no edges at all, a
-    zero factor), then jittered lines."""
+    zero factor), then the exact line and jittered lines."""
     space = REFERENCE_SPACES[key]
     rng = np.random.default_rng(sum(map(ord, key)) + 61)
     for n in (4, 7, 10):
@@ -1452,7 +1457,7 @@ def certificate_inputs(key):
                   spanning_tree(n, fw.graph.kind, rng, 0.3)):
             yield fw.with_graph(g)
     yield fw.with_graph(SensingGraph(n, (), fw.graph.kind))
-    for jitter in JITTERS:
+    for jitter in (0.0, *JITTERS):
         yield jittered_line(space, jitter)
 
 
@@ -1470,6 +1475,19 @@ def test_certified_containment_decides_as_the_residual(key):
     assert {"IBR", "IBF"} <= outcomes
 
 
+def test_collinear_decisions_decompose_no_kernel():
+    # only a mixed team's split reads the factor's kernel, so a degenerate
+    # homogeneous verdict is certified from singular values like any other
+    for space in SPACES.values():
+        for density in (0.5, 1.0):
+            line = random_framework(GeneratorSpec(space=space, n=6, seed=1,
+                                                  graph_density=density,
+                                                  placement="collinear"))
+            decision = engine._decide(line, POL)
+            assert decision.verdict.degenerate
+            assert decision.N is None and decision.zero_columns is None
+
+
 def test_the_jittered_line_that_fails_the_residual_still_raises():
     # at a jitter of 1e-8 the decomposed residual misses subspace_tol
     # by rounding of the kernel (its singular values straddle the
@@ -1477,7 +1495,7 @@ def test_the_jittered_line_that_fails_the_residual_still_raises():
     # make the bound miss, so the residual decides and raises
     fw = jittered_line(SPACES["r2"], 1e-8)
     assert exact_decision(fw) is NumericalError
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     Nk = engine._complete_kernel(unit, POL)[0]
     C, shape = engine._verdict_factor(unit, unit.graph.edges)
     rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
@@ -1501,7 +1519,7 @@ def test_the_residual_bound_holds_wherever_it_is_finite():
     finite = tight = 0
     for key in REFERENCE_SPACES:
         for fw in certificate_inputs(key):
-            unit = engine._unit_scale(fw)[0]
+            unit = fw._unit
             Nk = engine._complete_kernel(unit, POL)[0]
             C, shape = engine._verdict_factor(unit, unit.graph.edges)
             rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
@@ -1536,7 +1554,7 @@ def test_a_missed_bound_falls_back_to_the_residual(monkeypatch):
     rng = np.random.default_rng(67)
     fw = placed_framework(SPACES["se3"], 8, rng)
     fw = fw.with_graph(spanning_tree(8, "directed", rng, 0.5))
-    unit = engine._unit_scale(fw)[0]
+    unit = fw._unit
     C, shape = engine._verdict_factor(unit, unit.graph.edges)
     rank, _, s, _ = linalg._rank(C, POL, shape=shape)
     assert s[0] > 10 * s[rank - 1]
@@ -1655,7 +1673,7 @@ def test_framework_stacks_match_the_per_agent_rotations_and_inputs():
 
 def test_framework_stacks_are_read_only_and_positions_a_fresh_copy():
     for fw in stack_frameworks():
-        for fw in (fw, engine._unit_scale(fw)[0]):
+        for fw in (fw, fw._unit):
             for stack in (fw._positions, fw._rotations, fw._rotation_inputs):
                 assert not stack.flags.writeable
                 with pytest.raises(ValueError):
@@ -1670,7 +1688,7 @@ def test_framework_stacks_are_read_only_and_positions_a_fresh_copy():
 def reference_unit_scale(fw):
     """The unit-scale copy built through the public constructors, which
     validate every state and the framework again."""
-    scale = engine._rms_radius(fw.positions())
+    scale = spaces._rms_radius(fw.positions())
     return dataclasses.replace(fw, states=tuple(
         dataclasses.replace(st, p=st.p / scale) for st in fw.states))
 
@@ -1686,9 +1704,8 @@ def test_the_unchecked_unit_copy_equals_the_validated_copy(monkeypatch):
             [c.take() for c in checks]
             want = reference_unit_scale(moved)
             assert [c.take() for c in checks] == [fw.n, 1]
-            got, radius = engine._unit_scale(moved)
+            got = moved._unit
             assert [c.take() for c in checks] == [0, 0]
-            assert radius == engine._rms_radius(moved.positions())
             assert (got.graph, got.space) == (want.graph, want.space)
             for a, b in zip(got.states, want.states, strict=True):
                 np.testing.assert_array_equal(a.p, b.p)
@@ -1702,3 +1719,11 @@ def test_the_unchecked_unit_copy_equals_the_validated_copy(monkeypatch):
             np.testing.assert_array_equal(got._rotation_inputs, want._rotation_inputs)
             # the copy's rotations are the original's, not a second build
             assert got._rotations is moved._rotations
+            # the twin is cached, is its own twin, and both radii are the
+            # ones the positions give
+            assert moved._unit is got and got._unit is got
+            for f in (moved, got):
+                assert f._radius == spaces._rms_radius(f._positions)
+            # the probe runs on the twin whichever of the two it is handed
+            assert (engine.fd_jacobian_check(moved, POL)
+                    == engine.fd_jacobian_check(got, POL))
