@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
 
 from .errors import NumericalError, ParseError, ValidationError
 from .formats import (analysis_report, dumps, export_dot, framework_to_json,
-                      json_int, json_number, load_framework, write_matrix_csv)
+                      json_int, json_number, load_framework, load_json,
+                      write_matrix_csv)
 from .linalg import TOLERANCE_PROFILES, TolerancePolicy
 from .scenarios import (FIXTURES, GeneratorSpec, augment_to_ibr, fixture,
                         random_framework)
@@ -124,12 +124,9 @@ def resolve_settings(args) -> tuple[TolerancePolicy, int]:
     seed = 0
     if getattr(args, "config", None):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = load_json(args.config, f"config {args.config}")
         except OSError as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParseError("config must be a JSON object")
         for key in vals:

@@ -24,9 +24,9 @@ state one way for all spaces (_moved_bearings: a chunk of trials at once,
 every agent of every trial turned by one stacked rotation_exp and all their
 bearings taken in one evaluation, at unit formation scale), and the trivial
 basis, whose per-space generators are the unified ones restricted to the
-layout. Every reader takes the agents' positions, rotations and rotation
-inputs from the framework's own read-only stacks (spaces.Framework), built
-once per framework; its unit-scale twin shares them.
+layout. Every reader takes the agents' rotations and rotation inputs from
+the framework's own read-only stacks (spaces.Framework), built once per
+framework, and the positions it is handed (the framework's, or at unit scale).
 
 Rank decisions do not decompose those measured rows. A bearing's variation
 is orthogonal to the bearing, so each edge's d measured rows have rank d-1.
@@ -68,8 +68,8 @@ an SVD without vectors.
 Each framework is decided once (_decide), at unit formation scale: one
 degeneracy test, one complete-graph kernel, one containment test on the
 factor, in one record of results (_Decision) read by name. Every function
-takes the caller's framework and reads its cached unit-scale twin
-(Framework._unit), so a report's verdict and FD probe share one. The
+takes the caller's framework and reads its cached positions at unit scale
+(Framework._unit), so a report's verdict and FD probe share them. The
 complete kernel is known in closed form for non-degenerate homogeneous
 frameworks (the trivial variations above); only degenerate (collinear)
 and mixed ones decompose the factor of the complete edge list, a choice
@@ -99,7 +99,7 @@ from .errors import (DegenerateConfigurationError, NumericalError,
 from .graphs import complete_edges, complete_graph
 from .linalg import (TolerancePolicy, _rank, _residual, orthonormal_columns,
                      rank_and_nullspace, rotation_exp, skew)
-from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings, _unchecked,
+from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings,
                      bearing_rigidity_function, is_non_degenerate)
 
 LABEL_VOCABULARY = frozenset({
@@ -145,7 +145,8 @@ class RigidityMatrix:
                col_blocks: tuple[ColumnBlock, ...]) -> "RigidityMatrix":
         """Take over a fresh float array nobody else holds: checked and made
         read-only like a constructor argument, but not copied."""
-        rm = _unchecked(cls, representation=representation, row_blocks=row_blocks,
+        rm = object.__new__(cls)
+        vars(rm).update(representation=representation, row_blocks=row_blocks,
                         col_blocks=col_blocks)
         rm._seal(matrix)
         return rm
@@ -247,14 +248,14 @@ def _complement_rows(u: np.ndarray, planar: bool) -> np.ndarray:
                      np.stack([b, sign + y * y * a, -y], axis=1)], axis=1)
 
 
-def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
+def _assemble(fw: Framework, P: np.ndarray, edges, d: int, rot_cols: tuple[int, ...],
               factor: bool = False) -> np.ndarray:
     """Scatter the unified blocks of edges (1-based) straight into a layout.
 
     Edge k = (i, j) with unit bearing u and length dist has the unified
     position block R_i^T P(u) / dist (at agent j's columns, negated at agent
-    i's) and the rotation block R_i^T skew(u) V_i (at agent i's), all read
-    from fw's position, rotation and rotation-input stacks. The layout
+    i's) and the rotation block R_i^T skew(u) V_i (at agent i's), read from
+    positions P and fw's rotation and rotation-input stacks. The layout
     keeps rows 3k..3k+d of each edge, position columns c < d of each agent
     (d per agent), then rotation columns rot_cols of each agent's block.
 
@@ -272,7 +273,6 @@ def _assemble(fw: Framework, edges, d: int, rot_cols: tuple[int, ...],
     E = np.array(edges, dtype=int).reshape(-1, 2) - 1
     heads, tails = E[:, 0], E[:, 1]
     m = len(E)
-    P = fw._positions
     diff = P[tails] - P[heads]
     dist = np.linalg.norm(diff, axis=1)
     u = diff / dist[:, None]
@@ -304,8 +304,8 @@ def _measured(fw: Framework, representation: str) -> RigidityMatrix:
     cols = tuple(ColumnBlock(a + 1, (d * a, d * a + d),
                              (d * n + w * a, d * n + w * a + w) if w else None)
                  for a in range(n))
-    return RigidityMatrix._adopt(_assemble(fw, fw.graph.edges, d, rot_cols),
-                                 representation, rows, cols)
+    B = _assemble(fw, fw._positions, fw.graph.edges, d, rot_cols)
+    return RigidityMatrix._adopt(B, representation, rows, cols)
 
 
 def _layout(fw: Framework, representation: str,
@@ -362,10 +362,10 @@ def unified_rigidity_matrix(fw: Framework) -> RigidityMatrix:
 
 
 def _verdict_factor(fw: Framework, edges) -> tuple[np.ndarray, tuple[int, int]]:
-    """Factor rows of fw's verdict matrix on edges, of fw._unit (see
-    _assemble), and that matrix's own shape, which sets the rank threshold."""
+    """Factor rows of fw's verdict matrix on edges at unit scale (fw._unit;
+    see _assemble), and that matrix's shape, which sets the rank threshold."""
     _, d, rot_cols = _layout(fw, "auto")
-    C = _assemble(fw._unit, edges, d, rot_cols, factor=True)
+    C = _assemble(fw, fw._unit[0], edges, d, rot_cols, factor=True)
     return C, (d * len(edges), C.shape[1])
 
 
@@ -403,23 +403,23 @@ def fd_jacobian_check(fw: Framework, pol: TolerancePolicy | None = None,
         raise ValidationError(f"fd trials must be at least 1, got {trials}")
     h = pol.fd_step
     representation, d, rot_cols = _layout(fw, representation)
-    unit = fw._unit
-    B = _assemble(unit, unit.graph.edges, d, rot_cols)
-    n = unit.n
-    edges0 = np.array(unit.graph.edges, dtype=int).reshape(-1, 2) - 1
-    P, R, V = unit._positions, unit._rotations, unit._rotation_inputs
+    P, radius = fw._unit
+    B = _assemble(fw, P, fw.graph.edges, d, rot_cols)
+    n = fw.n
+    edges0 = np.array(fw.graph.edges, dtype=int).reshape(-1, 2) - 1
+    R, V = fw._rotations, fw._rotation_inputs
     # one coincidence threshold for every trial: a step of fd_step < 1 at
     # unit scale barely moves the radius
-    coincident = COINCIDENT_TOL * unit._radius
+    coincident = COINCIDENT_TOL * radius
     b0 = _bearings(edges0, P, R, coincident)[:, :d].reshape(-1)
     D = np.random.default_rng(seed).standard_normal((trials, B.shape[1]))
-    if representation == "unified" and _uses_planar_projector(unit):
+    if representation == "unified" and _uses_planar_projector(fw):
         D[:, 2:3 * n:3] = 0.0
     # each trial's own dot product, as np.linalg.norm takes it, so every
     # direction is the one a trial-by-trial normalisation gives to the bit
     D /= np.sqrt([delta.dot(delta) for delta in D])[:, None]
     lift = _unified_columns(n, d, rot_cols)
-    step = max(1, _TRIAL_BYTES // (24 * max(1, unit.m)))  # a (step, m, 3) float stack
+    step = max(1, _TRIAL_BYTES // (24 * max(1, fw.m)))  # a (step, m, 3) float stack
     errors = []
     for chunk in np.split(D, range(step, trials, step)):
         moved = _moved_bearings(P, R, V, edges0, lift, chunk, h, coincident)
@@ -504,15 +504,14 @@ def trivial_variation_basis(fw: Framework, pol: TolerancePolicy | None = None,
     report = is_non_degenerate(fw, pol)
     if not report:
         raise DegenerateConfigurationError(report.detail)
-    return _trivial_basis(fw, pol)
+    return _trivial_basis(fw, fw._positions, pol)
 
 
-def _trivial_basis(fw: Framework, pol: TolerancePolicy) -> SubspaceBasis:
-    """trivial_variation_basis of a homogeneous framework its caller has
-    already found non-degenerate."""
+def _trivial_basis(fw: Framework, P: np.ndarray, pol: TolerancePolicy) -> SubspaceBasis:
+    """trivial_variation_basis of a homogeneous framework at positions P,
+    which its caller has already found non-degenerate."""
     _, d, rot_cols = _layout(fw, "per_space")
-    P = fw.positions()
-    P -= P.mean(axis=0)
+    P = P - P.mean(axis=0)
     V = fw.space.rotation_input()
     G, labels = _trivial_generators(P, [(V[:, c], np.eye(3)[c]) for c in rot_cols])
     keep = [*range(d), *range(3, G.shape[1])]
@@ -549,9 +548,9 @@ def _complete_kernel(fw: Framework, pol: TolerancePolicy,
     closed-form trivial basis when fw is homogeneous and not degenerate
     (trivial is that basis), otherwise from the decomposed _verdict_factor
     of the complete edge list (trivial None)."""
-    degenerate = not is_non_degenerate(fw._unit, pol)
+    degenerate = not is_non_degenerate(fw._unit[0], pol)
     if fw.is_homogeneous and not degenerate:
-        trivial = _trivial_basis(fw._unit, pol)
+        trivial = _trivial_basis(fw, fw._unit[0], pol)
         return trivial.basis, trivial, degenerate
     C, shape = _verdict_factor(fw, complete_edges(fw.n, fw.graph.kind))
     return rank_and_nullspace(C, pol, shape=shape)[1], None, degenerate
@@ -758,8 +757,7 @@ def _hetero_split(decision: _Decision, pol: TolerancePolicy) -> HeteroKernelRepo
     trimmed[zero_cols, :] = 0.0
     Qt = orthonormal_columns(trimmed, pol)
 
-    P = fw._unit.positions()
-    P -= P.mean(axis=0)
+    P = fw._unit[0] - fw._unit[0].mean(axis=0)
     V = fw._rotation_inputs
     # agent a turns by V_a^T e (row c of V_a), which is angular velocity e
     # whenever e lies in the range of its rotation-input matrix V_a

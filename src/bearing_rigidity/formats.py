@@ -45,10 +45,14 @@ def json_int(value: Any, what: str) -> int:
 
 def json_number(value: Any, what: str) -> float:
     """A JSON number. Strings and booleans are rejected rather than
-    coerced, so "0" is never read as a coordinate."""
+    coerced, so "0" is never read as a coordinate; an integer beyond the
+    float range reads as an infinity, as 1e400 does."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def _json_vector(value: Any, what: str) -> list[float]:
@@ -162,13 +166,19 @@ def framework_from_json(obj: Any) -> Framework:
     return Framework(graph=graph, space=space, states=tuple(states))
 
 
+def load_json(path: str, what: str) -> Any:
+    """The JSON document at path. Text that does not decode (ValueError:
+    not UTF-8, not JSON, an integer literal too long to convert) or nests
+    too deep is a ParseError that starts with what; OSError passes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{what}: {exc}") from exc
+
+
 def load_framework(path: str) -> Framework:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return framework_from_json(doc)
+    return framework_from_json(load_json(path, path))
 
 
 # ------------------------------------------------------- matrices and verdicts

@@ -14,8 +14,8 @@ spaces pin the third coordinate to zero.
 
 A framework is validated once, when built, and keeps read-only stacks for
 every reader: its (n, 3) positions and, from first use, its (n, 3, 3)
-rotations and rotation inputs. It keeps its RMS radius too; its unit-scale
-twin (Framework._unit) shares the rotation stacks, unvalidated.
+rotations and rotation inputs. It keeps its RMS radius too, and caches
+its positions at unit formation scale with their radius (Framework._unit).
 
 The bearing measured along edge (i, j) is the unit vector from agent i to
 agent j expressed in agent i's frame: R_i^T (p_j - p_i) / ||p_j - p_i||.
@@ -71,7 +71,9 @@ class MetricSpace:
             if self.axis is None:
                 raise ValidationError("rdxs1 with d=3 needs a unit axis")
             ax = np.asarray(self.axis, dtype=float)
-            if ax.shape != (3,) or not abs(np.linalg.norm(ax) - 1.0) <= AXIS_UNIT_TOL:
+            # entries beyond 1 are refused before the norm they could overflow
+            if (ax.shape != (3,) or np.abs(ax).max() > 1.0 + AXIS_UNIT_TOL
+                    or not abs(np.linalg.norm(ax) - 1.0) <= AXIS_UNIT_TOL):
                 raise ValidationError("rotation axis must be a unit 3-vector")
             object.__setattr__(self, "axis", tuple(float(v) for v in ax))
 
@@ -289,33 +291,17 @@ class Framework:
         return dataclasses.replace(self, graph=g)
 
     @cached_property
-    def _unit(self) -> "Framework":
-        """This framework at unit formation scale, where one relative rank
-        threshold separates translational singular values (which scale as
-        1/length) from rotational ones: itself when _radius is within 1e-12
-        of 1, else a copy with every position divided by _radius. Dividing
-        by the radius can break no check, so the copy is not validated
-        again; it shares the rotation stacks and measures its own radius,
-        1 to rounding, so it is its own _unit."""
+    def _unit(self) -> tuple[np.ndarray, float]:
+        """(P, radius): the read-only positions at unit formation scale,
+        where one relative rank threshold separates translational singular
+        values (which scale as 1/length) from rotational ones, and their RMS
+        radius, 1 to rounding. P is _positions when _radius is within 1e-12
+        of 1, else _positions / _radius; rotations do not scale."""
         if abs(self._radius - 1.0) <= 1e-12:
-            return self
+            return self._positions, self._radius
         P = self._positions / self._radius
         P.setflags(write=False)
-        states = tuple(_unchecked(AgentState, p=p, alpha=st.alpha, R=st.R)
-                       for p, st in zip(P, self.states))
-        return _unchecked(Framework, graph=self.graph, space=self.space, states=states,
-                          _positions=P, _radius=_rms_radius(P),
-                          _rotations=self._rotations,
-                          _rotation_inputs=self._rotation_inputs)
-
-
-def _unchecked(cls, **attributes):
-    """An instance of the frozen dataclass cls with the given attributes,
-    skipping __init__ and with it every check."""
-    obj = object.__new__(cls)
-    for name, value in attributes.items():
-        object.__setattr__(obj, name, value)
-    return obj
+        return P, _rms_radius(P)
 
 
 def _scaled_radius(P: np.ndarray) -> tuple[float, int]:

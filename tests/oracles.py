@@ -28,14 +28,18 @@ The small helpers below have no caller in the library:
 * subspace_relation: the two-way relation between two spans, from two
   containment tests. The library decides kernel equality by one containment
   test plus equal dimension; the tests keep this relation as its reference.
+* unit_scale: a framework at unit formation scale, rebuilt and validated
+  through the public constructors; the library keeps only the divided
+  positions and their radius (Framework._unit).
 """
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from bearing_rigidity import (Framework, SensingGraph, TolerancePolicy,
                               ValidationError, complete_graph_kernel, engine,
-                              orthonormal_columns, rank_and_nullspace)
+                              orthonormal_columns, rank_and_nullspace, spaces)
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,18 @@ def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:
     edges can only grow the kernel.
     """
     pol = pol or TolerancePolicy()
-    unit = fw._unit
+    unit = unit_scale(fw)
     C, shape = engine._verdict_factor(unit, unit.graph.edges)
     return subspace_relation(complete_graph_kernel(unit, pol),
                              rank_and_nullspace(C, pol, shape=shape)[1], pol)
+
+
+def unit_scale(fw: Framework) -> Framework:
+    """fw with every position divided by its RMS radius, each state and the
+    framework built and validated again."""
+    scale = spaces._rms_radius(fw.positions())
+    return dataclasses.replace(fw, states=tuple(
+        dataclasses.replace(st, p=st.p / scale) for st in fw.states))
 
 
 def orthogonal_projector(x: np.ndarray) -> np.ndarray:

@@ -159,8 +159,9 @@ def test_coordinates_near_the_float_maximum_are_decided(tmp_path, capsys, s):
     (None, {"n": 3, "kind": "undirected", "edges": ["12", "23", "13"]}),
     (None, {"n": 3, "kind": "undirected", "edges": [[1, 2], [1, 3], [2, True]]}),
     (None, {"n": 3, "kind": "undirected", "edges": {"1": 2}}),
+    (None, "triangle"),
 ], ids=["string-d", "float-d", "float-n", "string-edges", "bool-endpoint",
-        "edges-object"])
+        "edges-object", "graph-not-object"])
 def test_malformed_numbers_are_parse_errors(tmp_path, capsys, space, graph):
     code, _, err = run(capsys, "analyze", write_triangle(tmp_path, space, graph))
     assert code == 2
@@ -184,8 +185,9 @@ def test_malformed_numbers_are_parse_errors(tmp_path, capsys, space, graph):
     ({"type": "rdxs1", "d": 3, "axis": [[0, 0, 1]]},
      [{"p": [0.0, 0.0, 0.0], "alpha": 0.0}, {"p": [1.0, 0.0, 0.0], "alpha": 0.0},
       {"p": [0.0, 1.0, 0.0], "alpha": 0.0}]),
+    (None, {"p": [0.0, 0.0]}),
 ], ids=["string-position", "bool-position", "string-heading", "string-rotation",
-        "string-axis", "nested-position", "nested-axis"])
+        "string-axis", "nested-position", "nested-axis", "agents-not-list"])
 def test_numeric_strings_in_agent_states_are_parse_errors(tmp_path, capsys, space,
                                                           agents):
     graph = None
@@ -295,15 +297,92 @@ def test_infinite_config_tolerance_is_a_validation_error(tmp_path, capsys):
     assert one_error_line(err)
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1e-9]"],
-                         ids=["missing", "malformed", "not-an-object"])
+@pytest.mark.parametrize("content", [None, "{not json", "[1e-9]",
+                                     b'{"seed": "\xe9t\xe9"}',
+                                     '{"seed": 1%s}' % ("0" * 5000),
+                                     "[" * 100000 + "]" * 100000],
+                         ids=["missing", "malformed", "not-an-object", "not-utf8",
+                              "5001-digit-integer", "nested-100000-deep"])
 def test_unusable_config_files_are_parse_errors(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
-    if content is not None:
+    if isinstance(content, bytes):
+        cfg.write_bytes(content)
+    elif content is not None:
         cfg.write_text(content, encoding="utf-8")
-    code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
     assert code == 2 and out == ""
     assert one_error_line(err)
+
+
+@pytest.mark.parametrize("text", ['{"space": {"type": "rd", "d": 1%s}}' % ("0" * 5000),
+                                  "[" * 100000 + "]" * 100000,
+                                  '{"a": ' * 100000 + "1" + "}" * 100000],
+                         ids=["5001-digit-integer", "list-nested-100000-deep",
+                              "object-nested-100000-deep"])
+def test_undecodable_framework_files_are_parse_errors(tmp_path, capsys, text):
+    path = tmp_path / "fw.json"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert one_error_line(err) and err.startswith(f"error: {path}: ")
+
+
+# an integer literal beyond the float range reads as an infinity, which the
+# finiteness checks refuse
+BIG = 10 ** 400
+DIRECTED = {"n": 3, "kind": "directed", "edges": [[1, 2], [2, 3], [3, 1]]}
+EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("space,agents,message", [
+    (None, [{"p": [0, 0]}, {"p": [BIG, 0]}, {"p": [0, 1]}], "position contains NaN or Inf"),
+    (None, [{"p": [0, 0]}, {"p": [1, -BIG]}, {"p": [0, 1]}], "position contains NaN or Inf"),
+    ({"type": "rdxs1", "d": 2},
+     [{"p": [0, 0], "alpha": BIG}, {"p": [1, 0], "alpha": 0}, {"p": [0, 1], "alpha": 0}],
+     "heading angle is NaN or Inf"),
+    ({"type": "se3"},
+     [{"p": [0, 0, 0], "R": [[BIG, 0, 0], [0, 1, 0], [0, 0, 1]]},
+      {"p": [1, 0, 0], "R": EYE}, {"p": [0, 1, 0], "R": EYE}],
+     "rotation contains NaN or Inf"),
+    ({"type": "rdxs1", "d": 3, "axis": [BIG, 0, 1]},
+     [{"p": p, "alpha": 0} for p in ([0, 0, 0], [1, 0, 0], [0, 1, 0])],
+     "rotation axis must be a unit 3-vector"),
+], ids=["coordinate", "negative-coordinate", "heading", "rotation", "axis"])
+def test_integers_beyond_the_float_range_are_validation_errors(tmp_path, capsys, space,
+                                                               agents, message):
+    path = write_triangle(tmp_path, space, DIRECTED if space else None, agents)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", path)
+    assert code == 3 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_integer_config_tolerance_beyond_the_float_range_is_a_validation_error(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fd_step": BIG}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", "star-r2", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert one_error_line(err) and "fd_step" in err
+
+
+@pytest.mark.parametrize("space,agents,message", [
+    ([{"type": "rd", "d": 2}] * 2, None, "need one space per agent (3), got 2"),
+    (None, [{"p": [0, 0]}, {"p": [1, 0]}], "need one state per agent (3), got 2"),
+    (None, [{"p": [0, 0], "alpha": 0.5}, {"p": [1, 0]}, {"p": [0, 1]}],
+     "agent 1 is position-only but has an orientation"),
+], ids=["spaces-short", "states-short", "orientation-on-position-only"])
+def test_agents_that_do_not_match_the_document_are_validation_errors(
+        tmp_path, capsys, space, agents, message):
+    code, out, err = run(capsys, "analyze", write_triangle(tmp_path, space, None, agents))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_a_complete_kernel_outside_the_framework_kernel_is_a_numerical_error(
@@ -437,6 +516,29 @@ def test_gen_nan_axis_is_a_validation_error(tmp_path, capsys):
                              "-o", str(out_path))
         assert code == 3 and out == "" and one_error_line(err), (space, axis)
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("how", ["analyze", "gen"])
+def test_an_axis_entry_beyond_one_is_refused_before_the_norm(tmp_path, capsys, how):
+    # a unit axis has every entry in [-1, 1]; the square of 1e200 would
+    # overflow the norm, and the warning escape as a traceback under -W error
+    if how == "analyze":
+        argv = ("analyze", write_triangle(
+            tmp_path, {"type": "rdxs1", "d": 3, "axis": [1e200, 0, 1]}, DIRECTED,
+            [{"p": p, "alpha": 0.0} for p in ([0, 0, 0], [1, 0, 0], [0, 1, 0])]))
+    else:
+        argv = ("gen", "--space", "r3s1", "--axis", "1e200,0,1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "error: rotation axis must be a unit 3-vector\n"
+
+
+def test_gen_r3s1_without_an_axis_turns_about_z(capsys):
+    code, out, err = run(capsys, "gen", "--space", "r3s1", "--n", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["space"] == {"type": "rdxs1", "d": 3, "axis": [0.0, 0.0, 1.0]}
 
 
 def test_gen_planar_heading_takes_the_out_of_plane_axis(capsys):

@@ -50,10 +50,10 @@
   heading agents' from one stacked rotation_axis_angle) and rotation
   inputs; the references build each agent's rotation and rotation input
   alone.
-* A Framework keeps its RMS radius and its unit-scale twin
-  (Framework._unit, cached), which divides the positions without
-  validating again and shares the rotation stacks; the reference rebuilds
-  every state and the framework through dataclasses.replace.
+* A Framework keeps its RMS radius and, cached, its positions at unit
+  formation scale with their radius (Framework._unit), divided without
+  building or validating any state; the reference (oracles.unit_scale)
+  rebuilds every state and the framework through dataclasses.replace.
 * Non-degenerate homogeneous verdicts and augmentation's final graph prove
   the complete kernel lies in the factor's kernel from singular values and
   one product (engine._residual_bound), without a kernel basis; the
@@ -61,6 +61,7 @@
   takes the residual.
 """
 import dataclasses
+import gc
 import tracemalloc
 
 import numpy as np
@@ -82,7 +83,7 @@ from bearing_rigidity import (engine, formats, linalg,
                               skew, spaces)
 from bearing_rigidity.spaces import bearing_stack_raw
 from oracles import (case_study_partition, orient, orthogonal_projector,
-                     subspace_relation)
+                     subspace_relation, unit_scale)
 
 POL = TolerancePolicy()
 
@@ -568,7 +569,7 @@ def reference_bearing_rows(fw, representation, stack):
 def reference_fd_error(fw, representation, trials=20, seed=0):
     """max_rel_error of the FD probe with the per-kind state update, one
     rotation_exp call per agent. The probe runs at unit formation scale, so
-    compare it against this reference on fw._unit."""
+    compare it against this reference on unit_scale(fw)."""
     h = POL.fd_step
     B = (rigidity_matrix(fw) if representation == "per_space"
          else unified_rigidity_matrix(fw)).matrix
@@ -666,7 +667,7 @@ def reference_unified_candidates(fw):
 def reference_hetero_trivial(fw):
     """(labels, generators) of the trivial part of a mixed team, matched
     against reference_unified_candidates at unit scale."""
-    unit = fw._unit
+    unit = unit_scale(fw)
     B = unified_rigidity_matrix(unit).matrix
     _, N = rank_and_nullspace(B, POL)
     trimmed = N.copy()
@@ -727,7 +728,7 @@ def test_fd_probe_matches_the_per_kind_update(key, planar_3d):
     for fw in reference_frameworks(key, planar_3d):
         for rep in ("per_space", "unified"):
             got = engine.fd_jacobian_check(fw, POL, representation=rep).max_rel_error
-            ref = reference_fd_error(fw._unit, rep)
+            ref = reference_fd_error(unit_scale(fw), rep)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
@@ -738,7 +739,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
                   spanning_tree(n, "directed", rng, 0.3)):
             fw = mixed_framework(n, rng, g)
             got = engine.fd_jacobian_check(fw, POL).max_rel_error
-            ref = reference_fd_error(fw._unit, "unified")
+            ref = reference_fd_error(unit_scale(fw), "unified")
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
     # full-pose agents with x-axis heading agents share a coordinated
     # rotation about x; the heading agents turn in their rotation column 2,
@@ -752,7 +753,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
     assert reference_hetero_trivial(x_team)[0][-1] == "coord_rotation_x"
     for fw in [hetero_case_study(seed=seed) for seed in range(3)] + [x_team]:
         got = engine.fd_jacobian_check(fw, POL).max_rel_error
-        ref = reference_fd_error(fw._unit, "unified")
+        ref = reference_fd_error(unit_scale(fw), "unified")
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
         hk = engine.hetero_kernel_analysis(fw, POL)
         labels, gens = reference_hetero_trivial(fw)
@@ -769,7 +770,7 @@ def test_mixed_fd_probe_and_labels_match_the_references():
 def test_fd_probe_takes_the_coincidence_radius_once(monkeypatch):
     # every trial reuses the base state's coincidence threshold, so the
     # radius calls do not grow with the trial count; each count takes a
-    # fresh framework, as a second probe would reuse the cached twin
+    # fresh framework, as a second probe would reuse the cached radius
     radii = CallCounter(monkeypatch, "_rms_radius", spaces)
     counts = []
     for trials in (1, 20):
@@ -782,9 +783,9 @@ def test_fd_probe_takes_the_coincidence_radius_once(monkeypatch):
 
 def test_a_report_measures_the_radius_once(monkeypatch):
     # the framework measured its radius when it was built; the report's
-    # decision builds the unit-scale twin, which measures its own, and the
-    # probe reuses that twin and radius; the mixed-team split lifts its
-    # bases by the framework's radius
+    # decision divides the positions to unit scale and measures their
+    # radius, which the probe reuses; the mixed-team split lifts its bases
+    # by the framework's radius
     rng = np.random.default_rng(73)
     frameworks = (scaled(placed_framework(SPACES["se3"], 6, rng), 1e3),
                   scaled(hetero_case_study(seed=0), 1e-3))
@@ -856,9 +857,11 @@ def scaled(fw, factor):
         dataclasses.replace(st, p=factor * st.p) for st in fw.states))
 
 
-def factor_rows(fw, representation):
+def factor_rows(fw, representation, P=None):
+    """Factor rows of fw's matrix at positions P, fw's own by default."""
     _, d, rot_cols = engine._layout(fw, representation)
-    return engine._assemble(fw, fw.graph.edges, d, rot_cols, factor=True)
+    P = fw._positions if P is None else P
+    return engine._assemble(fw, P, fw.graph.edges, d, rot_cols, factor=True)
 
 
 def measured_rows(fw, representation):
@@ -881,7 +884,7 @@ def assert_factor_matches(fw, representation):
     assert np.abs(sC - sB).max() <= 1e-12 * sB[0]
     np.testing.assert_array_equal(C.any(axis=0), B.any(axis=0))
     # decisions are made at unit scale, as the verdict makes them
-    unit = fw._unit
+    unit = unit_scale(fw)
     B, C = measured_rows(unit, representation), factor_rows(unit, representation)
     rank_b, N_b = rank_and_nullspace(B, POL)
     rank_c, N_c = rank_and_nullspace(C, POL, shape=B.shape)
@@ -905,11 +908,12 @@ def test_factor_rows_match_the_measured_rows(key, planar_3d):
             frameworks += [line, line.with_graph(complete_graph(line.graph))]
     for fw in frameworks:
         for factor in FACTOR_SCALES:
-            moved = scaled(fw._unit, factor)
+            moved = scaled(unit_scale(fw), factor)
             for rep in ("per_space", "unified"):
                 assert_factor_matches(moved, rep)
             C, shape = engine._verdict_factor(moved, moved.graph.edges)
-            np.testing.assert_array_equal(C, factor_rows(moved._unit, "per_space"))
+            np.testing.assert_array_equal(
+                C, factor_rows(moved, "per_space", moved._unit[0]))
             assert shape == measured_rows(moved, "per_space").shape
 
 
@@ -925,14 +929,14 @@ def test_mixed_factor_rows_match_the_measured_rows():
             moved = scaled(fw, factor)
             assert_factor_matches(moved, "unified")
             C, shape = engine._verdict_factor(moved, moved.graph.edges)
-            np.testing.assert_array_equal(C, factor_rows(moved._unit, "unified"))
+            np.testing.assert_array_equal(C, factor_rows(moved, "unified", moved._unit[0]))
             assert shape == measured_rows(moved, "unified").shape
 
 
 def reference_augmentation(fw):
     """Edges augment_to_ibr adds when every rank is taken on the measured
     verdict matrix (the loop before factor rows)."""
-    unit = fw._unit
+    unit = unit_scale(fw)
     Nk = complete_graph_kernel(unit, POL)
     current, added = unit, []
     while True:
@@ -991,7 +995,7 @@ def reference_rebuild_augmentation(fw, lazy=False, gains=None):
     decomposed_inputs records. Every candidate is ranked in every round;
     lazy drops the candidates seen at rank gain 0, as augment_to_ibr does.
     gains, when given, receives each round's {candidate: rank gain}."""
-    unit = fw._unit
+    unit = unit_scale(fw)
     Nk = complete_graph_kernel(unit, POL)
     current, added, dead = unit, [], set()
     while True:
@@ -1414,9 +1418,8 @@ def exact_decision(fw):
     """(classification, rank, nullity) of fw from the decomposition of its
     unit-scale factor and the residual test, or NumericalError where that
     residual is not below subspace_tol."""
-    unit = fw._unit
-    Nk = engine._complete_kernel(unit, POL)[0]
-    C, shape = engine._verdict_factor(unit, unit.graph.edges)
+    Nk = engine._complete_kernel(fw, POL)[0]
+    C, shape = engine._verdict_factor(fw, fw.graph.edges)
     rank, N = rank_and_nullspace(C, POL, shape=shape)
     if not linalg._residual(N, Nk) < POL.subspace_tol:
         return NumericalError
@@ -1495,9 +1498,8 @@ def test_the_jittered_line_that_fails_the_residual_still_raises():
     # make the bound miss, so the residual decides and raises
     fw = jittered_line(SPACES["r2"], 1e-8)
     assert exact_decision(fw) is NumericalError
-    unit = fw._unit
-    Nk = engine._complete_kernel(unit, POL)[0]
-    C, shape = engine._verdict_factor(unit, unit.graph.edges)
+    Nk = engine._complete_kernel(fw, POL)[0]
+    C, shape = engine._verdict_factor(fw, fw.graph.edges)
     rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
     assert np.linalg.norm(C @ Nk) < POL.subspace_tol * s[rank - 1]
     assert not engine._residual_bound(C, Nk, rank, s, threshold) < POL.subspace_tol
@@ -1519,9 +1521,8 @@ def test_the_residual_bound_holds_wherever_it_is_finite():
     finite = tight = 0
     for key in REFERENCE_SPACES:
         for fw in certificate_inputs(key):
-            unit = fw._unit
-            Nk = engine._complete_kernel(unit, POL)[0]
-            C, shape = engine._verdict_factor(unit, unit.graph.edges)
+            Nk = engine._complete_kernel(fw, POL)[0]
+            C, shape = engine._verdict_factor(fw, fw.graph.edges)
             rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
             _, N = rank_and_nullspace(C, POL, shape=shape)
             if not rank:  # no edges: the kernel is everything
@@ -1554,14 +1555,13 @@ def test_a_missed_bound_falls_back_to_the_residual(monkeypatch):
     rng = np.random.default_rng(67)
     fw = placed_framework(SPACES["se3"], 8, rng)
     fw = fw.with_graph(spanning_tree(8, "directed", rng, 0.5))
-    unit = fw._unit
-    C, shape = engine._verdict_factor(unit, unit.graph.edges)
+    C, shape = engine._verdict_factor(fw, fw.graph.edges)
     rank, _, s, _ = linalg._rank(C, POL, shape=shape)
     assert s[0] > 10 * s[rank - 1]
     v = np.linalg.svd(C)[2][rank - 1]
 
-    def tilted_kernel(unit, pol, _original=engine._complete_kernel):
-        Nk, trivial, degenerate = _original(unit, pol)
+    def tilted_kernel(fw, pol, _original=engine._complete_kernel):
+        Nk, trivial, degenerate = _original(fw, pol)
         return tilted(Nk, v, 4 * pol.subspace_tol), trivial, degenerate
 
     residuals = CallCounter(monkeypatch, "_residual", linalg, engine)
@@ -1673,24 +1673,15 @@ def test_framework_stacks_match_the_per_agent_rotations_and_inputs():
 
 def test_framework_stacks_are_read_only_and_positions_a_fresh_copy():
     for fw in stack_frameworks():
-        for fw in (fw, fw._unit):
-            for stack in (fw._positions, fw._rotations, fw._rotation_inputs):
-                assert not stack.flags.writeable
-                with pytest.raises(ValueError):
-                    stack[0, 0] = 1.0
-            assert not fw.rotation_of(1).flags.writeable
-            P = fw.positions()
-            assert P.flags.writeable and not np.shares_memory(P, fw._positions)
-            P -= P.mean(axis=0)  # the trivial basis centers its copy in place
-            assert not np.array_equal(P, fw._positions)
-
-
-def reference_unit_scale(fw):
-    """The unit-scale copy built through the public constructors, which
-    validate every state and the framework again."""
-    scale = spaces._rms_radius(fw.positions())
-    return dataclasses.replace(fw, states=tuple(
-        dataclasses.replace(st, p=st.p / scale) for st in fw.states))
+        for stack in (fw._positions, fw._rotations, fw._rotation_inputs, fw._unit[0]):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0] = 1.0
+        assert not fw.rotation_of(1).flags.writeable
+        P = fw.positions()
+        assert P.flags.writeable and not np.shares_memory(P, fw._positions)
+        P -= P.mean(axis=0)
+        assert not np.array_equal(P, fw._positions)
 
 
 def test_the_unchecked_unit_copy_equals_the_validated_copy(monkeypatch):
@@ -1702,28 +1693,64 @@ def test_the_unchecked_unit_copy_equals_the_validated_copy(monkeypatch):
         for factor in (1e-9, 3.0, 1e9):
             moved = scaled(fw, factor)
             [c.take() for c in checks]
-            want = reference_unit_scale(moved)
+            want = unit_scale(moved)
             assert [c.take() for c in checks] == [fw.n, 1]
-            got = moved._unit
+            P, radius = moved._unit
             assert [c.take() for c in checks] == [0, 0]
-            assert (got.graph, got.space) == (want.graph, want.space)
-            for a, b in zip(got.states, want.states, strict=True):
-                np.testing.assert_array_equal(a.p, b.p)
-                assert not a.p.flags.writeable
-                assert a.alpha == b.alpha
-                assert (a.R is None) == (b.R is None)
-                if a.R is not None:
-                    np.testing.assert_array_equal(a.R, b.R)
-            np.testing.assert_array_equal(got._positions, want.positions())
-            np.testing.assert_array_equal(got._rotations, want._rotations)
-            np.testing.assert_array_equal(got._rotation_inputs, want._rotation_inputs)
-            # the copy's rotations are the original's, not a second build
-            assert got._rotations is moved._rotations
-            # the twin is cached, is its own twin, and both radii are the
-            # ones the positions give
-            assert moved._unit is got and got._unit is got
-            for f in (moved, got):
-                assert f._radius == spaces._rms_radius(f._positions)
-            # the probe runs on the twin whichever of the two it is handed
+            np.testing.assert_array_equal(P, want._positions)
+            assert not P.flags.writeable and moved._unit[0] is P
+            # the radius is the one the divided positions give, as the
+            # validated copy measured it
+            assert radius == want._radius == spaces._rms_radius(P)
+            # the validated copy is at unit scale already, so it keeps its
+            # own positions, and the probe gives the same on both
+            assert want._unit == (want._positions, want._radius)
             assert (engine.fd_jacobian_check(moved, POL)
-                    == engine.fd_jacobian_check(got, POL))
+                    == engine.fd_jacobian_check(want, POL))
+
+
+def unit_radius_square():
+    """The r2 4-cycle on (1, 0), (0, 1), (-1, 0), (0, -1): RMS radius 1."""
+    g = SensingGraph(4, ((1, 2), (2, 3), (3, 4), (1, 4)), "undirected")
+    return Framework(g, SPACES["r2"], tuple(
+        AgentState(p=p) for p in ((1, 0), (0, 1), (-1, 0), (0, -1))))
+
+
+def test_unit_scale_leaves_no_reference_cycle():
+    # a framework already at unit scale keeps its own positions as its unit
+    # ones; nothing it caches refers back to it, so dropping it frees it
+    # without the cyclic collector, at radius 1 and at any other
+    gc.collect()
+    gc.disable()
+    try:
+        for factor in (1.0, 2.0):
+            fw = scaled(unit_radius_square(), factor)
+            assert (fw._radius == 1.0) == (factor == 1.0)
+            assert (fw._unit[0] is fw._positions) == (factor == 1.0)
+            del fw
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_report_builds_no_framework_or_state(monkeypatch):
+    # the decision and the probe read the input's unit-scale positions:
+    # no state or framework is built, checked or left behind
+    checks = [CallCounter(monkeypatch, "__post_init__", AgentState),
+              CallCounter(monkeypatch, "__post_init__", Framework)]
+    rng = np.random.default_rng(79)
+    frameworks = [scaled(placed_framework(SPACES["se3"], 6, rng), 1e3),
+                  scaled(hetero_case_study(seed=0), 1e-3),
+                  scaled(unit_radius_square(), 5.0), unit_radius_square()]
+
+    def live():
+        gc.collect()
+        objects = gc.get_objects()
+        return [sum(isinstance(o, cls) for o in objects) for cls in (AgentState, Framework)]
+
+    before = live()
+    [c.take() for c in checks]
+    for fw in frameworks:
+        analysis_report(fw, POL)
+    assert [c.take() for c in checks] == [0, 0]
+    assert live() == before

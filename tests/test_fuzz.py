@@ -7,7 +7,9 @@ without raising: 0 with nothing on stderr, or 2, 3 or 4 with exactly one
 stderr line that starts with "error:". batch isolates each file, so a
 file that fails gives it exit 1 (the documented "some files failed"), an
 ERROR row in its table and nothing on stderr. pytest turns RuntimeWarning
-into an error, so an overflow warning fails the run too.
+into an error, so an overflow warning fails the run too. Every test runs
+cli.main inside its own temporary directory, so a mutated output path
+writes nothing where the tests were started.
 """
 import contextlib
 import copy
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -49,7 +52,7 @@ CONFIG = {"rank_rtol": None, "subspace_tol": 1e-8, "fd_step": 1e-6, "seed": 0}
 numbers = st.one_of(
     st.integers(-10, 10),
     st.sampled_from([0.0, -0.0, 1e-300, 1e-15, 0.5, 1.0 + 1e-7, 1e15, 1e200, 1e308,
-                     -1e308, math.inf, -math.inf, math.nan]),
+                     -1e308, math.inf, -math.inf, math.nan, 10 ** 400]),
     st.floats(-1e3, 1e3))
 json_scalars = st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=6))
 json_values = st.recursive(
@@ -87,7 +90,9 @@ def mutated(draw, doc):
         key, value = path[-1], parent[path[-1]]
         edit = draw(st.sampled_from(["nudge", "number", "replace", "drop", "scale",
                                      "add"]))
-        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # an integer beyond the float range is only ever replaced
+        is_number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                     and abs(value) <= sys.float_info.max)
         if edit == "nudge" and is_number:
             parent[key] = value + draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0]))
         elif edit == "number" and is_number:
@@ -108,6 +113,18 @@ def text_of(doc, cut):
     or a cut-off prefix of it."""
     text = json.dumps(doc)
     return text if cut is None else text[:cut]
+
+
+@contextlib.contextmanager
+def inside(path):
+    """Run with path as the working directory (contextlib.chdir needs
+    Python 3.11)."""
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
 
 
 def run_main(argv):
@@ -145,7 +162,7 @@ cuts = st.integers(0, 7).flatmap(lambda k: st.integers(0, 40) if k == 0 else st.
        st.sampled_from(["analyze", "export-dot", "batch"]), cuts)
 def test_mutated_framework_documents(data, which, command, cut):
     doc = data.draw(mutated(DOCUMENTS[which]))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
         path = os.path.join(tmp, "fw.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text_of(doc, cut))
@@ -159,7 +176,7 @@ def test_mutated_framework_documents(data, which, command, cut):
 @given(st.data(), cuts)
 def test_mutated_config_documents(data, cut):
     config = data.draw(mutated(CONFIG))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text_of(config, cut))
@@ -214,7 +231,7 @@ def mutated_argv(draw):
 @FUZZ
 @given(mutated_argv())
 def test_mutated_argv(argv):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
         with open(os.path.join(tmp, "fw.json"), "w", encoding="utf-8") as fh:
             json.dump(DOCUMENTS[1], fh)
         os.mkdir(os.path.join(tmp, "cfg"))
