@@ -71,14 +71,23 @@ factor, in one record of results (_Decision) read by name. Every function
 takes the caller's framework and reads its cached positions at unit scale
 (Framework._unit), so a report's verdict and FD probe share them. The
 complete kernel is known in closed form for non-degenerate homogeneous
-frameworks (the trivial variations above); only degenerate (collinear)
-and mixed ones decompose the factor of the complete edge list, a choice
-only _complete_kernel makes (complete_graph_kernel reads it; it and the
-mixed-team split move their bases back to the caller's scale by one lift,
-_to_caller_scale, by Framework._radius). ibr_verdict, the analysis report
-and augmentation (scenarios.augment_to_ibr) read that record; only
-hetero_kernel_analysis and a mixed team's report build its kernel split
-(_hetero_split).
+frameworks (the trivial variations above); degenerate (collinear) ones
+decompose the factor of the complete edge list, a choice only
+_complete_kernel makes (complete_graph_kernel reads it for every
+framework; it and the mixed-team split move their bases back to the
+caller's scale by one lift, _to_caller_scale, by Framework._radius). A
+mixed team decomposes its own factor C with its kernel N anyway, for the
+split, and the complete kernel lies inside N, so it is N times the kernel
+of the thin product C_K N, C_K the complete graph's factor:
+_complete_kernel_in takes it from there, with a certificate from C's
+singular values that it has the dimension and passes the containment
+test that decomposing C_K would give, and _complete_kernel decides where
+the certificate misses. ibr_verdict, the analysis report and augmentation
+(scenarios.augment_to_ibr) read that record; only hetero_kernel_analysis
+and a mixed team's report build its kernel split (_hetero_split), whose
+virtual part is the structurally zero columns: the rotation directions
+masked by an agent's rotation input, which no graph on the agents can
+measure.
 
 Verdict semantics: infinitesimal bearing rigidity coincides with global
 bearing rigidity, and both imply (local) bearing rigidity; in position-only
@@ -115,6 +124,10 @@ IBF = "IBF"
 # trial arrays are a few times this (the rotations gathered per edge, three),
 # so the probe's memory peak does not grow with its trial count.
 _TRIAL_BYTES = 1 << 17
+
+# Edges of the complete graph whose factor rows are assembled and multiplied
+# by a mixed team's kernel at a time (_complete_kernel_in).
+_PRODUCT_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -547,7 +560,8 @@ def _complete_kernel(fw: Framework, pol: TolerancePolicy,
     one degeneracy test, then the complete-graph kernel Nk, from the
     closed-form trivial basis when fw is homogeneous and not degenerate
     (trivial is that basis), otherwise from the decomposed _verdict_factor
-    of the complete edge list (trivial None)."""
+    of the complete edge list (trivial None). A mixed team's verdict takes
+    it only where _complete_kernel_in's certificate misses."""
     degenerate = not is_non_degenerate(fw._unit[0], pol)
     if fw.is_homogeneous and not degenerate:
         trivial = _trivial_basis(fw, fw._unit[0], pol)
@@ -571,8 +585,9 @@ class _Decision:
     """One framework decided at unit formation scale (see _decide). N, the
     kernel of fw's factor, is decomposed only for mixed teams, whose split
     reads it; elsewhere it is None unless the singular values missed the
-    containment certificate. zero_columns, the factor's zero columns, is
-    None for homogeneous frameworks."""
+    containment certificate. zero_columns, the structurally zero columns
+    (rotation directions an agent's rotation input masks), is None for
+    homogeneous frameworks."""
 
     fw: Framework
     verdict: RigidityVerdict
@@ -583,17 +598,29 @@ class _Decision:
 
 
 def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
-    """fw decided once at unit formation scale (fw._unit): the
-    complete-graph kernel Nk with its degeneracy test and closed-form
-    trivial basis (_complete_kernel), one containment test on fw's factor
-    (_contained_rank) and the verdict. Homogeneous frameworks, degenerate
-    ones included, take it from the factor's singular values where they
-    certify it; mixed teams, whose split (_hetero_split) reads the kernel N
-    and the zero columns, decompose the factor with its kernel. Results
-    only, no matrix."""
-    Nk, trivial, degenerate = _complete_kernel(fw, pol)
+    """fw decided once at unit formation scale (fw._unit): one degeneracy
+    test, the complete-graph kernel Nk, one containment test on fw's factor
+    C and the verdict. Homogeneous frameworks, degenerate ones included,
+    take Nk from _complete_kernel (with its closed-form trivial basis) and
+    the containment from C's singular values where they certify it
+    (_contained_rank). Mixed teams, whose split (_hetero_split) reads the
+    kernel N and the zero columns, decompose C with its kernel and find Nk
+    inside N with a certificate (_complete_kernel_in); where it misses,
+    Nk comes from _complete_kernel and the containment from
+    _contained_rank. Results only, no matrix."""
     C, shape = _verdict_factor(fw, fw.graph.edges)
-    rank, N = _contained_rank(C, shape, Nk, pol, kernel=not fw.is_homogeneous)
+    trivial = zero_columns = None
+    if fw.is_homogeneous:
+        Nk, trivial, degenerate = _complete_kernel(fw, pol)
+        rank, N = _contained_rank(C, shape, Nk, pol)
+    else:
+        degenerate = not is_non_degenerate(fw._unit[0], pol)
+        rank, N, s, _ = _rank(C, pol, shape=shape, kernel=True)
+        Nk = _complete_kernel_in(fw, N, s, rank, pol)
+        if Nk is None:
+            Nk = _complete_kernel(fw, pol)[0]
+            rank, N = _contained_rank(C, shape, Nk, pol, kernel=True)
+        zero_columns = 3 * fw.n + np.flatnonzero(~fw._rotation_inputs.any(axis=1))
     nullity = C.shape[1] - rank
     kernel_eq = nullity == Nk.shape[1]
     notes: list[str] = []
@@ -614,8 +641,86 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
                               kernel_equal_to_complete=kernel_eq,
                               classification=IBR if kernel_eq else IBF,
                               degenerate=degenerate, notes=tuple(notes))
-    zero_columns = None if fw.is_homogeneous else np.flatnonzero(~C.any(axis=0))
     return _Decision(fw, verdict, Nk, trivial, N, zero_columns)
+
+
+def _complete_kernel_in(fw: Framework, N: np.ndarray, s: np.ndarray, rank: int,
+                        pol: TolerancePolicy) -> np.ndarray | None:
+    """The complete-graph kernel of fw at unit scale found inside the kernel
+    N (nu columns) of fw's factor C, whose singular values are s and rank
+    is rank: N times the kernel of P = C_K N, C_K the complete graph's
+    factor, or None where the certificate below misses. The kernel has the
+    dimension, and passes the containment test, that decomposing C_K
+    (_complete_kernel, then _contained_rank) would give.
+
+    C_K holds C's rows (an edge's factor rows depend on that edge alone),
+    so ||C_K y|| >= ||C y|| for every y, ker C_K lies in N, and sigma_1(C_K)
+    lies in [s_1, ||C_K||_F]: the threshold t_K = rtol_K sigma_1(C_K) that
+    decomposing C_K would set lies in [tau_lo, tau_hi] = rtol_K [s_1,
+    ||C_K||_F]. With s_r the smallest singular value counted in the rank:
+
+    (i) a unit y = N a + y' (y' orthogonal to N) with ||C_K y|| <= tau_hi
+        has s_r ||y'|| - s_{r+1} <= ||C y|| <= tau_hi, so ||y'|| <= lam =
+        (tau_hi + s_{r+1}) / s_r, which the first test keeps below 1;
+    (ii) the k right singular vectors of P with values below tau_lo give,
+        through N, a k-dimensional subspace on which ||C_K y|| < tau_lo <=
+        t_K, so C_K has at least k singular values below t_K;
+    (iii) had C_K k + 1 of them at most t_K, their right vectors y would
+        map one to one onto a = N^T y, with ||a|| >= sqrt(1 - lam^2) by (i)
+        and ||P a|| = ||C_K (y - y')|| <= tau_hi + ||C_K||_F lam, so P
+        would have k + 1 singular values at most (tau_hi + ||C_K||_F lam) /
+        sqrt(1 - lam^2), which the split of P's values rules out; so the
+        dimension is k, and N times the kernel of P lies in N by
+        construction;
+    (iv) the i-th smallest singular value of C_K is at most P's (P
+        restricts C_K to span N), so the kernel Nk that decomposing C_K
+        gives has ||C Nk||_F <= ||C_K Nk||_F <= ||p_small||, the norm of
+        P's k small values, and its residual against N is at most
+        (||p_small|| + s_{r+1}) / s_r (see _residual_bound), which the last
+        test keeps below subspace_tol.
+
+    Rounding, as in _residual_bound: e = max(shape_K) * eps * ||C_K||_F *
+    sqrt(nu) bounds the backward error of each decomposition over nu
+    columns and the rounding of the product P, and every comparison gives
+    it away: s_r - e > tau_hi + s_{r+1} + e, P's values split into k below
+    tau_lo - e and the rest above (tau_hi + e + ||C_K||_F lam) / sqrt(1 -
+    lam^2) + e with lam = (tau_hi + s_{r+1} + e) / (s_r - e), and the
+    residual (||p_small|| + s_{r+1} + 2 e) / (s_r - e) is below subspace_tol.
+    A zero C (rank 0), or a C_K with fewer rows than nu, is left to
+    _complete_kernel."""
+    if not rank:
+        return None
+    edges = complete_edges(fw.n, fw.graph.kind)
+    nu = N.shape[1]
+    # C_K assembled and multiplied a block of edges at a time: C_K itself is
+    # never held, and no tall product packs all of it into every BLAS
+    # thread's buffer (see _residual_bound)
+    products, squares = [], 0.0
+    for i in range(0, len(edges), _PRODUCT_EDGES):
+        CK, _ = _verdict_factor(fw, edges[i:i + _PRODUCT_EDGES])
+        products.append(CK @ N)
+        squares += float(np.vdot(CK, CK))
+    P = np.concatenate(products)
+    if P.shape[0] < nu:
+        return None
+    shape = (_layout(fw, "auto")[1] * len(edges), N.shape[0])
+    norm = np.sqrt(squares)
+    err = max(shape) * np.finfo(float).eps * norm * np.sqrt(nu)
+    rtol = pol.effective_rank_rtol(shape)
+    tau_lo, tau_hi = rtol * s[0], rtol * norm
+    sigma_r, sigma_next = s[rank - 1], (s[rank] if rank < s.size else 0.0)
+    if not sigma_r - err > tau_hi + sigma_next + err:
+        return None
+    _, p, Vh = np.linalg.svd(np.linalg.qr(P, mode="r"))
+    k = int(np.sum(p < tau_lo - err))
+    lam = (tau_hi + sigma_next + err) / (sigma_r - err)
+    floor = (tau_hi + err + norm * lam) / np.sqrt(1.0 - lam * lam) + err
+    if not p[:nu - k].min(initial=np.inf) > floor:
+        return None
+    if not ((np.linalg.norm(p[nu - k:]) + sigma_next + 2.0 * err) / (sigma_r - err)
+            < pol.subspace_tol):
+        return None
+    return N @ Vh[nu - k:].T
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -625,11 +730,12 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
     graph on the same agents (inclusion plus equal dimension), decided once
     at unit formation scale (_decide). For non-degenerate homogeneous
     frameworks the complete graph's kernel is the closed-form trivial basis;
-    degenerate and heterogeneous frameworks decompose the complete-graph
-    matrix too. A complete kernel not contained in the framework kernel
-    raises NumericalError. Homogeneous frameworks report the rank target
-    c*n - c - 1 as expected_rank, not as a second test; degenerate ones are
-    flagged.
+    degenerate frameworks decompose the complete-graph matrix too, and
+    heterogeneous ones find its kernel inside their own, decomposing it
+    only where that certificate misses. A complete kernel not contained in
+    the framework kernel raises NumericalError. Homogeneous frameworks
+    report the rank target c*n - c - 1 as expected_rank, not as a second
+    test; degenerate ones are flagged.
     """
     return _decide(fw, pol or TolerancePolicy()).verdict
 
@@ -725,8 +831,10 @@ def hetero_kernel_analysis(fw: Framework, pol: TolerancePolicy | None = None,
     """Kernel decomposition of a heterogeneous framework's unified matrix.
 
     Splits the kernel into the virtual part (coordinate directions of the
-    structurally zero columns, i.e. rotation directions no agent can use)
-    and the trivial part (the kernel's intersection with the complement of
+    structurally zero columns, i.e. rotation directions an agent's rotation
+    input masks, which no graph on the agents can measure; an agent that
+    heads no edge leaves its other rotation columns zero too, but those are
+    flexes) and the trivial part (the kernel's intersection with the complement of
     the virtual part). The trivial part is labeled by matching candidate
     generators: translations, uniform scaling, and coordinated rotations
     about the coordinate axes, each agent turning through its own

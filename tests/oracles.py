@@ -9,6 +9,9 @@ None of these share code with the assembler or the verdict path:
 * pebble_rank: the rank of a count matroid by the (k, l) pebble game, a
   purely combinatorial count; the generic rank of position-only frameworks
   in the plane (2, 3, 1) and in 3-space (3, 4, 2).
+* mixed_complete_kernel: generators of a mixed team's complete-graph
+  kernel, its structurally zero columns plus the trivial motions, each
+  motion checked on the bearing rates of every pair of agents.
 
 kernel_inclusion_check is no oracle: it reads the library's complete-graph
 kernel and verdict factor, and reports their relation instead of raising as
@@ -171,6 +174,68 @@ def pebble_rank(n: int, edges, k: int, l: int, copies: int) -> int:
                 out[giver].append(other)
                 rank += 1
     return rank
+
+
+def mixed_complete_kernel(fw: Framework) -> tuple[np.ndarray, np.ndarray]:
+    """(virtual, trivial): generators of the complete graph's kernel of a
+    mixed team, in unified coordinates (3 position columns per agent, then
+    3 rotation columns per agent) at fw's own positions.
+
+    virtual holds the unit vectors of the structurally zero columns: agent
+    a's rotation column c where column c of its rotation-input matrix V_a
+    is zero, a direction no agent can turn in. trivial holds the candidate
+    motions that leave every bearing of the complete graph still:
+    translations along x, y and z, scaling about the centroid, and a
+    coordinated rotation about each axis w of a basis of the axes every
+    agent can turn about (the common range of the V_a), with positions
+    swinging by w x p_a and agent a's rotation columns V_a^+ w. A candidate
+    is kept when, for every ordered pair (i, j) with unit bearing u and
+    distance l, the world-frame bearing rate P(u) (dp_j - dp_i) / l +
+    u x (V_i dw_i), which R_i^T turns into the measured one, vanishes next
+    to the size of its two terms.
+
+    For a non-degenerate team the two spans together are conjectured to be
+    the whole complete kernel (the paper states no such theorem for mixed
+    teams); the tests check that against the library."""
+    n = fw.n
+    P = fw.positions()
+    P = P - P.mean(axis=0)
+    V = [fw.space_of(a + 1).rotation_input() for a in range(n)]
+    masked = [3 * n + 3 * a + c for a in range(n) for c in range(3)
+              if not V[a][:, c].any()]
+    virtual = np.eye(6 * n)[:, masked]
+    # w lies in every range when (I - V_a V_a^+) w = 0 for every agent
+    _, sv, Wh = np.linalg.svd(np.vstack([np.eye(3) - v @ np.linalg.pinv(v) for v in V]))
+    axes = Wh[int(np.sum(sv > 1e-9)):]
+    candidates = []
+    for c in range(3):
+        g = np.zeros(6 * n)
+        g[c:3 * n:3] = 1.0
+        candidates.append(g)
+    candidates.append(np.concatenate([P.reshape(-1), np.zeros(3 * n)]))
+    for w in axes:
+        candidates.append(np.concatenate([np.cross(w, P).reshape(-1)]
+                                         + [np.linalg.pinv(v) @ w for v in V]))
+
+    def still(g):
+        dp, dw = g[:3 * n].reshape(n, 3), g[3 * n:].reshape(n, 3)
+        for i in range(n):
+            turn = V[i] @ dw[i]
+            for j in range(n):
+                if i == j:
+                    continue
+                diff = P[j] - P[i]
+                dist = np.linalg.norm(diff)
+                u = diff / dist
+                move = dp[j] - dp[i]
+                rate = (move - u * (u @ move)) / dist + np.cross(u, turn)
+                size = np.linalg.norm(move) / dist + np.linalg.norm(turn)
+                if np.linalg.norm(rate) > 1e-9 * size:
+                    return False
+        return True
+
+    trivial = np.column_stack([g for g in candidates if still(g)])
+    return virtual, trivial
 
 
 def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:

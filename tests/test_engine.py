@@ -17,9 +17,10 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               trivial_variation_basis,
                               unified_rigidity_matrix)
 from bearing_rigidity import engine
-from oracles import (incidence_matrices, kernel_inclusion_check, orient,
-                     orthogonal_projector, reduced_rank_oracle,
-                     subspace_contains)
+from oracles import (incidence_matrices, kernel_inclusion_check,
+                     mixed_complete_kernel, orient, orthogonal_projector,
+                     reduced_rank_oracle, subspace_contains,
+                     subspace_relation, unit_scale)
 
 POL = TolerancePolicy()
 
@@ -398,6 +399,54 @@ def test_hetero_kernel_analysis_case_study():
     # virtual directions really are kernel directions the matrix never sees
     assert np.linalg.norm(B.matrix @ rep.virtual.basis) == 0.0
     assert np.linalg.norm(B.matrix @ rep.trivial.basis) < 1e-8
+
+
+def test_a_rotation_no_edge_measures_is_a_flex_not_virtual():
+    # the full-pose agent heads no edge, so its rotation columns are zero in
+    # this graph's matrix; the complete graph measures them, so they are a
+    # flex, not virtual, and with them every agent can turn about z
+    spaces = (SPACES["r2s1"],) * 3 + (SPACES["se3"],)
+    states = tuple(AgentState(p=np.array(p), alpha=alpha) for p, alpha in
+                   (((0.0, 0.0, 0.0), 0.0), ((1.0, 0.0, 0.0), 0.3),
+                    ((0.3, 1.0, 0.0), 0.6)))
+    states += (AgentState(p=np.array([0.4, 0.3, 1.0]), R=np.eye(3)),)
+    edges = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (2, 4), (3, 4))
+    fw = Framework(SensingGraph(4, edges, "directed"), spaces, states)
+    rep = hetero_kernel_analysis(fw, POL)
+    assert (rep.verdict.classification, rep.verdict.nullity) == ("IBF", 14)
+    # the rotation-input masks: columns 0 and 1 of each heading agent's block
+    assert rep.zero_columns == (12, 13, 15, 16, 18, 19)
+    assert rep.virtual.dim == 6
+    assert rep.trivial.labels == ("translation_x", "translation_y", "translation_z",
+                                  "scaling", "coord_rotation_z",
+                                  "unlabeled", "unlabeled", "unlabeled")
+
+
+MIXED_FAMILIES = {**SPACES, "r3s1x": MetricSpace.rd_s1(3, axis=(1.0, 0.0, 0.0))}
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_the_mixed_complete_kernel_is_its_zero_columns_plus_the_trivial_motions(seed):
+    # the oracle's span is the complete kernel the library reports and the
+    # one its verdict certifies inside the team's own kernel, and the
+    # virtual part is exactly the structurally zero columns
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 11))
+    families = rng.choice(list(MIXED_FAMILIES), size=int(rng.integers(2, min(n, 5) + 1)),
+                          replace=False)
+    kinds = list(families) + list(rng.choice(families, size=n - len(families)))
+    spaces = tuple(MIXED_FAMILIES[k] for k in rng.permutation(kinds))
+    fw = random_framework(GeneratorSpec(space=spaces, n=n, seed=seed,
+                                        graph_density=float(rng.uniform(0.3, 1.0))))
+    virtual, trivial = mixed_complete_kernel(fw)
+    assert subspace_relation(np.hstack([virtual, trivial]),
+                             engine.complete_graph_kernel(fw, POL), POL) == "equal"
+    decision = engine._decide(fw, POL)
+    assert subspace_relation(np.hstack(mixed_complete_kernel(unit_scale(fw))),
+                             decision.Nk, POL) == "equal"
+    assert virtual.shape[1] == len(decision.zero_columns)
+    assert hetero_kernel_analysis(fw, POL).virtual.dim == virtual.shape[1]
 
 
 def test_hetero_analysis_rejects_homogeneous():

@@ -59,6 +59,10 @@
   one product (engine._residual_bound), without a kernel basis; the
   reference decomposes the factor with its kernel (rank_and_nullspace) and
   takes the residual.
+* A mixed team's verdict finds the complete-graph kernel inside its own
+  kernel N, from the product of the complete factor with N
+  (engine._complete_kernel_in); the reference decomposes the complete
+  factor (engine._complete_kernel) and takes the residual.
 """
 import dataclasses
 import gc
@@ -209,23 +213,26 @@ def test_complete_graph_kernel_keeps_the_decided_dimension_at_any_scale():
 
 def test_mixed_report_computes_one_verdict(monkeypatch):
     # counts work, not calls of one function: the report decomposes the
-    # factor rows of its own unit-scale matrix and of the complete graph's,
-    # and assembles those two factors plus the FD probe's unified matrix,
-    # which the probe takes from the assembler without the public builder
-    counts = {"rank_and_nullspace": 0, "_assemble": 0, "unified_rigidity_matrix": 0}
+    # factor rows of its own unit-scale matrix once, with its kernel, and
+    # finds the complete kernel inside that kernel from its product with the
+    # complete graph's factor; it assembles those two factors plus the FD
+    # probe's unified matrix, which the probe takes from the assembler
+    # without the public builder
+    counts = {"rank_and_nullspace": 0, "_rank": 0, "_assemble": 0,
+              "unified_rigidity_matrix": 0}
     decomposed = []
     for name in counts:
         def counted(*args, _name=name, _original=getattr(engine, name), **kwargs):
             counts[_name] += 1
-            if _name == "rank_and_nullspace":
+            if _name in ("rank_and_nullspace", "_rank"):
                 decomposed.append((args[0].shape, kwargs["shape"]))
             return _original(*args, **kwargs)
         monkeypatch.setattr(engine, name, counted)
     report = analysis_report(hetero_case_study(seed=0), POL)
-    assert counts == {"rank_and_nullspace": 2, "_assemble": 3,
+    assert counts == {"rank_and_nullspace": 0, "_rank": 1, "_assemble": 3,
                       "unified_rigidity_matrix": 0}
     # 12 edges: 2 factor rows each, 3 measured rows each
-    assert decomposed == [((24, 24), (36, 24))] * 2
+    assert decomposed == [((24, 24), (36, 24))]
     assert report["verdict"]["rank"] == 13
 
 
@@ -669,9 +676,10 @@ def reference_hetero_trivial(fw):
     against reference_unified_candidates at unit scale."""
     unit = unit_scale(fw)
     B = unified_rigidity_matrix(unit).matrix
+    K = unified_rigidity_matrix(unit.with_graph(complete_graph(unit.graph))).matrix
     _, N = rank_and_nullspace(B, POL)
     trimmed = N.copy()
-    trimmed[[j for j in range(B.shape[1]) if not B[:, j].any()], :] = 0.0
+    trimmed[[j for j in range(K.shape[1]) if not K[:, j].any()], :] = 0.0
     Qt = orthonormal_columns(trimmed, POL)
     matched, labels = [], []
     for g, name in zip(*reference_unified_candidates(unit)):
@@ -762,7 +770,9 @@ def test_mixed_fd_probe_and_labels_match_the_references():
         np.testing.assert_allclose(hk.trivial.generators[:, :matched], gens,
                                    rtol=0, atol=1e-15 * max(1.0, np.abs(gens).max()))
         assert hk.verdict == ibr_verdict(fw, POL)
-        zero = np.flatnonzero(~unified_rigidity_matrix(fw).matrix.any(axis=0))
+        # structurally zero: no row of the complete graph touches them
+        complete = unified_rigidity_matrix(fw.with_graph(complete_graph(fw.graph)))
+        zero = np.flatnonzero(~complete.matrix.any(axis=0))
         assert hk.zero_columns == tuple(zero.tolist())
         np.testing.assert_array_equal(hk.virtual.basis, np.eye(6 * fw.n)[:, zero])
 
@@ -1073,10 +1083,10 @@ def test_pruning_ranks_fewer_candidates_in_every_space(monkeypatch):
 
 def decomposed_inputs(monkeypatch, call):
     """Every (matrix, threshold shape) that call decomposes one at a time, in
-    order, through engine's rank_and_nullspace or its values-only _rank (the
-    containment certificate), and every one it ranks on augmentation's
-    candidate path, which takes stacks only: each matrix of a stack is
-    recorded with the stack's shape."""
+    order, through engine's rank_and_nullspace or its _rank (the containment
+    certificate, or a mixed team's kernel), and every one it ranks on
+    augmentation's candidate path, which takes stacks only: each matrix of a
+    stack is recorded with the stack's shape."""
     seen, ranked = [], []
 
     def recorded(M, pol=None, *, shape=None):
@@ -1084,9 +1094,9 @@ def decomposed_inputs(monkeypatch, call):
         return rank_and_nullspace(M, pol, shape=shape)
 
     def recorded_values(M, pol=None, *, shape=None, kernel=False):
-        assert M.ndim == 2 and not kernel
+        assert M.ndim == 2
         seen.append((np.array(M), shape))
-        return linalg._rank(M, pol, shape=shape)
+        return linalg._rank(M, pol, shape=shape, kernel=kernel)
 
     def recorded_rank(M, pol=None, *, shape=None, kernel=False):
         assert M.ndim == 3 and not kernel
@@ -1137,7 +1147,10 @@ def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
     # order and with the same threshold shape, whether a round fits one
     # stack or takes one stack per candidate; augmentation then ranks only
     # the final graph (from its singular values, for its containment
-    # test), where the reference decomposes every round's new graph
+    # test), where the reference decomposes every round's new graph; a mixed
+    # team's complete kernel is found inside its own (the reference
+    # decomposes the complete graph first), so the library decomposes no
+    # complete graph
     budgets = ((1.0, scenarios._STACK_BYTES), (1e9, 1))
     for fw in augmentation_inputs():
         for factor, budget in budgets:
@@ -1150,7 +1163,7 @@ def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
             head, candidates, new_graphs = split_reference(want, gains, added)
             assert none == [] and len(candidates) > moved.n
             assert_same_inputs(ranked, candidates)
-            assert_same_inputs(got, head + new_graphs[-1:])
+            assert_same_inputs(got, head[-1:] + new_graphs[-1:])
 
 
 RANK_SCALES = (1e-9, 1.0, 1e9)
@@ -1246,8 +1259,10 @@ def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
             engine._decide(fw, POL)
             decided, certified = full.take(), values.take()
             assert ranked.take() == 0
-            # mixed teams decompose their factor for the kernel split
-            assert certified == fw.is_homogeneous
+            # one _rank call decides: values only for a homogeneous
+            # framework, with the kernel for a mixed team, whose split reads
+            # it and whose complete kernel is found inside it
+            assert certified == 1
             added = augment_to_ibr(fw, POL)[1]
             assert added and len(added) == len(gains)
             assert full.take() == decided
@@ -1376,10 +1391,11 @@ def test_homogeneous_report_makes_three_svds(monkeypatch):
 
 
 def test_kernel_equality_is_one_containment_test(monkeypatch):
-    # containment plus equal dimension: one containment test per decision,
-    # and augmentation adds one on its final graph; the certificate passes
-    # every test but a mixed team's decision, whose split reads the kernel,
-    # so only that one takes the residual
+    # containment plus equal dimension: one containment test per
+    # homogeneous decision, and augmentation adds one on its final graph,
+    # each passed by the certificate without the residual; a mixed team's
+    # decision finds the complete kernel inside its own kernel, which
+    # proves the containment with no test at all
     tests = CallCounter(monkeypatch, "_contained_rank", engine)
     residuals = CallCounter(monkeypatch, "_residual", linalg, engine)
     rng = np.random.default_rng(47)
@@ -1388,15 +1404,15 @@ def test_kernel_equality_is_one_containment_test(monkeypatch):
         SensingGraph(5, ((1, 2),), "directed")))
     for rigid in (fw, mixed):
         analysis_report(rigid, POL)
-        assert (tests.take(), residuals.take()) == (1, not rigid.is_homogeneous)
+        assert (tests.take(), residuals.take()) == (rigid.is_homogeneous, 0)
         assert augment_to_ibr(rigid, POL)[1] == ()
-        assert (tests.take(), residuals.take()) == (1, not rigid.is_homogeneous)
+        assert (tests.take(), residuals.take()) == (rigid.is_homogeneous, 0)
     for flexible in (fw.with_graph(spanning_tree(6, "directed", rng)),
                      mixed.with_graph(spanning_tree(5, "directed", rng))):
         analysis_report(flexible, POL)
-        assert (tests.take(), residuals.take()) == (1, not flexible.is_homogeneous)
+        assert (tests.take(), residuals.take()) == (flexible.is_homogeneous, 0)
         assert augment_to_ibr(flexible, POL)[1]
-        assert (tests.take(), residuals.take()) == (2, not flexible.is_homogeneous)
+        assert (tests.take(), residuals.take()) == (1 + flexible.is_homogeneous, 0)
 
 
 def test_containment_tolerance_just_below_one_decides_as_the_default():
@@ -1577,6 +1593,81 @@ def test_a_missed_bound_falls_back_to_the_residual(monkeypatch):
     monkeypatch.setattr(engine, "_residual_bound", lambda *args: np.inf)
     assert fast_decision(fw) == want
     assert residuals.take() == 1
+
+
+# A mixed team's complete-graph kernel is found inside its own kernel N as N
+# times the kernel of C_K N (engine._complete_kernel_in), with a certificate
+# that it has the dimension and passes the containment test that
+# decomposing the complete factor C_K gives; the reference is that
+# decomposition (engine._complete_kernel) and the containment test, which
+# the decision also falls back to.
+
+def generated_mixed_teams():
+    """Generated mixed teams of two to five space families, n = 4 to 30,
+    densities 0.2 to 1."""
+    rng = np.random.default_rng(71)
+    keys = list(SPACES)
+    for t, n in enumerate((4, 4, 5, 6, 7, 8, 10, 12, 15, 20, 25, 30)):
+        families = rng.choice(keys, size=2 + t % 4, replace=False)
+        kinds = list(families) + list(rng.choice(families, size=n - len(families)))
+        spaces = tuple(SPACES[k] for k in rng.permutation(kinds))
+        density = (0.2, 0.45, 0.7, 1.0)[t % 4]
+        yield random_framework(GeneratorSpec(space=spaces, n=n, graph_density=density,
+                                             seed=t))
+
+
+def test_the_certified_complete_kernel_decides_as_the_decomposed_one(monkeypatch):
+    # same dimension and span as the complete factor's kernel, the same
+    # verdict, kernel N and zero columns, and a forced certificate miss
+    # falls back to the decomposition with the same verdict; rigid and
+    # flexible teams are all certified
+    certified, classes = [], set()
+
+    def recorded(*args, _original=engine._complete_kernel_in):
+        Nk = _original(*args)
+        certified.append(Nk is not None)
+        return Nk
+
+    monkeypatch.setattr(engine, "_complete_kernel_in", recorded)
+    for fw in generated_mixed_teams():
+        for factor in RANK_SCALES:
+            moved = scaled(fw, factor)
+            fast = engine._decide(moved, POL)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_complete_kernel_in", lambda *args: None)
+                slow = engine._decide(moved, POL)
+            Nk = engine._complete_kernel(moved, POL)[0]
+            assert fast.Nk.shape == slow.Nk.shape == Nk.shape
+            assert subspace_relation(fast.Nk, Nk, POL) == "equal"
+            np.testing.assert_allclose(fast.Nk.T @ fast.Nk, np.eye(Nk.shape[1]),
+                                       rtol=0, atol=1e-12)
+            assert fast.verdict == slow.verdict
+            np.testing.assert_array_equal(fast.N, slow.N)
+            np.testing.assert_array_equal(fast.zero_columns, slow.zero_columns)
+            classes.add(fast.verdict.classification)
+    assert classes == {"IBR", "IBF"}
+    assert all(certified) and len(certified) == 3 * len(list(generated_mixed_teams()))
+
+
+def test_a_certified_mixed_report_decomposes_no_complete_graph(monkeypatch):
+    # neither the complete factor nor anything of its shape is decomposed,
+    # for a rigid team and for a flexible one
+    shapes = []
+    for name in ("svd", "qr"):
+        def recorded(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    complete = CallCounter(monkeypatch, "_complete_kernel", engine)
+    rng = np.random.default_rng(73)
+    classes = set()
+    for n, extra in ((12, 0.6), (9, 0.1)):
+        fw = mixed_framework(n, rng, spanning_tree(n, "directed", rng, extra))
+        classes.add(analysis_report(fw, POL)["verdict"]["classification"])
+        assert complete.take() == 0
+        assert shapes and (2 * len(complete_edges(n, "directed")), 6 * n) not in shapes
+        shapes.clear()
+    assert classes == {"IBR", "IBF"}
 
 
 def one_vector_rotation_exp(w):
