@@ -6,7 +6,9 @@ its values-only form _rank (which also returns the singular values and the
 threshold), so that a single threshold convention applies everywhere: a
 singular value counts toward the rank when it exceeds rtol * sigma_max. The
 default rtol adapts to the matrix shape (1e-10 * max(rows, cols)); an
-explicit policy value overrides it for all shapes.
+explicit policy value overrides it for all shapes. The values-only form
+decomposes a wide matrix, or each matrix of a wide stack, as its transpose:
+the same singular values, in the orientation LAPACK's gesdd is faster on.
 
 Subspaces are always handled through orthonormal column bases. Containment of
 span(A) in span(B) is decided by the Frobenius residual of A's basis after
@@ -154,7 +156,8 @@ def rank_and_nullspace(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     and no left factor is ever formed. Unlike a Gram matrix, R does not square
     the condition number. The threshold still uses M's shape. Square matrices
     take the thin SVD directly; wide ones need the full Vh, whose extra rows
-    span the kernel. (Values-only _rank skips the QR; gesdd makes its own.)
+    span the kernel. (Values-only _rank skips the QR, since gesdd makes its
+    own, and decomposes a wide matrix as its transpose.)
 
     shape, when given, is the shape of a matrix B that M stands in for with
     the same Gram matrix (M^T M = B^T B, hence the same singular values and
@@ -172,10 +175,12 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     and those above threshold (rtol * sigma_max) make up the rank. Without
     kernel, N is None and a tall M is not QR-reduced first: the SVD
     computes singular values only (LAPACK's gesdd reduces a tall matrix
-    itself), which may differ from the full SVD's in the last bits: a value
-    that close to the threshold may count toward one rank and not the
-    other, so a rank that must agree with a kernel is confirmed by
-    rank_and_nullspace, or kept clear of the threshold.
+    itself), and a wide M is handed to it as M^T, which has the same
+    singular values and which gesdd decomposes faster. They may differ
+    from the full SVD's in the last bits: a value that close to the
+    threshold may count toward one rank and not the other, so a rank that
+    must agree with a kernel is confirmed by rank_and_nullspace, or kept
+    clear of the threshold.
 
     Without kernel, M may also be a (k, rows, cols) stack: each matrix is
     decomposed as it would be alone (numpy's stacked SVD runs LAPACK once
@@ -194,11 +199,11 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
             k = M.shape[0]
             return np.zeros(k, dtype=int), None, np.zeros((k, 0)), np.zeros(k)
         return 0, np.eye(cols) if kernel else None, np.zeros(0), 0.0
-    A = np.linalg.qr(M, mode="r") if kernel and rows > cols else M
     if kernel:
+        A = np.linalg.qr(M, mode="r") if rows > cols else M
         _, s, Vh = np.linalg.svd(A, full_matrices=rows < cols)
     else:
-        s = np.linalg.svd(A, compute_uv=False)
+        s = np.linalg.svd(M.swapaxes(-1, -2) if rows < cols else M, compute_uv=False)
     rtol = pol.effective_rank_rtol(M.shape[-2:] if shape is None else shape)
     if M.ndim == 3:
         threshold = rtol * s[:, 0]

@@ -10,8 +10,10 @@ None of these share code with the assembler or the verdict path:
   purely combinatorial count; the generic rank of position-only frameworks
   in the plane (2, 3, 1) and in 3-space (3, 4, 2).
 * mixed_complete_kernel: generators of a mixed team's complete-graph
-  kernel, its structurally zero columns plus the trivial motions, each
-  motion checked on the bearing rates of every pair of agents.
+  kernel, its structurally zero columns plus the trivial motions
+  (mixed_trivial_generators, each labeled as hetero_kernel_analysis
+  should label it), each motion checked on the bearing rates of every
+  pair of agents.
 
 kernel_inclusion_check is no oracle: it reads the library's complete-graph
 kernel and verdict factor, and reports their relation instead of raising as
@@ -184,38 +186,58 @@ def mixed_complete_kernel(fw: Framework) -> tuple[np.ndarray, np.ndarray]:
     virtual holds the unit vectors of the structurally zero columns: agent
     a's rotation column c where column c of its rotation-input matrix V_a
     is zero, a direction no agent can turn in. trivial holds the candidate
-    motions that leave every bearing of the complete graph still:
-    translations along x, y and z, scaling about the centroid, and a
-    coordinated rotation about each axis w of a basis of the axes every
-    agent can turn about (the common range of the V_a), with positions
-    swinging by w x p_a and agent a's rotation columns V_a^+ w. A candidate
-    is kept when, for every ordered pair (i, j) with unit bearing u and
-    distance l, the world-frame bearing rate P(u) (dp_j - dp_i) / l +
-    u x (V_i dw_i), which R_i^T turns into the measured one, vanishes next
-    to the size of its two terms.
+    motions that leave every bearing of the complete graph still
+    (mixed_trivial_generators).
 
     For a non-degenerate team the two spans together are conjectured to be
     the whole complete kernel (the paper states no such theorem for mixed
     teams); the tests check that against the library."""
     n = fw.n
-    P = fw.positions()
-    P = P - P.mean(axis=0)
     V = [fw.space_of(a + 1).rotation_input() for a in range(n)]
     masked = [3 * n + 3 * a + c for a in range(n) for c in range(3)
               if not V[a][:, c].any()]
     virtual = np.eye(6 * n)[:, masked]
+    trivial = np.column_stack([g for _, g in mixed_trivial_generators(fw)])
+    return virtual, trivial
+
+
+def mixed_trivial_generators(fw: Framework) -> list[tuple[str, np.ndarray]]:
+    """(label, generator) of each candidate motion of a mixed team that
+    leaves every bearing of the complete graph still, in unified
+    coordinates at fw's own positions: translations along x, y and z
+    (translation_x, _y, _z), scaling about the centroid (scaling), and a
+    coordinated rotation about each axis w of a basis of the axes every
+    agent can turn about (the common range of the V_a), with positions
+    swinging by w x p_a and agent a's rotation columns V_a^+ w. That basis
+    holds the coordinate axes in the common range first, labeled
+    coord_rotation_x, _y or _z, then an orthonormal basis of the rest of
+    it, each labeled unlabeled. A candidate is kept when, for every
+    ordered pair (i, j) with unit bearing u and distance l, the
+    world-frame bearing rate P(u) (dp_j - dp_i) / l + u x (V_i dw_i),
+    which R_i^T turns into the measured one, vanishes next to the size of
+    its two terms."""
+    n = fw.n
+    P = fw.positions()
+    P = P - P.mean(axis=0)
+    V = [fw.space_of(a + 1).rotation_input() for a in range(n)]
     # w lies in every range when (I - V_a V_a^+) w = 0 for every agent
     _, sv, Wh = np.linalg.svd(np.vstack([np.eye(3) - v @ np.linalg.pinv(v) for v in V]))
-    axes = Wh[int(np.sum(sv > 1e-9)):]
+    common = Wh[int(np.sum(sv > 1e-9)):]
+    Pc = common.T @ common
+    coords = [c for c in range(3) if Pc[c, c] > 1.0 - 1e-9]
+    E = np.eye(3)[coords]
+    values, vectors = np.linalg.eigh(Pc - E.T @ E)
+    axes = [(f"coord_rotation_{'xyz'[c]}", E[i]) for i, c in enumerate(coords)]
+    axes += [("unlabeled", w) for w in vectors[:, values > 0.5].T]
     candidates = []
     for c in range(3):
         g = np.zeros(6 * n)
         g[c:3 * n:3] = 1.0
-        candidates.append(g)
-    candidates.append(np.concatenate([P.reshape(-1), np.zeros(3 * n)]))
-    for w in axes:
-        candidates.append(np.concatenate([np.cross(w, P).reshape(-1)]
-                                         + [np.linalg.pinv(v) @ w for v in V]))
+        candidates.append((f"translation_{'xyz'[c]}", g))
+    candidates.append(("scaling", np.concatenate([P.reshape(-1), np.zeros(3 * n)])))
+    for label, w in axes:
+        candidates.append((label, np.concatenate([np.cross(w, P).reshape(-1)]
+                                                 + [np.linalg.pinv(v) @ w for v in V])))
 
     def still(g):
         dp, dw = g[:3 * n].reshape(n, 3), g[3 * n:].reshape(n, 3)
@@ -234,8 +256,7 @@ def mixed_complete_kernel(fw: Framework) -> tuple[np.ndarray, np.ndarray]:
                     return False
         return True
 
-    trivial = np.column_stack([g for g in candidates if still(g)])
-    return virtual, trivial
+    return [(label, g) for label, g in candidates if still(g)]
 
 
 def kernel_inclusion_check(fw, pol: TolerancePolicy | None = None) -> str:

@@ -18,7 +18,8 @@ from bearing_rigidity import (AgentState, Framework, GeneratorSpec,
                               unified_rigidity_matrix)
 from bearing_rigidity import engine
 from oracles import (incidence_matrices, kernel_inclusion_check,
-                     mixed_complete_kernel, orient, orthogonal_projector,
+                     mixed_complete_kernel, mixed_trivial_generators,
+                     orient, orthogonal_projector,
                      reduced_rank_oracle, subspace_contains,
                      subspace_relation, unit_scale)
 
@@ -425,20 +426,28 @@ def test_a_rotation_no_edge_measures_is_a_flex_not_virtual():
 MIXED_FAMILIES = {**SPACES, "r3s1x": MetricSpace.rd_s1(3, axis=(1.0, 0.0, 0.0))}
 
 
+def drawn_mixed_team(seed, families=MIXED_FAMILIES, density=None):
+    """A generated team of n = 4 to 10 agents from two to five of the
+    families, at density, or at one drawn from 0.3 to 1 when None."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 11))
+    count = int(rng.integers(2, min(n, 5) + 1))
+    chosen = rng.choice(list(families), size=min(count, len(families)), replace=False)
+    kinds = list(chosen) + list(rng.choice(chosen, size=n - len(chosen)))
+    spaces = tuple(families[k] for k in rng.permutation(kinds))
+    if density is None:
+        density = float(rng.uniform(0.3, 1.0))
+    return random_framework(GeneratorSpec(space=spaces, n=n, seed=seed,
+                                          graph_density=density))
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_the_mixed_complete_kernel_is_its_zero_columns_plus_the_trivial_motions(seed):
     # the oracle's span is the complete kernel the library reports and the
     # one its verdict certifies inside the team's own kernel, and the
     # virtual part is exactly the structurally zero columns
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 11))
-    families = rng.choice(list(MIXED_FAMILIES), size=int(rng.integers(2, min(n, 5) + 1)),
-                          replace=False)
-    kinds = list(families) + list(rng.choice(families, size=n - len(families)))
-    spaces = tuple(MIXED_FAMILIES[k] for k in rng.permutation(kinds))
-    fw = random_framework(GeneratorSpec(space=spaces, n=n, seed=seed,
-                                        graph_density=float(rng.uniform(0.3, 1.0))))
+    fw = drawn_mixed_team(seed)
     virtual, trivial = mixed_complete_kernel(fw)
     assert subspace_relation(np.hstack([virtual, trivial]),
                              engine.complete_graph_kernel(fw, POL), POL) == "equal"
@@ -447,6 +456,28 @@ def test_the_mixed_complete_kernel_is_its_zero_columns_plus_the_trivial_motions(
                              decision.Nk, POL) == "equal"
     assert virtual.shape[1] == len(decision.zero_columns)
     assert hetero_kernel_analysis(fw, POL).virtual.dim == virtual.shape[1]
+
+
+LABELED_FAMILIES = {**MIXED_FAMILIES,
+                    "r3s1d": MetricSpace.rd_s1(3, axis=(1 / 3, 2 / 3, 2 / 3))}
+
+
+@pytest.mark.parametrize("keys", [tuple(LABELED_FAMILIES), ("se3", "r3s1d"),
+                                  ("se3", "r3s1x"), ("se3", "r2s1", "r3s1")])
+@given(st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_a_complete_mixed_team_labels_exactly_the_qualifying_generators(keys, seed):
+    # on the complete graph a mixed team is rigid, and its trivial part is
+    # labeled by exactly the oracle's qualifying motions, in order: the
+    # translations, scaling, the rotation about each coordinate axis every
+    # agent can turn about, and one unlabeled direction per other common
+    # axis (a tilted heading axis shared with full-pose agents); the
+    # smaller family sets share a rotation about a tilted axis, x or z
+    fw = drawn_mixed_team(seed, {k: LABELED_FAMILIES[k] for k in keys}, density=1.0)
+    report = hetero_kernel_analysis(fw, POL)
+    assert report.verdict.classification == "IBR"
+    assert report.trivial.labels == tuple(
+        label for label, _ in mixed_trivial_generators(fw))
 
 
 def test_hetero_analysis_rejects_homogeneous():

@@ -41,6 +41,12 @@
 * Augmentation never ranks again a candidate whose rank gain was 0 in an
   earlier round (rank is submodular, so its gain stays 0); the reference
   ranks every candidate in every round.
+* Augmentation ranks each stack on its rows times Q2, the cols - k columns
+  of an orthogonal matrix that complete the complete-graph kernel's k,
+  where a certificate proves that rank the undeflated one; the reference
+  ranks the undeflated rows (Q the identity), which is also the fallback.
+* The values-only linalg._rank decomposes a wide matrix as its transpose;
+  the reference is rank_and_nullspace's rank.
 * The verdict and augmentation test degeneracy once and then build the
   trivial basis unchecked; the public trivial_variation_basis still checks.
 * A mixed team's kernel split is built only for its readers (the report and
@@ -66,6 +72,7 @@
 """
 import dataclasses
 import gc
+import os
 import tracemalloc
 
 import numpy as np
@@ -1133,19 +1140,38 @@ def split_reference(seq, gains, added):
     return head, candidates, new_graphs
 
 
-def assert_same_inputs(got, want):
+def assert_same_inputs(got, want, Q=None):
+    """got and want hold the same matrices with the same threshold shapes,
+    in order; with Q, got holds want's matrices times Q, to the rounding
+    of the product: an entry of a row a times a unit column of Q is within
+    cols * eps * ||a|| of the exact one, so two products of it are within
+    twice that."""
     assert len(got) == len(want)
     for (M, shape), (M_ref, shape_ref) in zip(got, want):
         assert shape == shape_ref
-        np.testing.assert_array_equal(M, M_ref)
+        if Q is None:
+            np.testing.assert_array_equal(M, M_ref)
+        else:
+            atol = (2 * M_ref.shape[1] * np.finfo(float).eps
+                    * np.linalg.norm(M_ref, axis=1).max())
+            np.testing.assert_allclose(M, M_ref @ Q, rtol=0, atol=atol)
+
+
+def deflating_columns(fw):
+    """Q2 of augmentation's deflation: the last cols - k columns of the
+    orthogonal factor of a complete QR of fw's decided complete kernel Nk
+    (k columns)."""
+    Nk = engine._decide(fw, POL).Nk
+    return np.linalg.qr(Nk, mode="complete")[0][:, Nk.shape[1]:]
 
 
 def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
     # same complete kernel, same start, then per round every candidate not
     # yet seen at gain 0: each matrix of the stacks the rank-only path ranks
-    # is the rebuilt _verdict_factor(trial) entry for entry, in candidate
-    # order and with the same threshold shape, whether a round fits one
-    # stack or takes one stack per candidate; augmentation then ranks only
+    # is the rebuilt _verdict_factor(trial) times Q2 (deflating_columns), in
+    # candidate order and with the rebuilt factor's threshold shape, whether
+    # a round fits one stack or takes one stack per candidate, and no stack
+    # misses its certificate and is ranked again; augmentation then ranks only
     # the final graph (from its singular values, for its containment
     # test), where the reference decomposes every round's new graph; a mixed
     # team's complete kernel is found inside its own (the reference
@@ -1162,7 +1188,7 @@ def test_selected_rows_equal_the_rebuilt_factors(monkeypatch):
                 reference_rebuild_augmentation(moved, lazy=True, gains=gains)))
             head, candidates, new_graphs = split_reference(want, gains, added)
             assert none == [] and len(candidates) > moved.n
-            assert_same_inputs(ranked, candidates)
+            assert_same_inputs(ranked, candidates, deflating_columns(moved))
             assert_same_inputs(got, head[-1:] + new_graphs[-1:])
 
 
@@ -1196,29 +1222,33 @@ def test_stacked_ranks_match_one_call_per_matrix():
 
 
 def test_rank_only_path_matches_rank_and_nullspace():
-    # same rank; the singular values are the full SVD's to rounding, and
-    # the threshold is rtol * sigma_max at the given shape, which the
-    # values counted in the rank exceed and the others do not
+    # same rank, for each matrix and its transpose (a wide matrix is
+    # decomposed as its transpose), alone and stacked; the singular values
+    # are the full SVD's to rounding, and the threshold is rtol * sigma_max
+    # at the given shape, which the values counted in the rank exceed and
+    # the others do not
     tested = 0
     for name, M in rank_deficient_matrices():
         for factor in RANK_SCALES:
-            A = factor * M
-            stand_in = (3 * A.shape[0], A.shape[1])
-            for shape in (None, stand_in):
-                rank, N, s, threshold = linalg._rank(A, POL, shape=shape)
-                assert N is None
-                ref_rank, ref_N, ref_s, ref_threshold = linalg._rank(
-                    A, POL, shape=shape, kernel=True)
-                assert rank == ref_rank == rank_and_nullspace(A, POL, shape=shape)[0], \
-                    (name, factor)
-                assert ref_N.shape[1] == A.shape[1] - rank
-                assert np.abs(s - ref_s).max() <= 1e-13 * ref_s[0]
-                assert threshold == pytest.approx(ref_threshold, rel=1e-13)
-                rtol = POL.effective_rank_rtol(A.shape if shape is None else shape)
-                assert threshold == rtol * s[0]
-                assert np.all(s[:rank] > threshold) and np.all(s[rank:] <= threshold)
-                tested += 1
-    assert tested >= 70 * len(RANK_SCALES) * 2
+            for A in (factor * M, factor * M.T):
+                stand_in = (3 * A.shape[0], A.shape[1])
+                for shape in (None, stand_in):
+                    rank, N, s, threshold = linalg._rank(A, POL, shape=shape)
+                    assert N is None
+                    ref_rank, ref_N, ref_s, ref_threshold = linalg._rank(
+                        A, POL, shape=shape, kernel=True)
+                    assert rank == ref_rank == rank_and_nullspace(A, POL, shape=shape)[0], \
+                        (name, factor, A.shape)
+                    ranks = linalg._rank(np.stack([A, A]), POL, shape=shape)[0]
+                    assert ranks.tolist() == [rank] * 2, (name, factor, A.shape)
+                    assert ref_N.shape[1] == A.shape[1] - rank
+                    assert np.abs(s - ref_s).max() <= 1e-13 * ref_s[0]
+                    assert threshold == pytest.approx(ref_threshold, rel=1e-13)
+                    rtol = POL.effective_rank_rtol(A.shape if shape is None else shape)
+                    assert threshold == rtol * s[0]
+                    assert np.all(s[:rank] > threshold) and np.all(s[rank:] <= threshold)
+                    tested += 1
+    assert tested >= 70 * len(RANK_SCALES) * 4
     rank, N, s, threshold = linalg._rank(np.zeros((0, 3)), POL, kernel=True)
     assert (rank, s.size, threshold) == (0, 0, 0.0)
     np.testing.assert_array_equal(N, np.eye(3))
@@ -1241,7 +1271,8 @@ def stacked_calls(fw, gains):
 def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
     # the candidates are ranked without rank_and_nullspace, in one stacked
     # call per round when the round fits the budget and in one per stack
-    # otherwise; beyond the verdict's own work, the final graph's
+    # otherwise, each on the cols - k deflated columns with no undeflated
+    # call after it; beyond the verdict's own work, the final graph's
     # containment test is one values-only SVD and no kernel
     inputs = augmentation_inputs()
     rounds = []
@@ -1250,15 +1281,21 @@ def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
         reference_rebuild_augmentation(fw, lazy=True, gains=rounds[-1])
     full = CallCounter(monkeypatch, "rank_and_nullspace", linalg, engine, spaces)
     values = CallCounter(monkeypatch, "_rank", engine)
-    ranked = CallCounter(monkeypatch, "_rank", scenarios)
+    widths = []
+
+    def ranked_width(M, pol=None, **kwargs):
+        widths.append(M.shape[-1])
+        return linalg._rank(M, pol, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_rank", ranked_width)
     default = scenarios._STACK_BYTES
     for budget in (default, 4096):
         monkeypatch.setattr(scenarios, "_STACK_BYTES", budget)
         split = 0
         for fw, gains in zip(inputs, rounds):
-            engine._decide(fw, POL)
+            decision = engine._decide(fw, POL)
             decided, certified = full.take(), values.take()
-            assert ranked.take() == 0
+            assert widths == []
             # one _rank call decides: values only for a homogeneous
             # framework, with the kernel for a mixed team, whose split reads
             # it and whose complete kernel is found inside it
@@ -1267,10 +1304,96 @@ def test_augmentation_decomposes_once_beyond_the_decision(monkeypatch):
             assert added and len(added) == len(gains)
             assert full.take() == decided
             assert values.take() == certified + 1
-            calls = ranked.take()
+            calls = len(widths)
             assert calls == stacked_calls(fw, gains) >= len(added)
+            cols = engine._verdict_factor(fw, fw.graph.edges)[0].shape[1]
+            assert set(widths) == {cols - decision.Nk.shape[1]}
+            widths.clear()
             split += calls > len(added)
         assert split == (0 if budget == default else len(inputs))
+
+
+def augmented(fw):
+    """augment_to_ibr's added edges, or the type and message of its error."""
+    try:
+        return augment_to_ibr(fw, POL)[1]
+    except NumericalError as exc:
+        return NumericalError, str(exc)
+
+
+def deflation_inputs():
+    """Sparse collinear teams of every space and a mixed one, and the
+    jittered lines with a spanning tree plus extra edges as their graph."""
+    rng = np.random.default_rng(61)
+    inputs = []
+    mixed = (SPACES["r2s1"], SPACES["r3"], SPACES["se3"], SPACES["r3s1x"],
+             SPACES["r2s1"], SPACES["se3"])
+    for space in (*SPACES.values(), mixed):
+        line = random_framework(GeneratorSpec(space=space, n=6, graph_density=0.3,
+                                              seed=7, placement="collinear"))
+        inputs.append(line)
+    for space in SPACES.values():
+        for jitter in JITTERS:
+            line = jittered_line(space, jitter)
+            inputs.append(line.with_graph(spanning_tree(6, line.graph.kind, rng, 0.2)))
+    return inputs
+
+
+def test_deflated_ranks_add_the_edges_of_the_undeflated_ones(monkeypatch):
+    # with Q the identity (no column deflated and no slack) every stack is
+    # ranked on its undeflated rows; the deflated ranks add the same edges,
+    # or raise the same error, on generic, collinear and jittered inputs
+    inputs = augmentation_inputs() + deflation_inputs()
+    deflated = [augmented(scaled(fw, factor))
+                for fw in inputs for factor in AUGMENTATION_SCALES]
+    monkeypatch.setattr(scenarios, "_deflation", lambda blocks, Nk: (blocks, 0.0))
+    undeflated = [augmented(scaled(fw, factor))
+                  for fw in inputs for factor in AUGMENTATION_SCALES]
+    assert deflated == undeflated
+    added = [out for out in deflated if out and out[0] is not NumericalError]
+    assert len(added) > len(augmentation_inputs()) * len(AUGMENTATION_SCALES)
+
+
+def test_a_missed_certificate_ranks_the_undeflated_rows(monkeypatch):
+    # every stack that misses its certificate is ranked again, as one stack
+    # on the same selections with all cols columns, and the added edges
+    # are those of the certified stacks
+    inputs = augmentation_inputs()
+    certified = [augment_to_ibr(fw, POL)[1] for fw in inputs]
+    widths = []
+
+    def ranked_width(M, pol=None, **kwargs):
+        widths.append(M.shape)
+        return linalg._rank(M, pol, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_rank", ranked_width)
+    monkeypatch.setattr(scenarios, "_certified", lambda s, rtol, slack: False)
+    for fw, want in zip(inputs, certified):
+        assert augment_to_ibr(fw, POL)[1] == want
+        cols = engine._verdict_factor(fw, fw.graph.edges)[0].shape[1]
+        k = engine._decide(fw, POL).Nk.shape[1]
+        deflated, again = widths[0::2], widths[1::2]
+        assert len(deflated) == len(again) >= len(want)
+        for (stack, rows, width), shape in zip(deflated, again):
+            assert (width, shape) == (cols - k, (stack, rows, cols))
+        widths.clear()
+
+
+def test_every_benchmark_augmentation_stack_certifies(monkeypatch):
+    # the augment-sparse workload at seed 0: every stack its augmentations
+    # rank is decided on the deflated rows, with no undeflated rank
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench import workloads
+    results = []
+
+    def recorded(s, rtol, slack, _original=scenarios._certified):
+        results.append(_original(s, rtol, slack))
+        return results[-1]
+
+    monkeypatch.setattr(scenarios, "_certified", recorded)
+    for op in workloads.build("augment-sparse", 0, None):
+        op.run()
+    assert len(results) > 200 and all(results)
 
 
 AUGMENTATION_PEAK_BYTES = 1_250_000
