@@ -5,9 +5,9 @@ JSON from a recipe or named fixture), export-dot (graph drawing), batch
 (analyze a directory).
 
 Exit codes: 0 success, 2 bad arguments, parse/schema problems and
-unusable paths, 3 validation problems, 4 numerical problems; each error
-is one stderr line that starts with "error:". batch exits 1 when any file
-fails.
+unusable paths, 3 validation problems, 4 numerical problems and running
+out of memory; each error is one stderr line that starts with "error:".
+batch exits 1 when any file fails.
 
 Tolerance precedence, lowest to highest: built-in defaults, the profile
 named by the BRL_TOLERANCE_PROFILE environment variable, the --config JSON
@@ -259,8 +259,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

@@ -53,17 +53,9 @@ complete kernel always lies in the framework's, so equality is inclusion
 plus equal dimension (_contained_rank). For non-degenerate homogeneous
 frameworks that is the rank c*n - c - 1, c the controllable degrees of
 freedom per agent, which the verdict reports but does not test again.
-
-Inclusion needs no kernel basis of the framework's factor C. With s_r the
-smallest singular value counted in its rank and N its kernel,
-||C Nk||_F^2 = sum_i s_i^2 ||v_i^T Nk||^2 >= s_r^2 ||(I - N N^T) Nk||_F^2,
-so ||C Nk||_F / s_r, widened by the rounding of the product and of the SVD
-(_residual_bound), bounds the residual ||(I - N N^T) Nk||_F from one
-product and the singular values alone. _contained_rank tries that
-certificate first and decomposes C with its kernel only where the bound
-reaches subspace_tol or the caller reads N, and then the residual decides
-as before; the verdict of a non-degenerate homogeneous framework is thus
-an SVD without vectors.
+Inclusion is certified from the factor's singular values and one product
+where they settle it (linalg, certificate (1)), so the verdict of a
+non-degenerate homogeneous framework is an SVD without vectors.
 
 Each framework is decided once (_decide), at unit formation scale: one
 degeneracy test, one complete-graph kernel, one containment test on the
@@ -79,8 +71,8 @@ caller's scale by one lift, _to_caller_scale, by Framework._radius). A
 mixed team decomposes its own factor C with its kernel N anyway, for the
 split, and the complete kernel lies inside N, so it is N times the kernel
 of the thin product C_K N, C_K the complete graph's factor:
-_complete_kernel_in takes it from there, with a certificate from C's
-singular values that it has the dimension and passes the containment
+_complete_kernel_in takes it from there, with a certificate (linalg,
+certificate (2)) that it has the dimension and passes the containment
 test that decomposing C_K would give, and _complete_kernel decides where
 the certificate misses. ibr_verdict, the analysis report and augmentation
 (scenarios.augment_to_ibr) read that record; only hetero_kernel_analysis
@@ -106,8 +98,9 @@ import numpy as np
 from .errors import (DegenerateConfigurationError, NumericalError,
                      ValidationError)
 from .graphs import complete_edges, complete_graph
-from .linalg import (TolerancePolicy, _rank, _residual, orthonormal_columns,
-                     rank_and_nullspace, rotation_exp, skew)
+from .linalg import (Margin, TolerancePolicy, _margin, _rank, _residual, _rounding,
+                     _window_rank, orthonormal_columns, rank_and_nullspace,
+                     rotation_exp, skew)
 from .spaces import (COINCIDENT_TOL, Framework, MetricSpace, _bearings,
                      bearing_rigidity_function, is_non_degenerate)
 
@@ -587,7 +580,8 @@ class _Decision:
     reads it; elsewhere it is None unless the singular values missed the
     containment certificate. zero_columns, the structurally zero columns
     (rotation directions an agent's rotation input masks), is None for
-    homogeneous frameworks."""
+    homogeneous frameworks. margin is the Margin of the factor's rank, with
+    slack 0 where the factor was decomposed after a missed certificate."""
 
     fw: Framework
     verdict: RigidityVerdict
@@ -595,6 +589,7 @@ class _Decision:
     trivial: SubspaceBasis | None
     N: np.ndarray | None
     zero_columns: np.ndarray | None
+    margin: Margin
 
 
 def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
@@ -612,14 +607,14 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
     trivial = zero_columns = None
     if fw.is_homogeneous:
         Nk, trivial, degenerate = _complete_kernel(fw, pol)
-        rank, N = _contained_rank(C, shape, Nk, pol)
+        rank, N, margin = _contained_rank(C, shape, Nk, pol)
     else:
         degenerate = not is_non_degenerate(fw._unit[0], pol)
-        rank, N, s, _ = _rank(C, pol, shape=shape, kernel=True)
-        Nk = _complete_kernel_in(fw, N, s, rank, pol)
+        rank, N, s, threshold = _rank(C, pol, shape=shape, kernel=True)
+        Nk, margin = _complete_kernel_in(fw, N, s, threshold, pol)
         if Nk is None:
             Nk = _complete_kernel(fw, pol)[0]
-            rank, N = _contained_rank(C, shape, Nk, pol, kernel=True)
+            rank, N, margin = _contained_rank(C, shape, Nk, pol, kernel=True)
         zero_columns = 3 * fw.n + np.flatnonzero(~fw._rotation_inputs.any(axis=1))
     nullity = C.shape[1] - rank
     kernel_eq = nullity == Nk.shape[1]
@@ -641,86 +636,47 @@ def _decide(fw: Framework, pol: TolerancePolicy) -> _Decision:
                               kernel_equal_to_complete=kernel_eq,
                               classification=IBR if kernel_eq else IBF,
                               degenerate=degenerate, notes=tuple(notes))
-    return _Decision(fw, verdict, Nk, trivial, N, zero_columns)
+    return _Decision(fw, verdict, Nk, trivial, N, zero_columns, margin)
 
 
-def _complete_kernel_in(fw: Framework, N: np.ndarray, s: np.ndarray, rank: int,
-                        pol: TolerancePolicy) -> np.ndarray | None:
-    """The complete-graph kernel of fw at unit scale found inside the kernel
-    N (nu columns) of fw's factor C, whose singular values are s and rank
-    is rank: N times the kernel of P = C_K N, C_K the complete graph's
-    factor, or None where the certificate below misses. The kernel has the
+def _complete_kernel_in(fw: Framework, N: np.ndarray, s: np.ndarray, threshold: float,
+                        pol: TolerancePolicy) -> tuple[np.ndarray | None, Margin]:
+    """(Nk, margin): the complete-graph kernel of fw at unit scale found
+    inside the kernel N (nu columns) of fw's factor C, whose singular values
+    s were ranked at threshold: N times the kernel of P = C_K N, C_K the
+    complete graph's factor, or None where the certificate (linalg,
+    certificate (2)) misses; and the Margin of C's values. Nk has the
     dimension, and passes the containment test, that decomposing C_K
-    (_complete_kernel, then _contained_rank) would give.
-
-    C_K holds C's rows (an edge's factor rows depend on that edge alone),
-    so ||C_K y|| >= ||C y|| for every y, ker C_K lies in N, and sigma_1(C_K)
-    lies in [s_1, ||C_K||_F]: the threshold t_K = rtol_K sigma_1(C_K) that
-    decomposing C_K would set lies in [tau_lo, tau_hi] = rtol_K [s_1,
-    ||C_K||_F]. With s_r the smallest singular value counted in the rank:
-
-    (i) a unit y = N a + y' (y' orthogonal to N) with ||C_K y|| <= tau_hi
-        has s_r ||y'|| - s_{r+1} <= ||C y|| <= tau_hi, so ||y'|| <= lam =
-        (tau_hi + s_{r+1}) / s_r, which the first test keeps below 1;
-    (ii) the k right singular vectors of P with values below tau_lo give,
-        through N, a k-dimensional subspace on which ||C_K y|| < tau_lo <=
-        t_K, so C_K has at least k singular values below t_K;
-    (iii) had C_K k + 1 of them at most t_K, their right vectors y would
-        map one to one onto a = N^T y, with ||a|| >= sqrt(1 - lam^2) by (i)
-        and ||P a|| = ||C_K (y - y')|| <= tau_hi + ||C_K||_F lam, so P
-        would have k + 1 singular values at most (tau_hi + ||C_K||_F lam) /
-        sqrt(1 - lam^2), which the split of P's values rules out; so the
-        dimension is k, and N times the kernel of P lies in N by
-        construction;
-    (iv) the i-th smallest singular value of C_K is at most P's (P
-        restricts C_K to span N), so the kernel Nk that decomposing C_K
-        gives has ||C Nk||_F <= ||C_K Nk||_F <= ||p_small||, the norm of
-        P's k small values, and its residual against N is at most
-        (||p_small|| + s_{r+1}) / s_r (see _residual_bound), which the last
-        test keeps below subspace_tol.
-
-    Rounding, as in _residual_bound: e = max(shape_K) * eps * ||C_K||_F *
-    sqrt(nu) bounds the backward error of each decomposition over nu
-    columns and the rounding of the product P, and every comparison gives
-    it away: s_r - e > tau_hi + s_{r+1} + e, P's values split into k below
-    tau_lo - e and the rest above (tau_hi + e + ||C_K||_F lam) / sqrt(1 -
-    lam^2) + e with lam = (tau_hi + s_{r+1} + e) / (s_r - e), and the
-    residual (||p_small|| + s_{r+1} + 2 e) / (s_r - e) is below subspace_tol.
-    A zero C (rank 0), or a C_K with fewer rows than nu, is left to
-    _complete_kernel."""
-    if not rank:
-        return None
+    (_complete_kernel, then _contained_rank) would give. A C_K with fewer
+    rows than nu is left to _complete_kernel."""
     edges = complete_edges(fw.n, fw.graph.kind)
     nu = N.shape[1]
     # C_K assembled and multiplied a block of edges at a time: C_K itself is
     # never held, and no tall product packs all of it into every BLAS
-    # thread's buffer (see _residual_bound)
+    # thread's buffer (see _contained_rank)
     products, squares = [], 0.0
     for i in range(0, len(edges), _PRODUCT_EDGES):
         CK, _ = _verdict_factor(fw, edges[i:i + _PRODUCT_EDGES])
         products.append(CK @ N)
         squares += float(np.vdot(CK, CK))
     P = np.concatenate(products)
-    if P.shape[0] < nu:
-        return None
     shape = (_layout(fw, "auto")[1] * len(edges), N.shape[0])
     norm = np.sqrt(squares)
-    err = max(shape) * np.finfo(float).eps * norm * np.sqrt(nu)
+    err = _rounding(shape, norm, nu)
     rtol = pol.effective_rank_rtol(shape)
-    tau_lo, tau_hi = rtol * s[0], rtol * norm
-    sigma_r, sigma_next = s[rank - 1], (s[rank] if rank < s.size else 0.0)
-    if not sigma_r - err > tau_hi + sigma_next + err:
-        return None
-    _, p, Vh = np.linalg.svd(np.linalg.qr(P, mode="r"))
-    k = int(np.sum(p < tau_lo - err))
+    tau_hi = rtol * norm
+    rank, margin = _window_rank(s, threshold, threshold + tau_hi, err)
+    if rank is None or P.shape[0] < nu:
+        return None, margin
+    sigma_r, sigma_next = margin.sigma_r, margin.sigma_next
     lam = (tau_hi + sigma_next + err) / (sigma_r - err)
-    floor = (tau_hi + err + norm * lam) / np.sqrt(1.0 - lam * lam) + err
-    if not p[:nu - k].min(initial=np.inf) > floor:
-        return None
-    if not ((np.linalg.norm(p[nu - k:]) + sigma_next + 2.0 * err) / (sigma_r - err)
-            < pol.subspace_tol):
-        return None
-    return N @ Vh[nu - k:].T
+    _, p, Vh = np.linalg.svd(np.linalg.qr(P, mode="r"))
+    rank_p, _ = _window_rank(p, rtol * s[0],
+                             (tau_hi + err + norm * lam) / np.sqrt(1.0 - lam * lam), err)
+    if rank_p is None or not ((np.linalg.norm(p[rank_p:]) + sigma_next + 2.0 * err)
+                              / (sigma_r - err) < pol.subspace_tol):
+        return None, margin
+    return N @ Vh[rank_p:].T, margin
 
 
 def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVerdict:
@@ -742,61 +698,36 @@ def ibr_verdict(fw: Framework, pol: TolerancePolicy | None = None) -> RigidityVe
 
 def _contained_rank(C: np.ndarray, shape: tuple[int, int], Nk: np.ndarray,
                     pol: TolerancePolicy, kernel: bool = False,
-                    ) -> tuple[int, np.ndarray | None]:
-    """(rank, N): the rank of the factor C at the threshold of shape, once
-    the complete-graph kernel Nk (orthonormal) is known to lie in C's
-    kernel N, else NumericalError. Equal dimension, cols - rank == dim Nk,
-    then is kernel equality: as subspace_tol < 1 keeps the reverse residual
-    ||(I - Nk Nk^T) N||_F^2 >= dim N - dim Nk, inclusion plus equal
-    dimension is equality.
+                    ) -> tuple[int, np.ndarray | None, Margin]:
+    """(rank, N, margin): the rank of the factor C at the threshold of shape,
+    once the complete-graph kernel Nk (orthonormal) is known to lie in C's
+    kernel N, else NumericalError; and the Margin of that rank. Equal
+    dimension, cols - rank == dim Nk, then is kernel equality: as
+    subspace_tol < 1 keeps the reverse residual ||(I - Nk Nk^T) N||_F^2 >=
+    dim N - dim Nk, inclusion plus equal dimension is equality.
 
-    The certificate comes first: from C's singular values alone
-    (linalg._rank) and one product C Nk, _residual_bound bounds the residual
-    ||(I - N N^T) Nk||_F that the decomposition would find; below
-    subspace_tol it passes the test without N, which is then None. Where
-    the bound is not met, or the caller reads N (kernel=True), C is
-    decomposed with its kernel (rank_and_nullspace) and the residual
-    decides; that rank and N are returned."""
+    C's singular values (linalg._rank) and one product C Nk certify the
+    containment first (linalg, certificate (1)), and N is then None. Where
+    they miss, or the caller reads N (kernel=True), C is decomposed with its
+    kernel and the residual decides; that rank and N are returned."""
     if not kernel:
         rank, _, s, threshold = _rank(C, pol, shape=shape)
-        if _residual_bound(C, Nk, rank, s, threshold) < pol.subspace_tol:
-            return rank, None
-    rank, N = rank_and_nullspace(C, pol, shape=shape)
+        err = _rounding(C.shape, np.sqrt(s @ s), Nk.shape[1])
+        certified, margin = _window_rank(s, threshold, threshold, err)
+        if certified is not None:
+            # C Nk column by column: a tall matrix product packs C into every
+            # BLAS thread's buffer (1.5 MB more peak RSS on the analyze-large
+            # benchmark at 2 threads), a matrix-vector product reads it in place
+            CNk = np.linalg.norm([C @ v for v in Nk.T])
+            if (CNk + 2.0 * err) / (margin.sigma_r - err) < pol.subspace_tol:
+                return rank, None, margin
+    rank, N, s, threshold = _rank(C, pol, shape=shape, kernel=True)
+    margin = _margin(s, threshold)[1]
     if not _residual(N, Nk) < pol.subspace_tol:
         raise NumericalError(
             "complete-graph kernel not contained in framework kernel; "
-            "tolerances are inconsistent with this matrix")
-    return rank, N
-
-
-def _residual_bound(C: np.ndarray, Nk: np.ndarray, rank: int, s: np.ndarray,
-                    threshold: float) -> float:
-    """An upper bound on the residual _residual(N, Nk) that
-    rank_and_nullspace(C) would give, from C's rank, singular values s and
-    rank threshold; inf where none is known.
-
-    With s_r the smallest singular value counted in the rank and v_i the
-    right singular vectors, ||C Nk||_F^2 = sum_i s_i^2 ||v_i^T Nk||^2 >=
-    s_r^2 ||(I - N N^T) Nk||_F^2, so the residual is at most
-    ||C Nk||_F / s_r. The SVD is backward stable: its kernel is the exact
-    one of some C + E, with ||E|| no more than about max(C.shape) * eps *
-    ||C||. So err = max(C.shape) * eps * ||C||_F * ||Nk||_F bounds both
-    ||E Nk||_F and the rounding of the product C Nk, and the computed
-    residual is at most (||C Nk||_F + 2 err) / (s_r - err). A singular
-    value within err of the threshold may count toward one SVD's rank and
-    not the other's, so there is no bound (inf); a zero C has the whole
-    space as its kernel, residual 0."""
-    if not rank:
-        return 0.0
-    sigma_r, sigma_next = s[rank - 1], (s[rank] if rank < s.size else 0.0)
-    err = max(C.shape) * np.finfo(float).eps * np.sqrt(s @ s * Nk.shape[1])
-    if not sigma_r - err > threshold > sigma_next + err:
-        return np.inf
-    # C Nk column by column: a tall matrix product packs C into every BLAS
-    # thread's buffer (1.5 MB more peak RSS on the analyze-large benchmark
-    # at 2 threads), a matrix-vector product reads it in place
-    CNk = np.linalg.norm([C @ v for v in Nk.T])
-    return float((CNk + 2.0 * err) / (sigma_r - err))
+            f"tolerances are inconsistent with this matrix ({margin})")
+    return rank, N, margin
 
 
 def _require_comparable(f1: Framework, f2: Framework) -> None:

@@ -1,5 +1,6 @@
 """Numeric kernel: tolerance policy, small geometric operators, rank and
-subspace computations.
+subspace computations, and the one certificate that decides a rank from
+singular values it was not computed from.
 
 Every rank decision in the package funnels through rank_and_nullspace, or
 its values-only form _rank (which also returns the singular values and the
@@ -13,17 +14,61 @@ the same singular values, in the orientation LAPACK's gesdd is faster on.
 Subspaces are always handled through orthonormal column bases. Containment of
 span(A) in span(B) is decided by the Frobenius residual of A's basis after
 projecting out B: || (I - Q_B Q_B^T) Q_A ||_F < subspace_tol (below 1).
-When B is the kernel of a matrix C with singular values s_i and right
-singular vectors v_i, the singular values alone can certify that test: with
-s_r the smallest one counted in the rank,
-||C Q_A||_F^2 = sum_i s_i^2 ||v_i^T Q_A||^2 >= s_r^2 ||(I - Q_B Q_B^T) Q_A||_F^2,
-so in exact arithmetic ||C Q_A||_F < subspace_tol * s_r implies the
-residual test without Q_B (engine._residual_bound adds the rounding).
+
+Certificates. Three decisions take a rank from singular values other than
+those of the matrix decided on, and decompose that matrix where the values
+do not settle it. One argument serves all three:
+
+(W) Weyl: sigma_i(A + E) is within ||E||_2 of sigma_i(A) at every index,
+    the values beyond min(rows, cols) counting as zeros.
+(B) A computed SVD of A is exact for some A + E, and a computed product A X
+    is within rounding of the exact one: for an orthonormal X of k columns,
+    e = max(A.shape) * eps * ||A||_F * sqrt(k) (_rounding) bounds ||E X||_F
+    and that rounding.
+(T) Let the threshold t lie in [lo, hi], and each value at hand lie within
+    w of the decided matrix's value at its index. A value above hi + w is
+    then above t, one at most lo - w at most t (the rank counts values
+    above t), and so is a zero or lacking value when lo >= w. So where lo >=
+    w and no value lies in (lo - w, hi + w], the count above hi + w is the
+    rank at t: _window_rank returns it, or None (a miss), with the Margin
+    it decided by.
+
+(1) Containment without a kernel basis (engine._contained_rank). For C with
+    values s_i, right vectors v_i and kernel N, and an orthonormal Nk,
+    ||C Nk||_F^2 = sum_i s_i^2 ||v_i^T Nk||^2 >= s_r^2 ||(I - N N^T) Nk||_F^2.
+    Where C's values clear [t, t] by e (B, for C and Nk), the residual a
+    decomposition of C finds is at most (||C Nk||_F + 2 e) / (s_r - e).
+(2) A complete kernel inside a kernel (engine._complete_kernel_in). The
+    complete factor C_K holds C's rows, so ||C_K y|| >= ||C y||, ker C_K
+    lies in N (nu columns), and C_K's threshold lies in [tau_lo, tau_hi] =
+    rtol_K [s_1, ||C_K||_F]. Take e for C_K and N, and P = C_K N.
+    (i) C's values clear [t, t + tau_hi] by e, so lam = (tau_hi + s_{r+1} +
+    e) / (s_r - e) < 1, and a unit y = N a + y' with ||C_K y|| <= tau_hi
+    has ||y'|| <= lam, as s_r ||y'|| - s_{r+1} <= ||C y||.
+    (ii) P's values clear [tau_lo, f] by e, f = (tau_hi + e + ||C_K||_F lam)
+    / sqrt(1 - lam^2). Its k values below give k directions on which C_K is
+    below its threshold, and k + 1 such directions y of C_K would give k + 1
+    of P, a = N^T y with ||a|| >= sqrt(1 - lam^2) and ||P a|| <= tau_hi +
+    ||C_K||_F lam by (i). So N times P's last k right singular vectors lies
+    in N and has the dimension of ker C_K.
+    (iii) P restricts C_K to span N, so the kernel Nk a decomposition of C_K
+    gives has ||C Nk||_F <= the norm p of P's k small values, and a residual
+    against N of at most (p + s_{r+1} + 2 e) / (s_r - e), as in (1).
+(3) Deflation (scenarios._candidate_ranks). Let Q = [Q1 Q2] be orthogonal,
+    Q1 spanning the complete kernel, and delta = ||C_K Q1||_F. A row
+    selection C_S of C_K has ||C_S Q1||_2 <= delta, and C_S Q = [C_S Q1,
+    C_S Q2] has C_S's values, so (W) puts them within delta of C_S Q2's.
+    With e for C_K and Q (two SVDs, the product C_K Q, and Q's distance from
+    an orthogonal matrix), the computed values of C_S and C_S Q2 differ by
+    at most w = delta + 4 e. C_S's threshold rtol s_1 then lies in rtol
+    [s'_1 - w, s'_1 + w], s'_1 the largest of C_S Q2, and where C_S Q2's
+    values clear that window by w, their count is C_S's rank.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,10 +222,8 @@ def _rank(M: np.ndarray, pol: TolerancePolicy | None = None, *,
     computes singular values only (LAPACK's gesdd reduces a tall matrix
     itself), and a wide M is handed to it as M^T, which has the same
     singular values and which gesdd decomposes faster. They may differ
-    from the full SVD's in the last bits: a value that close to the
-    threshold may count toward one rank and not the other, so a rank that
-    must agree with a kernel is confirmed by rank_and_nullspace, or kept
-    clear of the threshold.
+    from the full SVD's in the last bits, so a rank that must agree with a
+    kernel is confirmed by rank_and_nullspace, or by the window test (T).
 
     Without kernel, M may also be a (k, rows, cols) stack: each matrix is
     decomposed as it would be alone (numpy's stacked SVD runs LAPACK once
@@ -233,3 +276,48 @@ def _residual(QB: np.ndarray, QA: np.ndarray) -> float:
     """||(I - QB QB^T) QA||_F for orthonormal bases QA and QB: below
     subspace_tol, span(QA) lies in span(QB). Zero when QA has no columns."""
     return float(np.linalg.norm(QA - QB @ (QB.T @ QA)))
+
+
+def _rounding(shape: tuple[int, int], norm: float, cols: int) -> float:
+    """e of (B) above, for a matrix of shape and Frobenius norm and an
+    orthonormal basis of cols columns."""
+    return max(shape) * np.finfo(float).eps * norm * np.sqrt(cols)
+
+
+class Margin(NamedTuple):
+    """How far a rank stood from its threshold: sigma_r and sigma_next are
+    the smallest singular value above it (inf where none is) and the largest
+    at or below it (0 where none is), and slack what the values had to clear
+    it by. A stack of rows gives one entry per row in every field."""
+
+    threshold: float | np.ndarray
+    sigma_r: float | np.ndarray
+    sigma_next: float | np.ndarray
+    slack: float | np.ndarray
+
+    def __str__(self) -> str:
+        return (f"threshold {self.threshold:.3e}, sigma_r {self.sigma_r:.3e}, "
+                f"sigma_r+1 {self.sigma_next:.3e}")
+
+
+def _margin(s: np.ndarray, threshold, slack: float = 0.0) -> tuple[int | np.ndarray, Margin]:
+    """(rank, margin): the count of the singular values s (a row, or a stack
+    of rows) above threshold, which broadcasts against s, and its Margin."""
+    above = s > threshold
+    rank = above.sum(axis=-1)
+    return rank, Margin(np.reshape(threshold, rank.shape)[()],
+                        np.where(above, s, np.inf).min(axis=-1, initial=np.inf),
+                        np.where(above, 0.0, s).max(axis=-1, initial=0.0),
+                        np.full(rank.shape, slack)[()])
+
+
+def _window_rank(s: np.ndarray, lo, hi, slack: float,
+                 ) -> tuple[int | np.ndarray | None, Margin]:
+    """(rank, margin) by the window test (T) above: the count of the
+    singular values s above hi + slack where lo >= slack and no value lies
+    in (lo - slack, hi + slack], else None, and the Margin of the count
+    above lo. For a stack of rows, lo and hi are columns, and a miss in any
+    row misses the stack."""
+    rank, margin = _margin(s, lo, slack)
+    clear = np.all(lo >= slack) and np.all((s > hi + slack) | (s <= lo - slack))
+    return (rank if clear else None), margin

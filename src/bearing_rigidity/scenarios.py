@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import SensingGraph, complete_edges, is_connected
-from .linalg import TolerancePolicy, _rank, random_rotation, rotation_axis_angle
+from .linalg import (Margin, TolerancePolicy, _margin, _rank, _rounding, _window_rank,
+                     random_rotation, rotation_axis_angle)
 from .spaces import AgentState, Framework, MetricSpace, is_non_degenerate
 from . import engine
 
@@ -172,40 +173,18 @@ def random_framework(spec: GeneratorSpec) -> Framework:
 
 def _candidate_ranks(blocks: np.ndarray, deflated: np.ndarray, slack: float,
                      chosen: np.ndarray, dead: np.ndarray, per_edge: int,
-                     pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """(candidates, ranks): the edges neither chosen nor dead, in canonical
-    order, and the rank of the factor of the chosen edges plus each one.
-    blocks holds each complete edge's factor rows; per_edge is the measured
-    rows per edge, for the threshold shape. Each selection is one row of an
-    index array over blocks, sorted so that it keeps the canonical order,
-    and the selections are ranked in stacks of at most _STACK_BYTES of
-    blocks each.
+                     pol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, Margin]:
+    """(candidates, ranks, margins): the edges neither chosen nor dead, in
+    canonical order, the rank of the factor of the chosen edges plus each
+    one, and the Margin each rank was decided by. blocks holds each complete
+    edge's factor rows; per_edge is the measured rows per edge, for the
+    threshold shape. Each selection is one row of an index array over
+    blocks, sorted so that it keeps the canonical order, and the selections
+    are ranked in stacks of at most _STACK_BYTES of blocks each.
 
-    A stack is ranked on its deflated rows where a certificate allows, on
-    cols - k columns instead of cols. deflated holds each edge's factor rows
-    times Q2, the last cols - k columns of an orthogonal Q = [Q1 Q2] whose
-    first k span the complete-graph kernel Nk (_deflation), and slack
-    is w = delta + 4 e: delta = ||C_K Q1||_F, C_K the complete graph's
-    factor (all of blocks), and e = max(C_K.shape) * eps * ||C_K||_F *
-    sqrt(cols).
-
-    A selection C_S holds rows of C_K, so ||C_S Q1||_2 <= delta, and C_S Q
-    = [C_S Q1, C_S Q2] has C_S's singular values. By Weyl, each of them
-    lies within delta of the one of [0, C_S Q2] at the same index, which
-    are C_S Q2's padded with zeros. Rounding, as in engine._residual_bound:
-    e bounds the backward error of each of the two SVDs, the rounding of
-    the product C_K Q (both column blocks, delta is read from it), and Q's
-    distance from an orthogonal matrix times ||C_K||. So the computed
-    values s of C_S and s' of its deflated rows, s' padded with zeros,
-    differ by at most w at every index.
-
-    The threshold C_S's own SVD sets, t = rtol s_1, then lies in the window
-    [lo, hi] = rtol [s'_1 - w, s'_1 + w], and so does the deflated one,
-    rtol s'_1. Where every s'_i lies above hi + w or below lo - w, and w <
-    lo (for the padding zeros), each s_i lies on the same side of t as s'_i
-    does of rtol s'_1, and the deflated rank is the one C_S's own SVD
-    gives (_certified).
-    A stack that misses this for any of its matrices is ranked again on its
+    A stack is ranked on its deflated rows, each edge's factor rows times
+    Q2 (_deflation), where its values clear the threshold window by slack
+    (linalg, certificate (3)); a stack that misses is ranked again on its
     undeflated rows, the same _rank call."""
     base, candidates = np.flatnonzero(chosen), np.flatnonzero(~(chosen | dead))
     selections = np.sort(np.column_stack(
@@ -215,40 +194,34 @@ def _candidate_ranks(blocks: np.ndarray, deflated: np.ndarray, slack: float,
     shape = (per_edge * size, cols)
     rtol = pol.effective_rank_rtol(shape)
     step = max(1, _STACK_BYTES // (size * blocks[0].nbytes))
-    ranks = []
+    ranks, margins = [], []
     for part in np.split(selections, range(step, len(selections), step)):
-        rank, _, s, _ = _rank(
+        _, _, s, _ = _rank(
             deflated[part].reshape(len(part), size * block_rows, deflated.shape[2]),
             pol, shape=shape)
-        if not _certified(s, rtol, slack):
-            rank = _rank(blocks[part].reshape(len(part), size * block_rows, cols),
-                         pol, shape=shape)[0]
+        top = s[:, :1]
+        rank, margin = _window_rank(s, rtol * (top - slack), rtol * (top + slack), slack)
+        if rank is None:
+            rank, _, s, threshold = _rank(
+                blocks[part].reshape(len(part), size * block_rows, cols), pol, shape=shape)
+            margin = _margin(s, threshold[:, None])[1]
         ranks.append(rank)
-    return candidates, np.concatenate(ranks)
-
-
-def _certified(s: np.ndarray, rtol: float, slack: float) -> bool:
-    """Do the deflated singular value rows s decide the undeflated ranks?
-    True when each row clears its threshold window rtol (s_1 +- slack) by
-    slack on both sides, and slack lies below the window (see
-    _candidate_ranks)."""
-    lo, hi = rtol * (s[:, :1] - slack), rtol * (s[:, :1] + slack)
-    return bool(np.all(lo > slack) and np.all((s > hi + slack) | (s < lo - slack)))
+        margins.append(margin)
+    return candidates, np.concatenate(ranks), Margin(*map(np.concatenate, zip(*margins)))
 
 
 def _deflation(blocks: np.ndarray, Nk: np.ndarray) -> tuple[np.ndarray, float]:
     """(deflated, slack): each complete edge's factor rows (blocks, whose
     rows make up C_K) times Q2, and the certificate's w = ||C_K Q1||_F +
-    4 e (see _candidate_ranks), both read from the one product C_K Q. Q =
-    [Q1 Q2] is the orthogonal factor of a complete QR of Nk (k columns), so
-    Q1 spans Nk."""
+    4 e (linalg, certificate (3)), both read from the one product C_K Q.
+    Q = [Q1 Q2] is the orthogonal factor of a complete QR of Nk (k
+    columns), so Q1 spans Nk."""
     edges, block_rows, cols = blocks.shape
     C = blocks.reshape(-1, cols)
     CQ = C @ np.linalg.qr(Nk, mode="complete")[0]
-    err = max(C.shape) * np.finfo(float).eps * np.linalg.norm(C) * np.sqrt(cols)
     k = Nk.shape[1]
     return (CQ[:, k:].reshape(edges, block_rows, cols - k),
-            float(np.linalg.norm(CQ[:, :k]) + 4.0 * err))
+            float(np.linalg.norm(CQ[:, :k]) + 4.0 * _rounding(C.shape, np.linalg.norm(C), cols)))
 
 
 def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
@@ -274,7 +247,8 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     No graph or framework is built per candidate. A round ranks all its
     candidates from singular values alone (linalg._rank, same threshold) in
     stacks of at most _STACK_BYTES (see _candidate_ranks); a round in which
-    no candidate raises the rank raises NumericalError. A candidate whose
+    no candidate raises the rank raises NumericalError, with the margin of
+    the candidate that came closest. A candidate whose
     rank gain is 0 in one round is never ranked again: rank over a set of
     rows is submodular, so adding edges never raises another edge's gain,
     and a dead edge could not win a later round. The containment test of
@@ -282,14 +256,9 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     its bound is missed, and that rank must be the loop's.
 
     The complete kernel Nk (k columns) lies in the kernel of every graph on
-    the agents, so each selection's rank is decided on cols - k columns:
-    the complete factor is multiplied once per call by an orthogonal Q
-    whose first k columns span Nk (a complete QR of Nk), and the candidates
-    are ranked on the other cols - k columns of that product, at the
-    threshold shape of the undeflated rows. Its first k columns give the
-    certificate's slack (_candidate_ranks): a stack whose deflated singular
-    values stay clear of the threshold by it has the undeflated ranks,
-    and any other stack is ranked again on its undeflated rows.
+    the agents, so each selection is ranked on cols - k columns where the
+    certificate of _candidate_ranks allows: its rows times the last columns
+    of an orthogonal Q whose first k span Nk, formed once per call.
     """
     pol = pol or TolerancePolicy()
     decision = engine._decide(fw, pol)
@@ -308,19 +277,24 @@ def augment_to_ibr(fw: Framework, pol: TolerancePolicy | None = None,
     rank_g = decision.verdict.rank
     added: list[tuple[int, int]] = []
     while rank_g < cols - decision.Nk.shape[1]:
-        candidates, ranks = _candidate_ranks(blocks, deflated, slack, chosen, dead,
-                                             per_edge, pol)
+        candidates, ranks, margins = _candidate_ranks(blocks, deflated, slack, chosen,
+                                                      dead, per_edge, pol)
         if not np.any(ranks > rank_g):
+            closest = ""
+            if candidates.size:
+                c = int(np.argmax(margins.sigma_next / margins.threshold))
+                closest = (f" (closest: edge {edges[candidates[c]]}, "
+                           f"{Margin(*(field[c] for field in margins))})")
             raise NumericalError("no candidate edge raises the rank, yet the kernel "
-                                 "exceeds the complete graph's")
+                                 "exceeds the complete graph's" + closest)
         dead[candidates[ranks == rank_g]] = True  # gain 0 now, so 0 in every later round
         best = int(np.argmax(ranks))  # the first of the largest gains
         rank_g = int(ranks[best])
         chosen[candidates[best]] = True
         added.append(edges[candidates[best]])
-    rank_final, _ = engine._contained_rank(blocks[chosen].reshape(-1, cols),
-                                           (per_edge * int(chosen.sum()), cols),
-                                           decision.Nk, pol)
+    rank_final = engine._contained_rank(blocks[chosen].reshape(-1, cols),
+                                        (per_edge * int(chosen.sum()), cols),
+                                        decision.Nk, pol)[0]
     if rank_final != rank_g:
         raise NumericalError(f"the augmented graph's rank {rank_final} is not the "
                              f"{rank_g} its edges were chosen by")

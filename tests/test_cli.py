@@ -1,10 +1,16 @@
 import json
+import os
 import pathlib
+import re
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import bearing_rigidity
 from bearing_rigidity import (GeneratorSpec, MetricSpace, NumericalError,
                               augment_to_ibr, engine, fixture, ibr_verdict,
                               random_framework)
@@ -404,6 +410,10 @@ def test_a_complete_kernel_outside_the_framework_kernel_is_a_numerical_error(
         assert code == 4 and out == ""
         assert one_error_line(err)
         assert err.startswith("error: complete-graph kernel not contained")
+        # the message states the margin the rank was decided by
+        margin = re.search(r"\(threshold (\S+), sigma_r (\S+), sigma_r\+1 (\S+)\)$", err)
+        threshold, sigma_r, sigma_next = map(float, margin.groups())
+        assert sigma_next <= threshold < sigma_r
 
 
 def test_augmenting_a_complete_graph_decided_flexible_is_a_numerical_error(
@@ -425,6 +435,28 @@ def test_augmenting_a_complete_graph_decided_flexible_is_a_numerical_error(
         code, out, err = run(capsys, "export-dot", str(path), "--augment")
         assert code == 4 and out == ""
         assert one_error_line(err) and "no candidate edge" in err
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys):
+    # a valid 217 KB document: a collinear full-pose team of 300 agents,
+    # whose complete factor (89700 edges x 2 rows x 1800 columns, 2.41 GiB)
+    # exceeds the 1.5 GiB of address space its process is allowed
+    path = tmp_path / "line.json"
+    code, _, _ = run(capsys, "gen", "--space", "se3", "--n", "300", "--density", "0.02",
+                     "--placement", "collinear", "-o", str(path))
+    assert code == 0
+    limit = 3 << 29
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(bearing_rigidity.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "bearing_rigidity.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env, preexec_fn=limited,
+                          timeout=300)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert one_error_line(proc.stderr) and "Traceback" not in proc.stderr
 
 
 def test_analyze_a_directory_is_an_error_line(tmp_path, capsys):

@@ -62,17 +62,21 @@
   rebuilds every state and the framework through dataclasses.replace.
 * Non-degenerate homogeneous verdicts and augmentation's final graph prove
   the complete kernel lies in the factor's kernel from singular values and
-  one product (engine._residual_bound), without a kernel basis; the
+  one product (linalg, certificate (1)), without a kernel basis; the
   reference decomposes the factor with its kernel (rank_and_nullspace) and
   takes the residual.
 * A mixed team's verdict finds the complete-graph kernel inside its own
   kernel N, from the product of the complete factor with N
   (engine._complete_kernel_in); the reference decomposes the complete
   factor (engine._complete_kernel) and takes the residual.
+* The three certificates share one window test (linalg._window_rank); the
+  reference is rank_and_nullspace's rank.
 """
 import dataclasses
 import gc
 import os
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1367,7 +1371,7 @@ def test_a_missed_certificate_ranks_the_undeflated_rows(monkeypatch):
         return linalg._rank(M, pol, **kwargs)
 
     monkeypatch.setattr(scenarios, "_rank", ranked_width)
-    monkeypatch.setattr(scenarios, "_certified", lambda s, rtol, slack: False)
+    monkeypatch.setattr(scenarios, "_window_rank", missed_window)
     for fw, want in zip(inputs, certified):
         assert augment_to_ibr(fw, POL)[1] == want
         cols = engine._verdict_factor(fw, fw.graph.edges)[0].shape[1]
@@ -1386,11 +1390,12 @@ def test_every_benchmark_augmentation_stack_certifies(monkeypatch):
     from perfbench import workloads
     results = []
 
-    def recorded(s, rtol, slack, _original=scenarios._certified):
-        results.append(_original(s, rtol, slack))
-        return results[-1]
+    def recorded(*args, _original=linalg._window_rank):
+        rank, margin = _original(*args)
+        results.append(rank is not None)
+        return rank, margin
 
-    monkeypatch.setattr(scenarios, "_certified", recorded)
+    monkeypatch.setattr(scenarios, "_window_rank", recorded)
     for op in workloads.build("augment-sparse", 0, None):
         op.run()
     assert len(results) > 200 and all(results)
@@ -1430,9 +1435,9 @@ def test_final_rank_must_be_the_chosen_one(monkeypatch):
 
     def one_short_on_more_edges(C, shape, Nk, pol, kernel=False,
                                 _original=engine._contained_rank):
-        rank, N = _original(C, shape, Nk, pol, kernel)
+        rank, N, margin = _original(C, shape, Nk, pol, kernel)
         # the verdict's own test keeps its rank; the augmented graph's loses one
-        return (rank - 1 if shape[0] > 2 * flexible.m else rank), N
+        return (rank - 1 if shape[0] > 2 * flexible.m else rank), N, margin
 
     monkeypatch.setattr(engine, "_contained_rank", one_short_on_more_edges)
     with pytest.raises(NumericalError, match="rank"):
@@ -1547,7 +1552,7 @@ def test_containment_tolerance_just_below_one_decides_as_the_default():
 
 # A non-degenerate homogeneous verdict certifies that the complete kernel Nk
 # lies in its factor's kernel from the factor's singular values and one
-# product C Nk (engine._residual_bound); the slow reference decomposes the
+# product C Nk (linalg, certificate (1)); the slow reference decomposes the
 # factor with its kernel and takes the residual.
 
 JITTERS = (1e-12, 1e-11, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6, 1e-5)
@@ -1630,6 +1635,109 @@ def test_collinear_decisions_decompose_no_kernel():
             assert decision.N is None and decision.zero_columns is None
 
 
+def test_the_window_test_decides_only_rows_that_clear_it():
+    # a value inside the widened window (lo - slack, hi + slack], or a
+    # window that does not clear zero by the slack, misses; rows that clear
+    # it give the count above it and the values on either side
+    s = np.array([4.0, 2.0, 1e-3, 1e-9])
+    assert linalg._window_rank(s, 1e-6, 1e-5, 1e-8) == (3, (1e-6, 1e-3, 1e-9, 1e-8))
+    for lo, hi, slack in ((1e-6, 1e-3, 1e-8), (1e-6, 1e-3 - 5e-9, 1e-8),
+                          (1.5e-9, 1e-5, 1e-9), (1e-9, 1e-5, 2e-9)):
+        rank, margin = linalg._window_rank(s, lo, hi, slack)
+        assert rank is None and margin.threshold == lo
+    # nothing lies below the threshold: sigma_r+1 is a zero, which must
+    # clear the window too
+    assert linalg._window_rank(s[:2], 1e-8, 1e-8, 1e-8)[0] == 2
+    assert linalg._window_rank(s[:2], 1e-8, 1e-8, 2e-8)[0] is None
+    # no values (a factor without rows) and no slack: rank 0, sigma_r inf
+    assert linalg._window_rank(np.zeros(0), 0.0, 0.0, 0.0) == (0, (0.0, np.inf, 0.0, 0.0))
+    # a stack decides row by row, and one row inside misses the stack
+    rows = np.array([[4.0, 2.0, 1e-9], [4.0, 2e-5, 1e-9]])
+    lo = np.array([[1e-6], [1e-6]])
+    ranks, margin = linalg._window_rank(rows, lo, 10 * lo, 1e-8)
+    assert ranks.tolist() == [2, 2] and margin.sigma_r.tolist() == [2.0, 2e-5]
+    rows[1, 1] = 1e-5
+    assert linalg._window_rank(rows, lo, 10 * lo, 1e-8)[0] is None
+
+
+def test_a_certified_rank_is_the_decomposed_one():
+    # on every rank-deficient matrix, alone and stacked with copies of the
+    # same singular values, the window at the threshold widened by the
+    # rounding term decides, and gives rank_and_nullspace's rank
+    for name, M in rank_deficient_matrices():
+        want = rank_and_nullspace(M, POL)[0]
+        err = linalg._rounding(M.shape, np.linalg.norm(M), M.shape[1])
+        _, _, s, threshold = linalg._rank(M, POL)
+        assert linalg._window_rank(s, threshold, threshold, err)[0] == want, name
+        _, _, s, threshold = linalg._rank(np.stack([M, -M, M[::-1]]), POL)
+        ranks, _ = linalg._window_rank(s, threshold[:, None], threshold[:, None], err)
+        assert ranks.tolist() == [want] * 3, name
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.FIXTURES))
+def test_the_decision_keeps_the_margin_of_its_factor(name):
+    # the threshold and the singular values on either side of it, as a
+    # direct SVD of the unit-scale factor gives them, and the slack of the
+    # certificate that decided
+    fw = scenarios.fixture(name)
+    decision = engine._decide(fw, POL)
+    C, shape = engine._verdict_factor(fw, fw.graph.edges)
+    s = np.linalg.svd(C, compute_uv=False)
+    rank = decision.verdict.rank
+    margin = decision.margin
+    assert margin.threshold == pytest.approx(POL.effective_rank_rtol(shape) * s[0], rel=1e-12)
+    assert margin.sigma_r == pytest.approx(s[rank - 1], rel=1e-12)
+    assert margin.sigma_next == pytest.approx(s[rank] if rank < s.size else 0.0,
+                                              abs=1e-12 * s[0])
+    assert margin.sigma_next <= margin.threshold < margin.sigma_r
+    assert margin.slack > 0
+
+
+def test_a_threshold_within_rounding_of_zero_certifies_nothing(monkeypatch):
+    # at the smallest rank_rtol the threshold of these factors lies below
+    # the rounding term, so no window clears zero by its slack: at every
+    # certificate (containment, a mixed team's complete kernel, candidate
+    # stacks) the factor is decomposed, and augmentation still ends rigid
+    pol = TolerancePolicy(rank_rtol=1e-14)
+    tried = []
+
+    def recorded(*args, _original=linalg._window_rank):
+        rank, margin = _original(*args)
+        tried.append((sys._getframe(1).f_code.co_name, rank is not None))
+        return rank, margin
+
+    monkeypatch.setattr(engine, "_window_rank", recorded)
+    monkeypatch.setattr(scenarios, "_window_rank", recorded)
+    rng = np.random.default_rng(79)
+    tree = placed_framework(SPACES["r3"], 10, rng)
+    tree = tree.with_graph(spanning_tree(10, "undirected", rng, 0.1))
+    mixed = mixed_framework(8, rng, spanning_tree(8, "directed", rng, 0.3))
+    for flexible in (tree, mixed):
+        out, added = augment_to_ibr(flexible, pol)
+        assert added and ibr_verdict(out, pol).classification == "IBR"
+    sites = {"_contained_rank", "_complete_kernel_in", "_candidate_ranks"}
+    assert {site for site, _ in tried} == sites
+    assert {site for site, certified in tried if certified} == set()
+
+
+def test_augmentation_that_raises_states_the_closest_margin():
+    # the r3 line jittered by 3e-8 is rigid on its complete graph, yet no
+    # candidate raises the rank of this tree on it; the one-line error
+    # names an edge the tree lacks and the margin it missed the rank by
+    line = jittered_line(SPACES["r3"], 3e-8)
+    assert ibr_verdict(line, POL).classification == "IBR"
+    tree = line.with_graph(SensingGraph(6, ((1, 3), (1, 4), (1, 6), (2, 5), (4, 5)),
+                                        "undirected"))
+    with pytest.raises(NumericalError, match="no candidate edge raises") as info:
+        augment_to_ibr(tree, POL)
+    stated = re.search(r"\(closest: edge \((\d+), (\d+)\), threshold (\S+), "
+                       r"sigma_r (\S+), sigma_r\+1 (\S+)\)$", str(info.value))
+    assert (int(stated[1]), int(stated[2])) not in tree.graph.edges
+    threshold, sigma_r, sigma_next = map(float, stated.groups()[2:])
+    assert sigma_next <= threshold < sigma_r
+    assert "\n" not in str(info.value)
+
+
 def test_the_jittered_line_that_fails_the_residual_still_raises():
     # at a jitter of 1e-8 the decomposed residual misses subspace_tol
     # by rounding of the kernel (its singular values straddle the
@@ -1641,7 +1749,7 @@ def test_the_jittered_line_that_fails_the_residual_still_raises():
     C, shape = engine._verdict_factor(fw, fw.graph.edges)
     rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
     assert np.linalg.norm(C @ Nk) < POL.subspace_tol * s[rank - 1]
-    assert not engine._residual_bound(C, Nk, rank, s, threshold) < POL.subspace_tol
+    assert not residual_bound(C, Nk, s, threshold) < POL.subspace_tol
     with pytest.raises(NumericalError, match="not contained"):
         ibr_verdict(fw, POL)
 
@@ -1653,10 +1761,27 @@ def tilted(Nk, v, eps):
     return np.linalg.qr(T)[0]
 
 
+def residual_bound(C, Nk, s, threshold):
+    """Certificate (1)'s bound on the residual of Nk against C's kernel, from
+    C's singular values s at threshold; inf where the window misses."""
+    err = linalg._rounding(C.shape, np.linalg.norm(s), Nk.shape[1])
+    rank, margin = linalg._window_rank(s, threshold, threshold, err)
+    if rank is None:
+        return np.inf
+    return (np.linalg.norm(C @ Nk) + 2.0 * err) / (margin.sigma_r - err)
+
+
+def missed_window(s, lo, hi, slack, _original=linalg._window_rank):
+    """The window test with every decision missed, and its margin kept."""
+    return None, _original(s, lo, hi, slack)[1]
+
+
 def test_the_residual_bound_holds_wherever_it_is_finite():
     # on every input, and on complete kernels tilted toward the right
     # singular vector of s_r (where ||C Nk|| / s_r is the residual itself),
-    # the computed residual never exceeds the bound
+    # the computed residual never exceeds the bound, and the containment
+    # test passes without a kernel exactly where the bound is below
+    # subspace_tol
     finite = tight = 0
     for key in REFERENCE_SPACES:
         for fw in certificate_inputs(key):
@@ -1665,7 +1790,7 @@ def test_the_residual_bound_holds_wherever_it_is_finite():
             rank, _, s, threshold = linalg._rank(C, POL, shape=shape)
             _, N = rank_and_nullspace(C, POL, shape=shape)
             if not rank:  # no edges: the kernel is everything
-                assert engine._residual_bound(C, Nk, rank, s, threshold) == 0.0
+                assert residual_bound(C, Nk, s, threshold) == 0.0
                 assert linalg._residual(N, Nk) == 0.0
                 continue
             v = np.linalg.svd(C)[2][rank - 1]
@@ -1674,13 +1799,18 @@ def test_the_residual_bound_holds_wherever_it_is_finite():
             if rank < s.size:
                 near.append(s[rank] * (1 + 1e-15))
             for t in near:
-                assert engine._residual_bound(C, Nk, rank, s, t) == np.inf
+                assert residual_bound(C, Nk, s, t) == np.inf
             for eps in (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
                 K = tilted(Nk, v, eps)
-                bound = engine._residual_bound(C, K, rank, s, threshold)
+                bound = residual_bound(C, K, s, threshold)
+                residual = linalg._residual(N, K)
+                try:
+                    passed = engine._contained_rank(C, shape, K, POL)[1] is None
+                except NumericalError:
+                    passed = False
+                assert passed == (bound < POL.subspace_tol), (key, eps)
                 if bound == np.inf:
                     continue
-                residual = linalg._residual(N, K)
                 assert residual <= bound, (key, eps)
                 finite += 1
                 tight += eps > 0 and residual > 0.5 * bound
@@ -1713,13 +1843,14 @@ def test_a_missed_bound_falls_back_to_the_residual(monkeypatch):
         assert residuals.take() == 1
     # with no bound at all every containment test takes the residual, and
     # decides as before
-    monkeypatch.setattr(engine, "_residual_bound", lambda *args: np.inf)
+    monkeypatch.setattr(engine, "_window_rank", missed_window)
     assert fast_decision(fw) == want
     assert residuals.take() == 1
 
 
 # A mixed team's complete-graph kernel is found inside its own kernel N as N
 # times the kernel of C_K N (engine._complete_kernel_in), with a certificate
+# (linalg, certificate (2))
 # that it has the dimension and passes the containment test that
 # decomposing the complete factor C_K gives; the reference is that
 # decomposition (engine._complete_kernel) and the containment test, which
@@ -1747,9 +1878,9 @@ def test_the_certified_complete_kernel_decides_as_the_decomposed_one(monkeypatch
     certified, classes = [], set()
 
     def recorded(*args, _original=engine._complete_kernel_in):
-        Nk = _original(*args)
+        Nk, margin = _original(*args)
         certified.append(Nk is not None)
-        return Nk
+        return Nk, margin
 
     monkeypatch.setattr(engine, "_complete_kernel_in", recorded)
     for fw in generated_mixed_teams():
@@ -1757,7 +1888,7 @@ def test_the_certified_complete_kernel_decides_as_the_decomposed_one(monkeypatch
             moved = scaled(fw, factor)
             fast = engine._decide(moved, POL)
             with monkeypatch.context() as m:
-                m.setattr(engine, "_complete_kernel_in", lambda *args: None)
+                m.setattr(engine, "_window_rank", missed_window)
                 slow = engine._decide(moved, POL)
             Nk = engine._complete_kernel(moved, POL)[0]
             assert fast.Nk.shape == slow.Nk.shape == Nk.shape
@@ -1765,11 +1896,12 @@ def test_the_certified_complete_kernel_decides_as_the_decomposed_one(monkeypatch
             np.testing.assert_allclose(fast.Nk.T @ fast.Nk, np.eye(Nk.shape[1]),
                                        rtol=0, atol=1e-12)
             assert fast.verdict == slow.verdict
+            assert fast.margin[:3] == slow.margin[:3]
             np.testing.assert_array_equal(fast.N, slow.N)
             np.testing.assert_array_equal(fast.zero_columns, slow.zero_columns)
             classes.add(fast.verdict.classification)
     assert classes == {"IBR", "IBF"}
-    assert all(certified) and len(certified) == 3 * len(list(generated_mixed_teams()))
+    assert certified == [True, False] * (3 * len(list(generated_mixed_teams())))
 
 
 def test_a_certified_mixed_report_decomposes_no_complete_graph(monkeypatch):
